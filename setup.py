@@ -1,26 +1,11 @@
-"""Build script for the optional compiled kernels.
+"""Shim for the legacy ``python setup.py develop`` install.
 
-The package works without the extension (a pure-Python fallback is selected
-at import time); building it just makes the event-stream kernels fast.
+All metadata lives in pyproject.toml.  Where the ``wheel`` package is
+missing, ``pip install -e .`` stops with ``invalid command 'bdist_wheel'``;
+``python setup.py develop`` still installs the package in editable form and
+puts the ``qgalton`` console script on PATH.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-extensions = []
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "qgalton._fast_kernels",
-                ["src/qgalton/_fast_kernels.pyx"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=extensions)
+setup()

@@ -10,9 +10,10 @@ a truth channel for validation.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -167,6 +168,24 @@ class ExperimentConfig:
         return asdict(self)
 
 
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+# bool is an int subclass, so it is refused explicitly below
+_ACCEPTED = {int: (numbers.Integral, "an integer"),
+             float: (numbers.Real, "a number"),
+             str: (str, "a string")}
+
+
+def _check_type(key: str, value) -> None:
+    """Raise ConfigError unless ``value`` fits the declared field type."""
+    hint = _FIELD_TYPES[key]
+    args = get_args(hint)  # Optional[X] -> (X, NoneType)
+    if value is None and type(None) in args:
+        return
+    kinds, name = _ACCEPTED[args[0] if args else hint]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"config field {key} must be {name}, got {value!r}")
+
+
 def config_from_dict(experiment: str, data: Optional[dict] = None,
                      seed: Optional[int] = None) -> ExperimentConfig:
     """Merge a user config over the experiment's defaults and validate."""
@@ -174,6 +193,8 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
     unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        _check_type(key, value)
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of "

@@ -1,46 +1,65 @@
-"""Backend dispatch for the event-stream kernels.
+"""Sequential event-stream kernels: SNSPD dead time and pulse-pair decoding.
 
-The compiled extension (`qgalton._fast_kernels`, built from Cython) is used
-when importable; otherwise the pure-Python `qgalton._kernels_py` takes over
-transparently.  Set QGALTON_KERNELS=python to force the fallback (useful for
-benchmarks and debugging), or QGALTON_KERNELS=cython to fail loudly when the
-extension is missing.
+Both are plain Python loops over time-sorted NumPy arrays; each decision
+depends on the ones before it (a registered click opens a dead window, a
+used partner is gone for later triggers).
 """
-
-import os
 
 import numpy as np
 
 __all__ = ["BACKEND", "dead_time_filter", "pair_pulses"]
 
-_requested = os.environ.get("QGALTON_KERNELS", "auto").strip().lower()
-
-if _requested in ("auto", ""):
-    try:
-        from . import _fast_kernels as _impl
-    except ImportError:
-        from . import _kernels_py as _impl
-elif _requested == "cython":
-    from . import _fast_kernels as _impl
-elif _requested == "python":
-    from . import _kernels_py as _impl
-else:
-    raise ImportError(
-        f"QGALTON_KERNELS={_requested!r} not understood; use 'auto', 'cython' or 'python'"
-    )
-
-BACKEND = _impl.BACKEND
+# Read by the benchmark harness (perfbench/worker.py, perfbench/run.py),
+# which stamps every result with the kernel implementation it timed.
+BACKEND = "python"
 
 
 def dead_time_filter(pixels, times, n_pixels, dead_time):
-    """Boolean mask of time-sorted events surviving a non-paralyzable dead time."""
-    pixels = np.ascontiguousarray(pixels, dtype=np.int64)
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    return _impl.dead_time_filter(pixels, times, int(n_pixels), float(dead_time))
+    """Mask of events that register under a non-paralyzable dead time.
+
+    Events must be sorted by time.  An event on pixel p at time t registers
+    iff t - (last registered time on p) >= dead_time; blocked events do not
+    extend the dead window.
+    """
+    n = len(times)
+    keep = np.zeros(n, dtype=bool)
+    last = [-np.inf] * n_pixels
+    for i in range(n):
+        p = pixels[i]
+        if times[i] - last[p] >= dead_time:
+            keep[i] = True
+            last[p] = times[i]
+    return keep
 
 
 def pair_pulses(trigger_times, partner_times, window):
-    """Greedy nearest-in-window partner index per trigger (-1 when unmatched)."""
-    trigger_times = np.ascontiguousarray(trigger_times, dtype=np.float64)
-    partner_times = np.ascontiguousarray(partner_times, dtype=np.float64)
-    return _impl.pair_pulses(trigger_times, partner_times, float(window))
+    """Greedy nearest-in-window pairing of trigger pulses with partners.
+
+    Both inputs must be sorted ascending.  Triggers are processed in time
+    order; each takes the unused partner nearest in time within +/- window
+    (earliest index on exact ties).  Returns an int64 array of partner
+    indices per trigger, -1 where no partner was available.
+    """
+    n_trig = len(trigger_times)
+    n_part = len(partner_times)
+    match = np.full(n_trig, -1, dtype=np.int64)
+    used = np.zeros(n_part, dtype=bool)
+    lo = 0
+    for i in range(n_trig):
+        t = trigger_times[i]
+        while lo < n_part and partner_times[lo] < t - window:
+            lo += 1
+        best = -1
+        best_d = window + 1.0
+        j = lo
+        while j < n_part and partner_times[j] <= t + window:
+            if not used[j]:
+                d = abs(partner_times[j] - t)
+                if d < best_d:
+                    best_d = d
+                    best = j
+            j += 1
+        if best >= 0:
+            used[best] = True
+            match[i] = best
+    return match

@@ -44,6 +44,10 @@ __all__ = [
 
 MAX_ORACLE_STAGES = 20
 
+# Each amplitude coefficient counts a subset of the 2**stages decision paths,
+# so int64 holds every coefficient exactly while 2**stages <= its maximum.
+MAX_COEFFICIENT_STAGES = np.iinfo(np.int64).max.bit_length() - 1
+
 _NORM_TOL = 1e-12
 
 
@@ -285,10 +289,18 @@ def amplitude_coefficients(stages: int, input_port: str = "left") -> np.ndarray:
 
     where coef[bin, k] counts the paths to that bin with exactly k same-side
     transitions.  Returns an int64 array of shape (2*stages, stages + 1).
+
+    Raises ResourceLimitError above MAX_COEFFICIENT_STAGES, where the path
+    counts could wrap around in int64.
     """
     _check_input_port(input_port)
     if stages < 1:
         raise InvalidArgumentError(f"stages must be >= 1, got {stages}")
+    if stages > MAX_COEFFICIENT_STAGES:
+        raise ResourceLimitError(
+            f"stages={stages}: path counts up to 2**{stages} overflow int64; "
+            f"limit is stages <= {MAX_COEFFICIENT_STAGES}"
+        )
     # row 1: the photon occupies one input of the single top coupler
     coef = np.zeros((2, stages + 1), dtype=np.int64)
     if input_port == "left":

@@ -128,6 +128,20 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "windoes" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("windows", 10.5), ("stages", "8"), ("windows", "100"),
+        ("n_bootstrap", 1e9), ("windows", True), ("efficiency", False),
+        ("min_cluster", 2.0), ("trigger_polarity", 1),
+    ])
+    def test_wrong_typed_field_exit_config(self, tmp_path, capsys, field,
+                                           value):
+        # an uncaught TypeError would escape main() and fail this test
+        code, _, err = run_cli(capsys, "run", "interference", "--config",
+                               self.config(tmp_path, **{field: value}))
+        assert code == EXIT_CONFIG
+        assert field in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "run", "counting",
                              "--config", "/nonexistent/config.json")
@@ -176,6 +190,15 @@ class TestFitCommands:
         code, _, err = run_cli(capsys, "fit-t2", "--input", str(p))
         assert code == EXIT_CONFIG
         assert "integer" in err
+
+    def test_fit_t2_too_many_bins_exit_resource(self, tmp_path, capsys):
+        # 142 bins imply 71 stages, past the int64 path-count limit
+        p = tmp_path / "hist.json"
+        p.write_text(json.dumps([1] * 142))
+        code, rep, err = run_cli(capsys, "fit-t2", "--input", str(p))
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert "stages=71" in err
 
     def test_fit_poisson(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

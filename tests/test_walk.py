@@ -17,6 +17,7 @@ import pytest
 
 from qgalton.errors import InvalidArgumentError, ResourceLimitError
 from qgalton.walk import (
+    MAX_COEFFICIENT_STAGES,
     Coupler,
     OutputDistribution,
     amplitude_coefficients,
@@ -288,9 +289,14 @@ class TestBinProbabilities:
 
     def test_coefficients_count_paths(self):
         # total signed path count per bin row sums to 2**stages across bins
-        for stages in (1, 2, 5, 8):
+        for stages in (1, 2, 5, 8, MAX_COEFFICIENT_STAGES):
             coef = amplitude_coefficients(stages)
             assert coef.sum() == 2**stages
+
+    def test_coefficient_stage_limit(self):
+        # one more stage and the int64 path counts could wrap silently
+        with pytest.raises(ResourceLimitError, match="stages=63"):
+            amplitude_coefficients(MAX_COEFFICIENT_STAGES + 1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidArgumentError):
