@@ -74,6 +74,8 @@ _EXPERIMENT_DEFAULTS = {
     "persistence": {"t_squared": 0.5},
 }
 _KNOWN_KEYS = set(_BASE_DEFAULTS) | {"wavelength_nm", "t_squared"}
+# the seed is one 64-bit word of every window's Philox key (window_rng)
+SEED_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,18 @@ class ExperimentConfig:
         if self.n_bootstrap < 10:
             raise ConfigError(
                 f"n_bootstrap must be at least 10, got {self.n_bootstrap}"
+            )
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(
+                f"seed must lie in [0, 2**64 - 1], got {self.seed}"
+            )
+        if self.min_cluster is not None and self.min_cluster < 1:
+            raise ConfigError(
+                f"min_cluster must be >= 1 or null, got {self.min_cluster}"
+            )
+        if not self.bin_width_ns > 0.0:
+            raise ConfigError(
+                f"bin_width_ns must be positive, got {self.bin_width_ns}"
             )
 
     @property
@@ -314,27 +328,36 @@ def _decoded_ok(stream: SimulatedStream):
     return dec.pixels[ok], dec.origin_times[ok]
 
 
+_FLAG_TEXT = np.array(FLAG_NAMES, dtype=object)
+
+
+def _window_index(times, window: float, n_windows: int) -> np.ndarray:
+    """Window of each time, clipped into the run; -1 where the time is NaN."""
+    win = np.clip(times // window, 0, n_windows - 1)
+    return np.where(np.isnan(win), -1, win).astype(np.int64)
+
+
+def _table(header: list, *columns: np.ndarray):
+    """A CSV table, (header, rows), from equal-length array columns.
+
+    Each column is converted once: floats to their repr text, other dtypes
+    to Python scalars, so every cell prints as ``str`` of a scalar would.
+    """
+    cells = [map(repr, col.tolist()) if col.dtype.kind == "f" else col.tolist()
+             for col in columns]
+    return header, list(zip(*cells))
+
+
 def _events_table(stream: SimulatedStream, window: float, n_windows: int):
     dec = stream.decoded
-    rows = []
-    for px, t, fl in zip(dec.pixels, dec.origin_times, dec.flags):
-        if np.isnan(t):
-            win = -1
-            t_ns = float("nan")
-        else:
-            win = int(min(max(t // window, 0), n_windows - 1))
-            t_ns = t * 1e9
-        rows.append((win, int(px), repr(float(t_ns)), FLAG_NAMES[fl]))
-    return ["window_index", "pixel", "origin_time_ns", "flag"], rows
+    return _table(["window_index", "pixel", "origin_time_ns", "flag"],
+                  _window_index(dec.origin_times, window, n_windows),
+                  dec.pixels, dec.origin_times * 1e9, _FLAG_TEXT[dec.flags])
 
 
 def _truth_table(stream: SimulatedStream):
-    rows = [
-        (int(w), int(b), repr(float(t * 1e9)))
-        for w, b, t in zip(stream.truth_windows, stream.truth_pixels,
-                           stream.truth_times)
-    ]
-    return ["window_index", "bin", "time_ns"], rows
+    return _table(["window_index", "bin", "time_ns"], stream.truth_windows,
+                  stream.truth_pixels, stream.truth_times * 1e9)
 
 
 def run_interference(config: ExperimentConfig) -> ExperimentOutput:
@@ -368,11 +391,9 @@ def run_interference(config: ExperimentConfig) -> ExperimentOutput:
         "gof_at_fit": gof.to_dict(),
     }
     tables = {
-        "histogram": (
+        "histogram": _table(
             ["bin", "decoded_count", "truth_count", "model_probability"],
-            [(b, int(decoded_hist[b]), int(truth_hist[b]),
-              repr(float(model_ref[b]))) for b in range(n_bins)],
-        ),
+            np.arange(n_bins), decoded_hist, truth_hist, model_ref),
         "events": _events_table(stream, config.window, config.windows),
         "truth_events": _truth_table(stream),
     }
@@ -381,8 +402,7 @@ def run_interference(config: ExperimentConfig) -> ExperimentOutput:
 
 def _window_counts(stream: SimulatedStream, config: ExperimentConfig):
     _, times = _decoded_ok(stream)
-    wins = np.clip((times // config.window).astype(np.int64),
-                   0, config.windows - 1)
+    wins = _window_index(times, config.window, config.windows)
     return np.bincount(wins, minlength=config.windows)
 
 
@@ -414,15 +434,12 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
         "gof": gof.to_dict(),
     }
     tables = {
-        "window_counts": (
+        "window_counts": _table(
             ["window_index", "decoded_count", "truth_count"],
-            [(w, int(counts[w]), int(truth_counts[w]))
-             for w in range(config.windows)],
-        ),
-        "count_histogram": (
+            np.arange(config.windows), counts, truth_counts),
+        "count_histogram": _table(
             ["count", "windows", "model_probability"],
-            [(k, int(hist[k]), repr(float(pmf[k]))) for k in range(kmax + 1)],
-        ),
+            np.arange(kmax + 1), hist, pmf),
         "events": _events_table(stream, config.window, config.windows),
     }
     return ExperimentOutput(report=report, tables=tables)
@@ -472,11 +489,8 @@ def run_intervals(config: ExperimentConfig) -> ExperimentOutput:
     }
     centers = 0.5 * (edges[:-1] + edges[1:])
     tables = {
-        "gap_histogram": (
-            ["gap_ns", "count", "model_mass"],
-            [(repr(float(c * 1e9)), int(h), repr(float(m)))
-             for c, h, m in zip(centers, hist, masses[:-1])],
-        ),
+        "gap_histogram": _table(["gap_ns", "count", "model_mass"],
+                                centers * 1e9, hist, masses[:-1]),
         "events": _events_table(stream, config.window, config.windows),
     }
     return ExperimentOutput(report=report, tables=tables)
@@ -533,11 +547,8 @@ def run_persistence(config: ExperimentConfig) -> ExperimentOutput:
               if res.bin_counts[i] else "")
              for i in range(res.bin_counts.size)],
         ),
-        "trace": (
-            ["time_ns", "amplitude"],
-            [(repr(float(t * 1e9)), repr(float(a)))
-             for t, a in zip(stream.trace.times, stream.trace.amplitudes)],
-        ),
+        "trace": _table(["time_ns", "amplitude"], stream.trace.times * 1e9,
+                        stream.trace.amplitudes),
     }
     return ExperimentOutput(report=report, tables=tables)
 

@@ -150,7 +150,13 @@ def window_rng(master_seed: int, window_index: int) -> np.random.Generator:
     """
     if window_index < 0:
         raise InvalidArgumentError(f"window index must be >= 0, got {window_index}")
-    return np.random.Generator(np.random.Philox(key=[master_seed, window_index]))
+    if not 0 <= master_seed < 2**64:
+        raise InvalidArgumentError(
+            f"master seed must lie in [0, 2**64), got {master_seed}")
+    # one 128-bit key, low word the seed and high word the window; a list
+    # key would pass through float64 for seeds >= 2**63 and collide
+    key = int(master_seed) | (int(window_index) << 64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_arrivals(config: SourceConfig, rng: np.random.Generator,

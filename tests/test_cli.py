@@ -142,6 +142,37 @@ class TestRun:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment, seed", [
+        ("interference", 2**64), ("persistence", -1), ("counting", -1),
+    ])
+    def test_seed_out_of_range_exit_config(self, tmp_path, capsys,
+                                           experiment, seed):
+        # numpy would raise OverflowError for 2**64 and wrap -1 silently
+        for in_file in (True, False):
+            args = (["--config", self.config(tmp_path, seed=seed)] if in_file
+                    else ["--config", self.config(tmp_path), "--seed", str(seed)])
+            code, _, err = run_cli(capsys, "run", experiment, *args)
+            assert code == EXIT_CONFIG
+            assert "seed" in err
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        code, rep, _ = run_cli(capsys, "run", "counting", "--config",
+                               self.config(tmp_path), "--seed", str(2**64 - 1))
+        assert code == EXIT_OK
+        assert rep["config"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("persistence", "min_cluster", -3), ("persistence", "min_cluster", 0),
+        ("persistence", "bin_width_ns", 0), ("counting", "bin_width_ns", 0),
+        ("persistence", "bin_width_ns", -0.1),
+    ])
+    def test_out_of_range_field_exit_config(self, tmp_path, capsys,
+                                            experiment, field, value):
+        code, _, err = run_cli(capsys, "run", experiment, "--config",
+                               self.config(tmp_path, **{field: value}))
+        assert code == EXIT_CONFIG
+        assert field in err
+
     def test_missing_config_file_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "run", "counting",
                              "--config", "/nonexistent/config.json")

@@ -3,7 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qgalton import kernels
+import reference_impl
+from qgalton import kernels, readout
+from qgalton.experiments import config_from_dict, simulate_stream
 
 # integer-valued times make exact ties and exact window/dead-time boundaries
 # common, which is where the greedy rules are easiest to get wrong
@@ -93,3 +95,44 @@ class TestKernelProperties:
         for i in np.flatnonzero(match < 0):
             near = np.abs(part - trig[i]) <= window
             assert not (near & free).any()
+
+
+# times on a small integer grid against windows of a few units: most
+# partners sit in several trigger windows, and ties and exact edges abound
+dense_times = st.lists(st.integers(0, 12), max_size=30).map(
+    lambda ts: np.array(sorted(ts), dtype=np.float64))
+
+
+class TestPairPulsesParity:
+    """The vectorized kernel returns the greedy loop's result exactly."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(dense_times, dense_times, st.integers(0, 4).map(float))
+    def test_matches_reference_loop(self, trig, part, window):
+        got = kernels.pair_pulses(trig, part, window)
+        want = reference_impl.pair_pulses(trig, part, window)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_saturated_decode_passes(self, monkeypatch):
+        # record the pairing passes of a real decode at 30 photons/window
+        passes = []
+
+        def recording(trig, part, window):
+            passes.append((trig.copy(), part.copy(), window))
+            return reference_impl.pair_pulses(trig, part, window)
+
+        monkeypatch.setattr(readout, "pair_pulses", recording)
+        simulate_stream(config_from_dict(
+            "counting", {"mean_photon_number": 30.0, "windows": 300}, seed=1))
+        assert len(passes) >= 16  # one per pixel slot until a pool empties
+        contested = 0
+        for trig, part, window in passes:
+            lo = np.searchsorted(part, trig - window, side="left")
+            hi = np.searchsorted(part, trig + window, side="right")
+            # a trigger with several candidates, or sharing one with the next
+            contested += int((hi - lo > 1).sum() + (hi[:-1] > lo[1:]).sum())
+            np.testing.assert_array_equal(
+                kernels.pair_pulses(trig, part, window),
+                reference_impl.pair_pulses(trig, part, window))
+        assert contested > 0  # the greedy fallback ran, not only the fast path

@@ -124,6 +124,24 @@ class TestWindowRng:
         with pytest.raises(InvalidArgumentError):
             window_rng(0, -1)
 
+    def test_key_words_are_seed_and_window(self):
+        key = window_rng(12345, 77).bit_generator.state["state"]["key"]
+        assert key.tolist() == [12345, 77]
+
+    @pytest.mark.parametrize("seed, other", [
+        (2**64 - 1, 0), (2**63 + 5, 2**63),
+    ])
+    def test_large_seeds_keep_distinct_streams(self, seed, other):
+        key = window_rng(seed, 3).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, 3]
+        assert not np.array_equal(window_rng(seed, 3).random(5),
+                                  window_rng(other, 3).random(5))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_word_rejected(self, seed):
+        with pytest.raises(InvalidArgumentError):
+            window_rng(seed, 0)
+
 
 class TestSampleArrivals:
     def test_times_sorted_and_in_window(self):
