@@ -19,9 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import QGaltonError, ResourceLimitError
+from .errors import ConfigError, QGaltonError, ResourceLimitError
 from .experiments import (
     EXPERIMENTS,
+    MIN_BOOTSTRAP,
+    SEED_MAX,
     ExperimentOutput,
     config_from_dict,
     load_config,
@@ -132,7 +134,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_fit_options(args) -> None:
+    """Hold --seed and --bootstrap to the bounds a run config has."""
+    if not 0 <= args.seed <= SEED_MAX:
+        raise ConfigError(
+            f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
+    if args.bootstrap < MIN_BOOTSTRAP:
+        raise ConfigError(
+            f"--bootstrap must be at least {MIN_BOOTSTRAP}, "
+            f"got {args.bootstrap}")
+
+
 def cmd_fit_t2(args) -> int:
+    _check_fit_options(args)
     values = _read_numbers(args.input)
     counts = values.astype(np.int64)
     if np.any(values != counts):
@@ -144,6 +158,7 @@ def cmd_fit_t2(args) -> int:
 
 
 def cmd_fit_poisson(args) -> int:
+    _check_fit_options(args)
     values = _read_numbers(args.input)
     counts = values.astype(np.int64)
     if np.any(values != counts):
@@ -154,6 +169,7 @@ def cmd_fit_poisson(args) -> int:
 
 
 def cmd_fit_exponential(args) -> int:
+    _check_fit_options(args)
     gaps = _read_numbers(args.input)
     fit = fit_exponential(gaps, n_bootstrap=args.bootstrap, seed=args.seed)
     report = {"fit": fit.to_dict(), "units": "same as input (ns expected)"}

@@ -5,6 +5,9 @@ fixed efficiency, then goes blind for a fixed dead time: while recovering it
 ignores further photons and the blocked photons do not extend the recovery
 (non-paralyzable response).  Recorded timestamps carry Gaussian jitter, and
 each pixel also fires spontaneously at a low dark rate.
+
+The random draws are made window by window (`draw_window`), each window on
+its own generator; `detect` then runs the whole run at once.
 """
 
 from __future__ import annotations
@@ -71,30 +74,27 @@ class DetectionRecords:
         return self.times.size
 
 
-def detect(events: PhotonEvents, config: DetectorConfig,
-           rng: np.random.Generator, duration: float | None = None) -> DetectionRecords:
-    """Run one window of photons through the detector array.
+_NONE = np.empty(0)
+_NO_PIXELS = np.empty(0, dtype=np.int64)
 
-    `duration` bounds the dark-count sampling interval [0, duration); it is
-    required whenever dark_count_rate > 0.  Incident photons must already
-    carry bin assignments, which map one-to-one onto pixels.
+
+def draw_window(config: DetectorConfig, rng: np.random.Generator,
+                n_photons: int, duration: float | None = None):
+    """One window's detector draws, in stream order after its photons'.
+
+    Returns (keep, dark_times, dark_pixels, jitter): one efficiency uniform
+    per photon (none at efficiency 1); the dark counts over [0, duration),
+    whose count is Poisson and which `duration` is required for when
+    dark_count_rate > 0; and the timing jitter.  Jitter is the last draw,
+    and the dead time decides later how many clicks need it, so one normal
+    is drawn for every click that could register: each surviving photon
+    and each dark count.  A window left with k clicks uses the first k,
+    which are exactly the values a size-k draw would give.
     """
-    times = np.asarray(events.times, dtype=float)
-    bins = np.asarray(events.bins, dtype=np.int64)
-    if times.size and np.any(np.diff(times) < 0):
-        raise InvalidArgumentError("photon times must be sorted")
-    if np.any(bins < 0) or np.any(bins >= config.pixel_count):
-        raise InvalidArgumentError(
-            "photon bins must be assigned and lie in "
-            f"[0, {config.pixel_count}); run bin assignment first"
-        )
-
-    # efficiency thinning: each photon independently survives with prob eta
-    if config.efficiency < 1.0:
-        keep = rng.random(times.size) < config.efficiency
-        times, bins = times[keep], bins[keep]
-    is_dark = np.zeros(times.size, dtype=bool)
-
+    keep = rng.random(n_photons) if config.efficiency < 1.0 else _NONE
+    clicks = (n_photons if config.efficiency >= 1.0
+              else int(np.count_nonzero(keep < config.efficiency)))
+    dark_times, dark_pixels = _NONE, _NO_PIXELS
     if config.dark_count_rate > 0.0:
         if duration is None:
             raise InvalidArgumentError(
@@ -104,23 +104,106 @@ def detect(events: PhotonEvents, config: DetectorConfig,
         n_dark = int(rng.poisson(mean_darks))
         dark_times = rng.uniform(0.0, duration, size=n_dark)
         dark_pixels = rng.integers(0, config.pixel_count, size=n_dark)
-        times = np.concatenate([times, dark_times])
-        bins = np.concatenate([bins, dark_pixels])
-        is_dark = np.concatenate([is_dark, np.ones(n_dark, dtype=bool)])
+        clicks += n_dark
+    jitter = (rng.normal(0.0, config.jitter_sigma, size=clicks)
+              if config.jitter_sigma > 0.0 and clicks else _NONE)
+    return keep, dark_times, dark_pixels, jitter
 
-    order = np.argsort(times, kind="stable")
-    times, bins, is_dark = times[order], bins[order], is_dark[order]
+
+@dataclass
+class DetectorDraws:
+    """The detector draws of a run, each window's `draw_window` in turn.
+
+    keep is one efficiency uniform per photon of the run (empty at
+    efficiency 1); the dark and jitter draws of all windows are
+    concatenated, with their counts per window.
+    """
+
+    keep: np.ndarray
+    dark_counts: np.ndarray
+    dark_times: np.ndarray
+    dark_pixels: np.ndarray
+    jitter_counts: np.ndarray
+    jitter: np.ndarray
+
+    @classmethod
+    def stack(cls, windows: list) -> "DetectorDraws":
+        """Concatenate the `draw_window` results of windows 0, 1, ..."""
+        keep, dark_times, dark_pixels, jitter = (
+            np.concatenate(column) for column in zip(*windows))
+        return cls(
+            keep=keep,
+            dark_counts=np.array([w[1].size for w in windows], dtype=np.int64),
+            dark_times=dark_times,
+            dark_pixels=dark_pixels.astype(np.int64, copy=False),
+            jitter_counts=np.array([w[3].size for w in windows],
+                                   dtype=np.int64),
+            jitter=jitter,
+        )
+
+
+def detect(events: PhotonEvents, config: DetectorConfig, draws: DetectorDraws,
+           window: float) -> DetectionRecords:
+    """Run the photons of a run through the detector array.
+
+    Every window starts with the detector recovered, as if it ran alone:
+    the dead time acts within a pixel and a window.  Window w's clicks are
+    placed on the run's timeline at w * window, in window order and sorted
+    by time within each window.  Incident photons must already carry bin
+    assignments, which map one-to-one onto pixels.
+    """
+    times, bins, wins = events.times, events.bins, events.windows
+    if np.any(bins < 0) or np.any(bins >= config.pixel_count):
+        raise InvalidArgumentError(
+            "photon bins must be assigned and lie in "
+            f"[0, {config.pixel_count}); run bin assignment first"
+        )
+    step = np.diff(wins)
+    if np.any(step < 0) or np.any((step == 0) & (np.diff(times) < 0)):
+        raise InvalidArgumentError("photon times must be sorted")
+    n_windows = draws.jitter_counts.size
+    if wins.size and wins[-1] >= n_windows:
+        raise InvalidArgumentError(
+            f"photons in window {wins[-1]}, draws for {n_windows} windows")
+
+    # efficiency thinning: each photon independently survives with prob eta
+    if config.efficiency < 1.0:
+        survive = draws.keep < config.efficiency
+        times, bins, wins = times[survive], bins[survive], wins[survive]
+    is_dark = np.zeros(times.size, dtype=bool)
+
+    if config.dark_count_rate > 0.0:
+        times = np.concatenate([times, draws.dark_times])
+        bins = np.concatenate([bins, draws.dark_pixels])
+        wins = np.concatenate([wins, np.repeat(
+            np.arange(n_windows, dtype=np.int64), draws.dark_counts)])
+        is_dark = np.concatenate(
+            [is_dark, np.ones(draws.dark_times.size, dtype=bool)])
+
+    # stable: on a tie the photon comes before the dark count
+    order = np.lexsort((times, wins))
+    times, bins, wins, is_dark = (times[order], bins[order], wins[order],
+                                  is_dark[order])
 
     if config.dead_time > 0.0 and times.size:
-        alive = dead_time_filter(bins, times, config.pixel_count, config.dead_time)
-        times, bins, is_dark = times[alive], bins[alive], is_dark[alive]
+        # one pixel of one window is one group: each window starts recovered
+        alive = dead_time_filter(wins * config.pixel_count + bins, times,
+                                 config.dead_time)
+        times, bins, wins, is_dark = (times[alive], bins[alive], wins[alive],
+                                      is_dark[alive])
 
     if config.jitter_sigma > 0.0 and times.size:
-        times = times + rng.normal(0.0, config.jitter_sigma, size=times.size)
-        order = np.argsort(times, kind="stable")
-        times, bins, is_dark = times[order], bins[order], is_dark[order]
+        # the k-th click of window w takes that window's k-th jitter draw
+        first_draw = np.cumsum(draws.jitter_counts) - draws.jitter_counts
+        first_click = np.searchsorted(wins, wins, side="left")
+        k = np.arange(wins.size) - first_click
+        times = times + draws.jitter[first_draw[wins] + k]
+        order = np.lexsort((times, wins))
+        times, bins, wins, is_dark = (times[order], bins[order], wins[order],
+                                      is_dark[order])
 
-    return DetectionRecords(pixels=bins, times=times, is_dark=is_dark)
+    return DetectionRecords(pixels=bins, times=times + wins * window,
+                            is_dark=is_dark)
 
 
 def count_in_window(records: DetectionRecords, start: float | None = None,

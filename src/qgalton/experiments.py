@@ -1,10 +1,12 @@
 """End-to-end experiment runs: source through mesh, detector, readout, fits.
 
 Each run is specified by a JSON-friendly config (times in nanoseconds,
-rates in Hz), simulated window by window on independent random streams,
-then decoded from the shared readout line back into events.  All reported
-statistics come from the decoded events; the emitted photons ride along as
-a truth channel for validation.
+rates in Hz), simulated in one pass and decoded from the shared readout
+line back into events.  Each acquisition window draws its random numbers
+from its own stream (`source.window_rng`); everything else, from bin
+assignment through the detector to the readout, runs once over the whole
+run.  All reported statistics come from the decoded events; the emitted
+photons ride along as a truth channel for validation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .detector import DetectionRecords, DetectorConfig, detect
+from .detector import (
+    DetectionRecords,
+    DetectorConfig,
+    DetectorDraws,
+    detect,
+)
+from .detector import draw_window as draw_detector_window
 from .errors import ConfigError
 from .readout import (
     FLAG_NAMES,
@@ -33,6 +41,7 @@ from .source import (
     t2_of_wavelength,
     window_rng,
 )
+from .source import draw_window as draw_source_window
 from .stats import (
     chi_square_gof,
     fit_exponential,
@@ -76,6 +85,7 @@ _EXPERIMENT_DEFAULTS = {
 _KNOWN_KEYS = set(_BASE_DEFAULTS) | {"wavelength_nm", "t_squared"}
 # the seed is one 64-bit word of every window's Philox key (window_rng)
 SEED_MAX = 2**64 - 1
+MIN_BOOTSTRAP = 10
 
 
 @dataclass(frozen=True)
@@ -126,9 +136,10 @@ class ExperimentConfig:
             )
         if self.window_ns <= 0.0:
             raise ConfigError(f"window_ns must be positive, got {self.window_ns}")
-        if self.n_bootstrap < 10:
+        if self.n_bootstrap < MIN_BOOTSTRAP:
             raise ConfigError(
-                f"n_bootstrap must be at least 10, got {self.n_bootstrap}"
+                f"n_bootstrap must be at least {MIN_BOOTSTRAP}, "
+                f"got {self.n_bootstrap}"
             )
         if not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(
@@ -156,8 +167,6 @@ class ExperimentConfig:
         return SourceConfig(
             mean_photon_number=self.mean_photon_number,
             window=self.window,
-            wavelength=self.wavelength_nm if self.wavelength_nm else 1550.0,
-            seed=self.seed,
         )
 
     def detector_config(self) -> DetectorConfig:
@@ -257,51 +266,49 @@ class SimulatedStream:
     decoded: "np.ndarray | object"  # decoder output (DecodedEvents)
 
 
+def _draw_windows(config: ExperimentConfig, src: SourceConfig,
+                  det: DetectorConfig):
+    """Every random draw of a run, window by window.
+
+    Each window gets its own generator and draws, in this order: its photon
+    count, arrival times and bin uniforms, then its efficiency, dark-count
+    and jitter draws.  The generator is dropped before the next window.
+    """
+    arrivals, bin_uniforms, detector_draws = [], [], []
+    for w in range(config.windows):
+        rng = window_rng(config.seed, w)
+        times, uniforms = draw_source_window(src, rng)
+        arrivals.append(times)
+        bin_uniforms.append(uniforms)
+        detector_draws.append(
+            draw_detector_window(det, rng, times.size, config.window))
+    return (arrivals, np.concatenate(bin_uniforms),
+            DetectorDraws.stack(detector_draws))
+
+
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
-    """Run every window through source, mesh, detector, and readout."""
+    """Run every window through source, mesh, detector, and readout.
+
+    The random draws are made window by window; all other work runs once
+    over the whole run.
+    """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
     src = config.source_config()
     det = config.detector_config()
     line = config.line_config()
-    window = config.window
 
-    t_pix, t_time, t_win = [], [], []
-    r_pix, r_time, r_dark = [], [], []
-    for w in range(config.windows):
-        rng = window_rng(config.seed, w)
-        events = sample_arrivals(src, rng, window_index=w)
-        assign_bins(events, probs, rng)
-        offset = w * window
-        if len(events):
-            t_pix.append(events.bins.copy())
-            t_time.append(events.times + offset)
-            t_win.append(np.full(len(events), w, dtype=np.int64))
-        if len(events) == 0 and det.dark_count_rate == 0.0:
-            # nothing to detect and no dark draw pending: skipping leaves
-            # this window's random stream exactly where detect would
-            continue
-        rec = detect(events, det, rng, duration=window)
-        if len(rec):
-            r_pix.append(rec.pixels)
-            r_time.append(rec.times + offset)
-            r_dark.append(rec.is_dark)
-
-    def cat(parts, dtype):
-        return (np.concatenate(parts) if parts
-                else np.empty(0, dtype=dtype))
-
-    records = DetectionRecords(
-        pixels=cat(r_pix, np.int64),
-        times=cat(r_time, float),
-        is_dark=cat(r_dark, bool),
-    )
+    arrivals, bin_uniforms, draws = _draw_windows(config, src, det)
+    events = assign_bins(sample_arrivals(arrivals), probs, bin_uniforms)
+    del arrivals, bin_uniforms
+    records = detect(events, det, draws, config.window)
+    del draws
     trace = encode(records, line)
     decoded = decode(trace, line)
     return SimulatedStream(
-        truth_pixels=cat(t_pix, np.int64),
-        truth_times=cat(t_time, float),
-        truth_windows=cat(t_win, np.int64),
+        truth_pixels=events.bins,
+        truth_times=events.times + events.windows * config.window,
+        truth_windows=events.windows,
         records=records,
         trace=trace,
         decoded=decoded,

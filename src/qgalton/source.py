@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     InvalidArgumentError,
@@ -97,8 +98,6 @@ class SourceConfig:
 
     mean_photon_number: float = 1.0
     window: float = 2e-6
-    wavelength: float = 1550.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.mean_photon_number >= 0.0 and np.isfinite(self.mean_photon_number)):
@@ -118,15 +117,17 @@ class SourceConfig:
 
 @dataclass
 class PhotonEvents:
-    """Photons inside one acquisition window, sorted by arrival time.
+    """The photons of a run, window after window.
 
-    times are seconds relative to the window start; bins is filled by
-    assign_bins and holds -1 until then.
+    windows holds each photon's window index and never decreases; times
+    are seconds from the start of that window, sorted within each window;
+    bins is filled by assign_bins and holds -1 until then.  A one-window
+    run leaves windows at its default, all zero.
     """
 
-    window_index: int
     times: np.ndarray
     bins: np.ndarray = field(default=None)  # type: ignore[assignment]
+    windows: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -134,48 +135,87 @@ class PhotonEvents:
             self.bins = np.full(self.times.shape, -1, dtype=np.int64)
         else:
             self.bins = np.asarray(self.bins, dtype=np.int64)
-        if self.bins.shape != self.times.shape:
-            raise InvalidArgumentError("times and bins must have matching length")
+        if self.windows is None:
+            self.windows = np.zeros(self.times.shape, dtype=np.int64)
+        else:
+            self.windows = np.asarray(self.windows, dtype=np.int64)
+        if not self.bins.shape == self.windows.shape == self.times.shape:
+            raise InvalidArgumentError(
+                "times, bins and windows must have matching length")
 
     def __len__(self):
         return self.times.size
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its two 64-bit key words, seed first, as they are.
+
+    ``Philox(key=...)`` would first gather OS entropy for a SeedSequence it
+    then throws away; passing the key words as the seed sequence skips that
+    and leaves the same key, a zero counter and so the same stream.
+    """
+
+    def __init__(self, seed: int, window_index: int):
+        self.words = np.array([seed, window_index], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise InvalidArgumentError(
+                f"a Philox key is two uint64 words, not {n_words} {dtype}")
+        return self.words
 
 
 def window_rng(master_seed: int, window_index: int) -> np.random.Generator:
     """Independent per-window stream from a counter-based generator.
 
     Keying the generator on (master_seed, window_index) makes every window
-    reproducible on its own, so windows can be simulated in any order or in
-    parallel without sharing state.
+    reproducible on its own: its draws never depend on the other windows.
+    A run makes one generator per window, draws everything that window
+    needs from it in a fixed order, drops it, and then does all further
+    work once over the whole run.
     """
     if window_index < 0:
         raise InvalidArgumentError(f"window index must be >= 0, got {window_index}")
     if not 0 <= master_seed < 2**64:
         raise InvalidArgumentError(
             f"master seed must lie in [0, 2**64), got {master_seed}")
-    # one 128-bit key, low word the seed and high word the window; a list
-    # key would pass through float64 for seeds >= 2**63 and collide
-    key = int(master_seed) | (int(window_index) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # two key words, low the seed and high the window; a list key would
+    # pass through float64 for seeds >= 2**63 and collide
+    return np.random.Generator(np.random.Philox(
+        _PhiloxKey(master_seed, window_index)))
 
 
-def sample_arrivals(config: SourceConfig, rng: np.random.Generator,
-                    window_index: int = 0) -> PhotonEvents:
-    """Draw one window of photon arrivals.
+def draw_window(config: SourceConfig, rng: np.random.Generator):
+    """One window's source draws, in stream order.
 
-    The count is Poisson(mean_photon_number) and, conditioned on the count,
-    arrival times are independent uniforms over the window.  That is exactly
-    a homogeneous Poisson process restricted to the window.
+    Returns the photon arrival times, unsorted, and one uniform per photon
+    for its output bin: a Poisson(mean_photon_number) count, then that
+    many uniform times over the window, then the bin uniforms.
     """
     n = int(rng.poisson(config.mean_photon_number))
-    times = np.sort(rng.uniform(0.0, config.window, size=n))
-    return PhotonEvents(window_index=window_index, times=times)
+    return rng.uniform(0.0, config.window, size=n), rng.random(n)
+
+
+def sample_arrivals(arrivals: Sequence[np.ndarray]) -> PhotonEvents:
+    """The photons of a run from each window's arrival-time draws.
+
+    ``arrivals[w]`` holds window w's times from `draw_window`.  Conditioned
+    on its Poisson count, a window's times are independent uniforms, which
+    is exactly a homogeneous Poisson process restricted to the window; here
+    they are sorted within each window, one stable sort for the whole run.
+    """
+    counts = [a.size for a in arrivals]
+    times = np.concatenate(arrivals)
+    windows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    order = np.lexsort((times, windows))
+    return PhotonEvents(times=times[order], windows=windows)
 
 
 def assign_bins(events: PhotonEvents, probabilities: np.ndarray,
-                rng: np.random.Generator) -> PhotonEvents:
+                uniforms: np.ndarray) -> PhotonEvents:
     """Assign each photon an output bin drawn from the walk distribution.
 
+    ``uniforms`` holds one [0, 1) draw per photon, in the photons' order.
     Mutates and returns `events`.  The distribution must be normalized to
     within 1e-9; anything worse points at a bug upstream rather than
     rounding error.
@@ -190,8 +230,11 @@ def assign_bins(events: PhotonEvents, probabilities: np.ndarray,
         raise InvalidDistributionError(
             f"probabilities sum to {total!r}, expected 1 within 1e-9"
         )
+    u = np.asarray(uniforms, dtype=float)
+    if u.shape != events.times.shape:
+        raise InvalidArgumentError(
+            f"{u.size} bin uniforms for {len(events)} photons")
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    u = rng.random(len(events))
     events.bins = np.searchsorted(cdf, u, side="right").astype(np.int64)
     return events

@@ -255,6 +255,31 @@ class TestFitCommands:
         code, _, _ = run_cli(capsys, "fit-poisson", "--input", "/no/file")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson",
+                                         "fit-exponential"])
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "-1"), ("--seed", str(2**64)), ("--bootstrap", "5"),
+    ])
+    def test_fit_option_out_of_range_exit_config(self, tmp_path, capsys,
+                                                 command, option, value):
+        # the bounds of a run config's seed and n_bootstrap
+        p = tmp_path / "values.json"
+        p.write_text(json.dumps([3, 5, 4, 6, 2, 4, 1, 0, 2, 5, 3, 1, 4, 2,
+                                 3, 4]))
+        code, rep, err = run_cli(capsys, command, "--input", str(p),
+                                 option, value)
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert option in err
+
+    def test_fit_largest_seed_and_least_bootstrap_run(self, tmp_path, capsys):
+        p = tmp_path / "counts.json"
+        p.write_text(json.dumps([3, 5, 4, 6, 2, 4]))
+        code, rep, _ = run_cli(capsys, "fit-poisson", "--input", str(p),
+                               "--seed", str(2**64 - 1), "--bootstrap", "10")
+        assert code == EXIT_OK
+        assert rep["fit"]["n_bootstrap"] == 10
+
 
 class TestDecodeTrace:
     def write_trace(self, tmp_path, pixels, times):

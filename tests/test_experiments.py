@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_impl
 from qgalton.errors import ConfigError
@@ -126,6 +127,94 @@ class TestSimulateStream:
         w = (stream.truth_times // 2e-6).astype(int)
         np.testing.assert_array_equal(w, np.sort(w))
         assert w.max() < 500
+
+
+def stream_digest(stream) -> str:
+    h = hashlib.sha256()
+    for a in (stream.truth_pixels, stream.truth_times, stream.truth_windows,
+              stream.records.pixels, stream.records.times,
+              stream.records.is_dark):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def assert_same_stream(got, want):
+    for name in ("truth_pixels", "truth_times", "truth_windows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    for name in ("pixels", "times", "is_dark"):
+        a, b = getattr(got.records, name), getattr(want.records, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestStreamParity:
+    """The whole-run simulation equals the window-by-window loop."""
+
+    # counting runs of 300 windows: (overrides, seed, sha256 of the truth
+    # and record arrays as the window-by-window loop produced them)
+    CASES = [
+        ({"efficiency": 0.7}, 3,
+         "aee2cc7df85dd23e8e13ac41374ec5b225e45a3c9c2d8267a67693f70fe855de"),
+        ({"dark_count_rate_hz": 1e5}, 4,
+         "e97c86ccaffb900710dd9fbecfee66966cc72e2caa11b74abffc12698a5677d0"),
+        ({"efficiency": 0.5, "dark_count_rate_hz": 1e5}, 5,
+         "92e12750bc2120699c6f1b7f486cab16d1d91c3b0087586f16b4b969ad670e54"),
+        ({"dead_time_ns": 0.0}, 6,
+         "1e52260a4bbb695ad3583d8769529a36d65b5468a4e5cec79e01659953c3c35c"),
+        ({"jitter_sigma_ns": 0.0}, 7,
+         "929855f957292b960818c55cfa919bf6751daaa77de3abd4d6a594b9cf9cadeb"),
+        ({"dead_time_ns": 0.0, "jitter_sigma_ns": 0.0,
+          "dark_count_rate_hz": 1e5}, 7,
+         "d931c304486b2738d8f301d7f5219839ca92f45d9366014643ae4ed77d4766dc"),
+        ({"mean_photon_number": 0.0}, 8,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ({"mean_photon_number": 0.0, "dark_count_rate_hz": 2e5}, 8,
+         "c1719a09103f27db5699baef47394df0574afc8f7ece5824b1d967ce11014c99"),
+        ({"windows": 1, "mean_photon_number": 30.0}, 9,
+         "2099ea32757915289c0f07f57aee515aa0fab92841624a79c06236c6f7baea90"),
+        ({"mean_photon_number": 30.0}, 2**64 - 1,
+         "35c29bdd54acdb8741d2fe0a1657f0f8b8d4509e6d0aceb5112f3178a3065def"),
+        ({"mean_photon_number": 4.0, "dead_time_ns": 200.0,
+          "efficiency": 0.9}, 2**63 + 5,
+         "04ab10a3274c51df4cdcdc96fd0ffc12e7cdad6345284ba62ca174db837d1e0b"),
+    ]
+
+    @pytest.mark.parametrize("overrides, seed, sha256", CASES)
+    def test_matches_reference_loop(self, overrides, seed, sha256):
+        cfg = config_from_dict("counting", {"windows": 300, **overrides},
+                               seed=seed)
+        stream = simulate_stream(cfg)
+        assert_same_stream(stream, reference_impl.simulate_stream(cfg))
+        assert stream_digest(stream) == sha256
+
+    @settings(deadline=None, max_examples=40)
+    @given(windows=st.integers(1, 12),
+           mean=st.sampled_from([0.0, 0.5, 4.0, 40.0]),
+           efficiency=st.sampled_from([1.0, 0.6, 0.0]),
+           dark=st.sampled_from([0.0, 3e6]),
+           dead_time=st.sampled_from([0.0, 20.0, 500.0]),
+           jitter=st.sampled_from([0.0, 0.05, 30.0]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_random_configs(self, windows, mean, efficiency, dark,
+                            dead_time, jitter, seed):
+        cfg = config_from_dict("counting", {
+            "windows": windows, "mean_photon_number": mean,
+            "efficiency": efficiency, "dark_count_rate_hz": dark,
+            "dead_time_ns": dead_time, "jitter_sigma_ns": jitter}, seed=seed)
+        assert_same_stream(simulate_stream(cfg),
+                           reference_impl.simulate_stream(cfg))
+
+    def test_export_report_pinned(self):
+        # efficiency and dark counts in every window, as the export
+        # benchmark runs them; pinned from the window-by-window loop
+        cfg = config_from_dict(
+            "intervals", {"efficiency": 0.8, "dark_count_rate_hz": 2e4},
+            seed=0)
+        text = render_report(run_experiment(cfg).report)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5d337132fbf356e4d5cba8e2b716f87a10be88231b4cda89cbd53c4b9fe3a7ba")
 
 
 class TestInterferenceRun:

@@ -48,13 +48,13 @@ class TestGreedySemantics:
     def test_dead_time_filter_counts(self):
         pixels = np.array([0, 0, 1, 0], dtype=np.int64)
         times = np.array([0.0, 5e-9, 6e-9, 30e-9])
-        keep = kernels.dead_time_filter(pixels, times, 2, 20e-9)
+        keep = kernels.dead_time_filter(pixels, times, 20e-9)
         assert list(keep) == [True, False, True, True]
 
     def test_dead_time_ties_and_boundaries(self):
         pixels = np.zeros(6, dtype=np.int64)
         times = np.array([0.0, 0.0, 10e-9, 20e-9, 20e-9, 40e-9])
-        keep = kernels.dead_time_filter(pixels, times, 1, 20e-9)
+        keep = kernels.dead_time_filter(pixels, times, 20e-9)
         # first of a tie registers, the duplicate is blocked; a gap of
         # exactly the dead time registers
         assert list(keep) == [True, False, False, True, False, True]
@@ -67,8 +67,8 @@ class TestKernelProperties:
     @settings(deadline=None)
     @given(click_streams(), small_span)
     def test_dead_time_filter(self, stream, dead_time):
-        pixels, times, n_pixels = stream
-        keep = kernels.dead_time_filter(pixels, times, n_pixels, dead_time)
+        pixels, times, _ = stream
+        keep = kernels.dead_time_filter(pixels, times, dead_time)
         assert keep.dtype == bool and keep.shape == times.shape
         last = {}
         for p, t, registered in zip(pixels, times, keep):
@@ -95,6 +95,43 @@ class TestKernelProperties:
         for i in np.flatnonzero(match < 0):
             near = np.abs(part - trig[i]) <= window
             assert not (near & free).any()
+
+
+class TestDeadTimeFilterParity:
+    """The vectorized dead-time filter returns the loop's mask exactly."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(click_streams(), small_span)
+    def test_matches_reference_loop(self, stream, dead_time):
+        pixels, times, n_pixels = stream
+        got = kernels.dead_time_filter(pixels, times, dead_time)
+        want = reference_impl.dead_time_filter(pixels, times, n_pixels,
+                                               dead_time)
+        assert got.dtype == want.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(st.lists(click_streams(), min_size=1, max_size=5), small_span)
+    def test_groups_sorted_only_within(self, streams, dead_time):
+        # the detector's call: one group per (window, pixel), times sorted
+        # within each window only; it equals one loop call per window
+        n_pixels = 4
+        groups = np.concatenate([w * n_pixels + p
+                                 for w, (p, _, _) in enumerate(streams)])
+        times = np.concatenate([t for _, t, _ in streams])
+        got = kernels.dead_time_filter(groups, times, dead_time)
+        want = np.concatenate([
+            reference_impl.dead_time_filter(p, t, n_pixels, dead_time)
+            for p, t, _ in streams])
+        np.testing.assert_array_equal(got, want)
+
+    def test_burst_steps_back_past_blocked_events(self):
+        # 0 registers; 1..3 are blocked by it; 4 is 4 after 0 and registers
+        # although each gap is 1; 7 is blocked by 4 and 9 registers
+        pixels = np.zeros(7, dtype=np.int64)
+        times = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 9.0])
+        keep = kernels.dead_time_filter(pixels, times, 4.0)
+        assert list(keep) == [True, False, False, False, True, False, True]
 
 
 # times on a small integer grid against windows of a few units: most

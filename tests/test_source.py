@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impl
 from qgalton.errors import (
     InvalidArgumentError,
     InvalidDistributionError,
@@ -14,6 +15,7 @@ from qgalton.source import (
     SourceConfig,
     WavelengthModel,
     assign_bins,
+    draw_window,
     sample_arrivals,
     t2_of_wavelength,
     window_rng,
@@ -143,10 +145,31 @@ class TestWindowRng:
             window_rng(seed, 0)
 
 
+class TestWindowRngParity:
+    @pytest.mark.parametrize("seed, window", [
+        (0, 0), (12345, 77), (2**63 + 5, 3), (2**64 - 1, 9999),
+    ])
+    def test_same_stream_as_philox_key(self, seed, window):
+        # the cheap construction gives the stream of Philox(key=...)
+        got, want = window_rng(seed, window), reference_impl.window_rng(
+            seed, window)
+        np.testing.assert_equal(got.bit_generator.state,
+                                want.bit_generator.state)
+        np.testing.assert_array_equal(got.normal(size=9), want.normal(size=9))
+        np.testing.assert_array_equal(got.random(9), want.random(9))
+
+
+def draw_run(config, seed, windows):
+    """Arrival and bin draws of `windows` windows, each on its own stream."""
+    draws = [draw_window(config, window_rng(seed, w)) for w in range(windows)]
+    return [t for t, _ in draws], np.concatenate([u for _, u in draws])
+
+
 class TestSampleArrivals:
     def test_times_sorted_and_in_window(self):
         cfg = SourceConfig(mean_photon_number=30.0, window=2e-6)
-        ev = sample_arrivals(cfg, window_rng(3, 0))
+        times, _ = draw_window(cfg, window_rng(3, 0))
+        ev = sample_arrivals([times])
         assert np.all(np.diff(ev.times) >= 0)
         assert np.all(ev.times >= 0.0)
         assert np.all(ev.times < cfg.window)
@@ -154,9 +177,8 @@ class TestSampleArrivals:
 
     def test_poisson_mean_and_variance(self):
         cfg = SourceConfig(mean_photon_number=4.0)
-        counts = np.array(
-            [len(sample_arrivals(cfg, window_rng(11, w), w)) for w in range(4000)]
-        )
+        arrivals, _ = draw_run(cfg, 11, 4000)
+        counts = np.bincount(sample_arrivals(arrivals).windows, minlength=4000)
         # Poisson(4): mean 4, variance 4; with 4000 windows the sample mean
         # has sd 0.032 and the sample variance sd ~0.14
         assert counts.mean() == pytest.approx(4.0, abs=0.15)
@@ -164,24 +186,40 @@ class TestSampleArrivals:
 
     def test_uniform_conditional_times(self):
         cfg = SourceConfig(mean_photon_number=10.0, window=1e-6)
-        all_times = np.concatenate(
-            [sample_arrivals(cfg, window_rng(5, w), w).times for w in range(500)]
-        )
+        arrivals, _ = draw_run(cfg, 5, 500)
+        all_times = sample_arrivals(arrivals).times
         # mean of U(0, W) is W/2, variance W^2/12
         assert all_times.mean() == pytest.approx(cfg.window / 2, rel=0.02)
         assert all_times.var() == pytest.approx(cfg.window**2 / 12, rel=0.06)
 
     def test_window_index_recorded(self):
-        ev = sample_arrivals(SourceConfig(), window_rng(0, 12), window_index=12)
-        assert ev.window_index == 12
+        times, _ = draw_window(SourceConfig(mean_photon_number=5.0),
+                               window_rng(0, 12))
+        ev = sample_arrivals([np.empty(0)] * 12 + [times])
+        assert len(ev) == times.size > 0
+        assert np.all(ev.windows == 12)
+
+    def test_sorted_within_each_window(self):
+        ev = sample_arrivals([np.array([3e-7, 1e-7]), np.empty(0),
+                              np.array([2e-7, 0.0, 2e-7])])
+        np.testing.assert_array_equal(ev.windows, [0, 0, 2, 2, 2])
+        np.testing.assert_array_equal(ev.times,
+                                      [1e-7, 3e-7, 0.0, 2e-7, 2e-7])
+
+    def test_one_window_per_entry(self):
+        arrivals, _ = draw_run(SourceConfig(mean_photon_number=3.0), 2, 50)
+        ev = sample_arrivals(arrivals)
+        for w, times in enumerate(arrivals):
+            np.testing.assert_array_equal(ev.times[ev.windows == w],
+                                          np.sort(times))
 
 
 class TestAssignBins:
     def test_point_mass(self):
-        ev = PhotonEvents(0, np.linspace(0, 1e-6, 50))
+        ev = PhotonEvents(np.linspace(0, 1e-6, 50))
         p = np.zeros(16)
         p[7] = 1.0
-        assign_bins(ev, p, window_rng(1, 0))
+        assign_bins(ev, p, window_rng(1, 0).random(len(ev)))
         assert np.all(ev.bins == 7)
 
     def test_empirical_frequencies_match(self):
@@ -189,25 +227,42 @@ class TestAssignBins:
 
         p = bin_probabilities(8, 0.5)
         rng = window_rng(17, 0)
-        ev = PhotonEvents(0, rng.uniform(0, 1e-6, size=200_000))
-        assign_bins(ev, p, rng)
+        ev = PhotonEvents(rng.uniform(0, 1e-6, size=200_000))
+        assign_bins(ev, p, rng.random(len(ev)))
         freq = np.bincount(ev.bins, minlength=16) / len(ev)
         # multinomial sd per bin is sqrt(p(1-p)/n) <= 1.2e-3 at n=2e5
         np.testing.assert_allclose(freq, p, atol=5e-3)
 
     def test_unnormalized_rejected(self):
-        ev = PhotonEvents(0, np.array([1e-7]))
+        ev = PhotonEvents(np.array([1e-7]))
         with pytest.raises(InvalidDistributionError):
-            assign_bins(ev, np.full(16, 0.07), window_rng(0, 0))
+            assign_bins(ev, np.full(16, 0.07), np.array([0.5]))
 
     def test_negative_probability_rejected(self):
-        ev = PhotonEvents(0, np.array([1e-7]))
+        ev = PhotonEvents(np.array([1e-7]))
         p = np.full(16, 1.0 / 16)
         p[0], p[1] = -0.01, p[1] + 0.01 + 1.0 / 16
         with pytest.raises(InvalidDistributionError):
-            assign_bins(ev, p, window_rng(0, 0))
+            assign_bins(ev, p, np.array([0.5]))
 
     def test_empty_window(self):
-        ev = PhotonEvents(0, np.array([]))
-        assign_bins(ev, np.full(16, 1.0 / 16), window_rng(0, 0))
+        ev = PhotonEvents(np.array([]))
+        assign_bins(ev, np.full(16, 1.0 / 16), np.empty(0))
         assert len(ev) == 0
+
+    def test_one_uniform_per_photon(self):
+        ev = PhotonEvents(np.array([1e-7, 2e-7]))
+        with pytest.raises(InvalidArgumentError):
+            assign_bins(ev, np.full(16, 1.0 / 16), np.array([0.5]))
+
+    def test_whole_run_equals_window_by_window(self):
+        from qgalton.walk import bin_probabilities
+
+        p = bin_probabilities(8, 0.763)
+        cfg = SourceConfig(mean_photon_number=4.0)
+        arrivals, uniforms = draw_run(cfg, 23, 40)
+        run = assign_bins(sample_arrivals(arrivals), p, uniforms)
+        for w in range(40):
+            times, u = draw_window(cfg, window_rng(23, w))
+            one = assign_bins(sample_arrivals([times]), p, u)
+            np.testing.assert_array_equal(run.bins[run.windows == w], one.bins)
