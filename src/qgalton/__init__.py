@@ -16,15 +16,6 @@ from .errors import (
     QGaltonError,
     ResourceLimitError,
 )
-from .walk import (
-    Coupler,
-    MeshTopology,
-    OutputDistribution,
-    bin_probabilities,
-    build_mesh,
-    coupler_transfer,
-    path_sum_oracle,
-    propagate,
-)
+from .walk import bin_probabilities, path_sum_oracle
 
 __version__ = "0.1.0"

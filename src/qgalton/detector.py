@@ -205,23 +205,3 @@ def detect(events: PhotonEvents, config: DetectorConfig, draws: DetectorDraws,
     return DetectionRecords(pixels=bins, times=times + wins * window,
                             is_dark=is_dark)
 
-
-def count_in_window(records: DetectionRecords, start: float | None = None,
-                    stop: float | None = None) -> int:
-    """Number of clicks with start <= time < stop (whole record by default)."""
-    if start is None and stop is None:
-        return len(records)
-    t = records.times
-    mask = np.ones(t.size, dtype=bool)
-    if start is not None:
-        mask &= t >= start
-    if stop is not None:
-        mask &= t < stop
-    return int(mask.sum())
-
-
-def counts_per_pixel(records: DetectionRecords, pixel_count: int) -> np.ndarray:
-    """Histogram of clicks over pixels, length pixel_count."""
-    if len(records) and (records.pixels.min() < 0 or records.pixels.max() >= pixel_count):
-        raise InvalidArgumentError("record pixels outside [0, pixel_count)")
-    return np.bincount(records.pixels, minlength=pixel_count).astype(np.int64)

@@ -134,6 +134,9 @@ class ExperimentConfig:
             raise ConfigError(
                 "exactly one of wavelength_nm and t_squared must be set"
             )
+        if self.t_squared is not None and not 0.0 <= self.t_squared <= 1.0:
+            raise ConfigError(
+                f"t_squared must lie in [0, 1], got {self.t_squared}")
         if self.window_ns <= 0.0:
             raise ConfigError(f"window_ns must be positive, got {self.window_ns}")
         if self.n_bootstrap < MIN_BOOTSTRAP:

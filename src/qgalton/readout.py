@@ -147,9 +147,6 @@ class DecodedEvents:
     def ok(self) -> np.ndarray:
         return self.flags == FLAG_OK
 
-    def flag_names(self) -> list[str]:
-        return [FLAG_NAMES[f] for f in self.flags]
-
 
 def encode(records: DetectionRecords, config: LineConfig) -> TraceEvents:
     """Turn detector clicks into the pulse train on the shared line."""

@@ -107,13 +107,6 @@ class SourceConfig:
         if not (self.window > 0.0 and np.isfinite(self.window)):
             raise InvalidArgumentError(f"window must be positive, got {self.window}")
 
-    @property
-    def mean_interarrival(self) -> float:
-        """Expected gap between photons at this rate, window / mean count."""
-        if self.mean_photon_number == 0.0:
-            return float("inf")
-        return self.window / self.mean_photon_number
-
 
 @dataclass
 class PhotonEvents:

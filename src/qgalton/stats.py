@@ -1,10 +1,11 @@
 """Estimators and goodness-of-fit checks for decoded event streams.
 
-Three fits share one recipe: least squares between an observed histogram
-and the model's bin masses for the headline estimate, the analytic MLE
-alongside where one exists, and a bootstrap percentile interval.  The
-bootstrap refits run as one vectorized golden-section minimization over
-all resamples at once rather than a Python loop.
+Three fits share one recipe, `_least_squares_fit`: least squares between
+an observed histogram and the model's bin masses for the headline estimate,
+the analytic MLE alongside where one exists, and a bootstrap percentile
+interval.  The bootstrap refits run as one vectorized golden-section
+minimization over all resamples at once rather than a Python loop.  Each
+public fit only checks its input, bins it and names its model.
 """
 
 from __future__ import annotations
@@ -24,37 +25,6 @@ from .walk import bin_probabilities
 
 DEFAULT_BOOTSTRAP = 500
 _CI_LEVEL = 0.95
-
-
-@dataclass
-class BinHistogram:
-    """Counts over the mesh output bins."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or self.counts.size < 2:
-            raise InvalidArgumentError("histogram needs at least two bins")
-        if np.any(self.counts < 0):
-            raise InvalidArgumentError("histogram counts must be nonnegative")
-
-    @classmethod
-    def from_pixels(cls, pixels, n_bins: int) -> "BinHistogram":
-        pixels = np.asarray(pixels, dtype=np.int64)
-        if pixels.size and (pixels.min() < 0 or pixels.max() >= n_bins):
-            raise InvalidArgumentError(f"pixels must lie in [0, {n_bins})")
-        return cls(np.bincount(pixels, minlength=n_bins))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        if self.total == 0:
-            raise DegenerateFitError("empty histogram has no frequencies")
-        return self.counts / self.total
 
 
 @dataclass(frozen=True)
@@ -181,6 +151,58 @@ def _grid_degeneracy(objective_on_grid: np.ndarray) -> None:
         )
 
 
+def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
+                       freq: np.ndarray, n_samples: int,
+                       bracket: tuple[float, float], xtol: float,
+                       n_bootstrap: int, seed: int,
+                       resample_p: Optional[Callable[[float], np.ndarray]] = None,
+                       boot_bracket: Optional[Callable[[np.ndarray], tuple]] = None,
+                       estimate: Optional[float] = None,
+                       mle: Optional[float] = None,
+                       flags: tuple[str, ...] = ()) -> FitResult:
+    """The recipe every fit shares: estimate, residual, bootstrap interval.
+
+    model_rows maps a vector of parameter values to model rows aligned with
+    freq; the objective is their summed squared difference.  Unless an
+    estimate is given, fminbound finds it inside bracket.  The bootstrap
+    draws n_bootstrap multinomial samples of n_samples from
+    resample_p(estimate) (default: freq itself), zero-padded to the width of
+    freq, and refits them all at once by golden section inside
+    boot_bracket(resamples) (default: bracket for every resample).
+    """
+    def objective_rows(x_rows: np.ndarray) -> np.ndarray:
+        return ((freq[None, :] - model_rows(x_rows)) ** 2).sum(axis=1)
+
+    if estimate is None:
+        estimate = float(optimize.fminbound(
+            lambda x: float(objective_rows(np.array([x]))[0]),
+            bracket[0], bracket[1], xtol=xtol))
+    residual = float(objective_rows(np.array([estimate]))[0])
+
+    rng = np.random.default_rng(seed)
+    p = freq if resample_p is None else resample_p(estimate)
+    resamples = rng.multinomial(n_samples, p, size=n_bootstrap) / n_samples
+    pad = freq.size - resamples.shape[1]
+    if pad:
+        resamples = np.concatenate(
+            [resamples, np.zeros((n_bootstrap, pad))], axis=1)
+
+    def boot_objective(x_rows: np.ndarray) -> np.ndarray:
+        return ((resamples - model_rows(x_rows)) ** 2).sum(axis=1)
+
+    if boot_bracket is None:
+        boot_lo, boot_hi = (np.full(n_bootstrap, b) for b in bracket)
+    else:
+        boot_lo, boot_hi = boot_bracket(resamples)
+    boot = _golden_minimize(boot_objective, boot_lo, boot_hi)
+    ci_low, ci_high = _percentile_ci(boot)
+    return FitResult(
+        estimate=estimate, ci_low=ci_low, ci_high=ci_high, residual=residual,
+        method="least-squares", n_samples=n_samples, n_bootstrap=n_bootstrap,
+        seed=seed, mle=mle, flags=flags,
+    )
+
+
 def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
            input_port: str = "left") -> FitResult:
     """Least-squares coupler transmission from a bin histogram.
@@ -191,10 +213,7 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     parametric bootstrap: multinomial resamples at the fitted model,
     refitted by vectorized golden section.
     """
-    if isinstance(histogram, BinHistogram):
-        counts = histogram.counts
-    else:
-        counts = np.asarray(histogram, dtype=np.int64)
+    counts = np.asarray(histogram, dtype=np.int64)
     if counts.ndim != 1 or counts.size < 2 or counts.size % 2:
         raise InvalidArgumentError(
             "histogram length must be 2 * stages, got shape "
@@ -208,71 +227,51 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     stages = counts.size // 2
     freq = counts / total
 
-    def objective_rows(t2_rows: np.ndarray) -> np.ndarray:
-        model = bin_probabilities(stages, t2_rows, input_port)
-        return ((freq[None, :] - model) ** 2).sum(axis=1)
+    def model_rows(t2_rows: np.ndarray) -> np.ndarray:
+        return bin_probabilities(stages, t2_rows, input_port)
 
     # the objective oscillates in t^2 (the model is a degree-2*stages
     # polynomial family), so every minimization below starts from a grid
     # scan to land in the right basin before local refinement
     grid = np.linspace(0.0, 1.0, 513)
-    model_grid = bin_probabilities(stages, grid, input_port)
+    model_grid = model_rows(grid)
 
-    def refine_brackets(freq_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def around(k) -> tuple:
+        return grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+
+    def grid_brackets(freq_rows: np.ndarray) -> tuple:
         objs = ((freq_rows**2).sum(axis=1)[:, None]
                 - 2.0 * freq_rows @ model_grid.T
                 + (model_grid**2).sum(axis=1)[None, :])
-        at = objs.argmin(axis=1)
-        return grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, grid.size - 1)]
+        return around(objs.argmin(axis=1))
 
-    grid_obj = objective_rows(grid)
+    grid_obj = ((freq[None, :] - model_grid) ** 2).sum(axis=1)
     _grid_degeneracy(grid_obj)
-    flags: list[str] = []
-    if float(grid_obj.max() - grid_obj.min()) < 1e-15:
-        estimate = 0.5
-        flags.append("flat-objective")
-    else:
-        k = int(np.argmin(grid_obj))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        estimate = float(optimize.fminbound(
-            lambda x: float(objective_rows(np.array([x]))[0]),
-            lo, hi, xtol=1e-8))
-    residual = float(objective_rows(np.array([estimate]))[0])
+    flat = float(grid_obj.max() - grid_obj.min()) < 1e-15
 
     # multinomial MLE of t^2 on the same model, for reference
     with np.errstate(divide="ignore", invalid="ignore"):
         log_model = np.where(model_grid > 0.0, np.log(model_grid), -np.inf)
         nll_grid = -(log_model * counts[None, :]).sum(axis=1)
     nll_grid = np.where(np.isfinite(nll_grid), nll_grid, np.inf)
-    k = int(np.argmin(nll_grid))
+    mask = counts > 0
 
     def nll(x: float) -> float:
-        p = bin_probabilities(stages, np.array([x]), input_port)[0]
-        mask = counts > 0
+        p = model_rows(np.array([x]))[0]
         if np.any(p[mask] <= 0.0):
             return np.inf
         return -float(np.dot(counts[mask], np.log(p[mask])))
 
-    mle = float(optimize.fminbound(
-        nll, grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], xtol=1e-8))
+    mle = float(optimize.fminbound(nll, *around(int(np.argmin(nll_grid))),
+                                   xtol=1e-8))
 
-    rng = np.random.default_rng(seed)
-    model_p = bin_probabilities(stages, np.array([estimate]), input_port)[0]
-    resamples = rng.multinomial(total, model_p, size=n_bootstrap) / total
-
-    def boot_objective(t2_rows: np.ndarray) -> np.ndarray:
-        model = bin_probabilities(stages, t2_rows, input_port)
-        return ((resamples - model) ** 2).sum(axis=1)
-
-    boot_lo, boot_hi = refine_brackets(resamples)
-    boot = _golden_minimize(boot_objective, boot_lo, boot_hi)
-    ci_low, ci_high = _percentile_ci(boot)
-    return FitResult(
-        estimate=estimate, ci_low=ci_low, ci_high=ci_high, residual=residual,
-        method="least-squares", n_samples=total, n_bootstrap=n_bootstrap,
-        seed=seed, mle=mle, flags=tuple(flags),
-    )
+    return _least_squares_fit(
+        model_rows, freq, total, around(int(np.argmin(grid_obj))), 1e-8,
+        n_bootstrap, seed,
+        resample_p=lambda est: model_rows(np.array([est]))[0],
+        boot_bracket=grid_brackets,
+        estimate=0.5 if flat else None, mle=mle,
+        flags=("flat-objective",) if flat else ())
 
 
 def _poisson_pmf_matrix(lam_rows: np.ndarray, kmax: int) -> np.ndarray:
@@ -310,37 +309,11 @@ def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
 
     hist = np.bincount(counts, minlength=kmax + 1)
     freq = np.concatenate([hist / n_windows, [0.0]])  # tail is empty by design
-    bracket_hi = float(kmax + 1)
-
-    def objective_rows(lam_rows: np.ndarray) -> np.ndarray:
-        model = _poisson_pmf_matrix(lam_rows, kmax)
-        return ((freq[None, :] - model) ** 2).sum(axis=1)
-
-    estimate = float(optimize.fminbound(
-        lambda x: float(objective_rows(np.array([x]))[0]),
-        0.0, bracket_hi, xtol=1e-8))
-    residual = float(objective_rows(np.array([estimate]))[0])
-    mle = float(counts.mean())
-
-    rng = np.random.default_rng(seed)
-    resamples = rng.multinomial(n_windows, freq[:-1] / freq[:-1].sum(),
-                                size=n_bootstrap) / n_windows
-    resamples = np.concatenate(
-        [resamples, np.zeros((n_bootstrap, 1))], axis=1)
-
-    def boot_objective(lam_rows: np.ndarray) -> np.ndarray:
-        model = _poisson_pmf_matrix(lam_rows, kmax)
-        return ((resamples - model) ** 2).sum(axis=1)
-
-    boot = _golden_minimize(boot_objective,
-                            np.zeros(n_bootstrap),
-                            np.full(n_bootstrap, bracket_hi))
-    ci_low, ci_high = _percentile_ci(boot)
-    return FitResult(
-        estimate=estimate, ci_low=ci_low, ci_high=ci_high, residual=residual,
-        method="least-squares", n_samples=n_windows, n_bootstrap=n_bootstrap,
-        seed=seed, mle=mle, flags=(),
-    )
+    observed = freq[:-1] / freq[:-1].sum()
+    return _least_squares_fit(
+        lambda lam_rows: _poisson_pmf_matrix(lam_rows, kmax), freq,
+        n_windows, (0.0, float(kmax + 1)), 1e-8, n_bootstrap, seed,
+        resample_p=lambda est: observed, mle=float(counts.mean()))
 
 
 def _exp_mass_matrix(tau_rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -373,31 +346,10 @@ def fit_exponential(intervals, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     tail = n - hist.sum()
     freq = np.concatenate([hist, [tail]]) / n
     lo, hi = mean_gap / 20.0, mean_gap * 20.0
-
-    def objective_rows(tau_rows: np.ndarray) -> np.ndarray:
-        model = _exp_mass_matrix(tau_rows, edges)
-        return ((freq[None, :] - model) ** 2).sum(axis=1)
-
-    estimate = float(optimize.fminbound(
-        lambda x: float(objective_rows(np.array([x]))[0]), lo, hi,
-        xtol=1e-8 * mean_gap))  # relative tolerance keeps the fit scale-free
-    residual = float(objective_rows(np.array([estimate]))[0])
-
-    rng = np.random.default_rng(seed)
-    resamples = rng.multinomial(n, freq, size=n_bootstrap) / n
-
-    def boot_objective(tau_rows: np.ndarray) -> np.ndarray:
-        model = _exp_mass_matrix(tau_rows, edges)
-        return ((resamples - model) ** 2).sum(axis=1)
-
-    boot = _golden_minimize(boot_objective,
-                            np.full(n_bootstrap, lo), np.full(n_bootstrap, hi))
-    ci_low, ci_high = _percentile_ci(boot)
-    return FitResult(
-        estimate=estimate, ci_low=ci_low, ci_high=ci_high, residual=residual,
-        method="least-squares", n_samples=n, n_bootstrap=n_bootstrap,
-        seed=seed, mle=mean_gap, flags=(),
-    )
+    return _least_squares_fit(
+        lambda tau_rows: _exp_mass_matrix(tau_rows, edges), freq, n,
+        (lo, hi), 1e-8 * mean_gap,  # relative tolerance keeps the fit scale-free
+        n_bootstrap, seed, mle=mean_gap)
 
 
 def mean_consistency(count_fit: FitResult, interval_fit: FitResult,

@@ -20,7 +20,7 @@ from qgalton.experiments import (
     simulate_stream,
 )
 from qgalton.readout import LineConfig, decode, encode
-from qgalton.walk import Coupler, build_mesh, path_sum_oracle, propagate
+from qgalton.walk import bin_probabilities, path_sum_oracle
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -30,15 +30,15 @@ def verdict(tag: str, ok: bool, detail: str) -> None:
 
 
 def test_1_oracle_equivalence():
-    """Mesh propagation matches explicit path enumeration bin by bin."""
+    """The walk the experiments run matches explicit path enumeration bin
+    by bin."""
     rng = np.random.default_rng(2026)
     worst = 0.0
     for stages in range(1, 11):
-        mesh = build_mesh(stages)
-        for t2 in rng.uniform(0.0, 1.0, 20):
-            coupler = Coupler.from_t_squared(t2)
-            a = propagate(mesh, coupler).probabilities
-            b = path_sum_oracle(mesh, coupler).probabilities
+        t2s = rng.uniform(0.0, 1.0, 20)
+        table = bin_probabilities(stages, t2s)
+        for t2, a in zip(t2s, table):
+            b = path_sum_oracle(stages, t2)
             worst = max(worst, float(np.abs(a - b).max()))
     verdict("1/9 oracle equivalence", worst < 1e-10,
             f"stages 1..10, 20 random couplings each, "
@@ -46,15 +46,15 @@ def test_1_oracle_equivalence():
 
 
 def test_2_unitarity():
-    """Every propagated distribution carries unit total probability."""
+    """Every walk distribution carries unit total probability."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
         stages = int(rng.integers(1, 13))
         t2 = float(rng.uniform(0.0, 1.0))
         port = "left" if rng.random() < 0.5 else "right"
-        dist = propagate(build_mesh(stages), Coupler.from_t_squared(t2), port)
-        worst = max(worst, abs(float(dist.probabilities.sum()) - 1.0))
+        probs = bin_probabilities(stages, t2, port)
+        worst = max(worst, abs(float(probs.sum()) - 1.0))
     verdict("2/9 unitarity", worst < 1e-12,
             f"1000 random cases, max |sum - 1| = {worst:.2e} (< 1e-12)")
 

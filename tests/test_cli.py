@@ -66,6 +66,24 @@ class TestSimulateWalk:
         code, _, _ = run_cli(capsys, "simulate-walk", "--t-squared", "1.5")
         assert code == EXIT_CONFIG
 
+    def test_nan_t2_exit_config(self, capsys):
+        code, rep, err = run_cli(capsys, "simulate-walk", "--t-squared", "nan")
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert "t_squared" in err
+
+    def test_stage_limit_exit_resource(self, capsys):
+        code, rep, err = run_cli(capsys, "simulate-walk", "--stages", "63")
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert "stages=63" in err and "stages <= 62" in err
+
+    def test_largest_mesh_is_normalized(self, capsys):
+        code, rep, _ = run_cli(capsys, "simulate-walk", "--stages", "62")
+        assert code == EXIT_OK
+        assert rep["n_bins"] == 124
+        assert sum(rep["probabilities"]) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestRun:
     def config(self, tmp_path, **kw):
@@ -155,6 +173,14 @@ class TestRun:
             assert code == EXIT_CONFIG
             assert "seed" in err
 
+    def test_largest_mesh_runs(self, tmp_path, capsys):
+        code, rep, _ = run_cli(capsys, "run", "interference", "--config",
+                               self.config(tmp_path, stages=62,
+                                           pixel_count=124))
+        assert code == EXIT_OK
+        assert len(rep["decoded_histogram"]) == 124
+        assert sum(rep["model_at_reference"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_largest_seed_runs(self, tmp_path, capsys):
         code, rep, _ = run_cli(capsys, "run", "counting", "--config",
                                self.config(tmp_path), "--seed", str(2**64 - 1))
@@ -165,6 +191,7 @@ class TestRun:
         ("persistence", "min_cluster", -3), ("persistence", "min_cluster", 0),
         ("persistence", "bin_width_ns", 0), ("counting", "bin_width_ns", 0),
         ("persistence", "bin_width_ns", -0.1),
+        ("interference", "t_squared", float("nan")),
     ])
     def test_out_of_range_field_exit_config(self, tmp_path, capsys,
                                             experiment, field, value):
@@ -223,7 +250,7 @@ class TestFitCommands:
         assert "integer" in err
 
     def test_fit_t2_too_many_bins_exit_resource(self, tmp_path, capsys):
-        # 142 bins imply 71 stages, past the int64 path-count limit
+        # 142 bins imply 71 stages, past the 62-stage walk limit
         p = tmp_path / "hist.json"
         p.write_text(json.dumps([1] * 142))
         code, rep, err = run_cli(capsys, "fit-t2", "--input", str(p))

@@ -7,8 +7,6 @@ from qgalton.detector import (
     DetectionRecords,
     DetectorConfig,
     DetectorDraws,
-    count_in_window,
-    counts_per_pixel,
     detect,
     draw_window,
 )
@@ -244,24 +242,3 @@ class TestWholeRun:
         assert keep.size == 40
         assert jitter.size == (keep < 0.8).sum() + dark_times.size
 
-
-class TestCounting:
-    def rec(self):
-        return DetectionRecords(
-            pixels=np.array([0, 3, 3, 15]),
-            times=np.array([1e-9, 5e-9, 40e-9, 41e-9]),
-            is_dark=np.zeros(4, dtype=bool),
-        )
-
-    def test_count_whole_record(self):
-        assert count_in_window(self.rec()) == 4
-
-    def test_count_interval(self):
-        assert count_in_window(self.rec(), start=5e-9, stop=41e-9) == 2
-
-    def test_counts_per_pixel(self):
-        counts = counts_per_pixel(self.rec(), 16)
-        assert counts[0] == 1
-        assert counts[3] == 2
-        assert counts[15] == 1
-        assert counts.sum() == 4

@@ -56,6 +56,16 @@ class TestConfig:
             config_from_dict("interference",
                              {"wavelength_nm": 1550.0, "t_squared": 0.5})
 
+    @pytest.mark.parametrize("t2", [float("nan"), -0.25, 1.0 + 1e-9])
+    def test_t2_outside_unit_interval_rejected(self, t2):
+        with pytest.raises(ConfigError, match="t_squared"):
+            config_from_dict("interference", {"t_squared": t2})
+
+    @pytest.mark.parametrize("t2", [0.0, 1.0])
+    def test_t2_bounds_accepted(self, t2):
+        assert config_from_dict("interference", {"t_squared": t2}) \
+            .resolved_t2() == t2
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="windoes"):
             config_from_dict("interference", {"windoes": 10})
@@ -405,7 +415,7 @@ class TestTableParity:
     CSV_SHA256 = {
         "interference": {
             "events.csv": "ee4d2fbcf4de32339ae118aee86805a030e50d7cf80b0e0108fa3073077d50d4",
-            "histogram.csv": "91ceb59c6365403e80904e74e032126b4b901dc518bebcfde5b4d0c442e83ea0",
+            "histogram.csv": "8d66dd7401eb9fe3c2680d7d2199c5ca0b0ef7095beb3f5d470885518f65ad79",
             "truth_events.csv": "423b388d863906f14cf1b22a3b2c769b642f39d082a833c0a252f220e8bcad89",
         },
         "counting": {

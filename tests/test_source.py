@@ -81,14 +81,10 @@ class TestSourceConfig:
     def test_defaults(self):
         cfg = SourceConfig()
         assert cfg.window == pytest.approx(2e-6)
-        assert cfg.mean_interarrival == pytest.approx(2e-6)
-
-    def test_mean_interarrival_scales(self):
-        cfg = SourceConfig(mean_photon_number=4.0, window=2e-6)
-        assert cfg.mean_interarrival == pytest.approx(5e-7)
+        assert cfg.mean_photon_number == 1.0
 
     def test_zero_rate(self):
-        assert SourceConfig(mean_photon_number=0.0).mean_interarrival == np.inf
+        assert SourceConfig(mean_photon_number=0.0).mean_photon_number == 0.0
 
     def test_rejects_negative_rate(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,8 @@
 """Tests for the estimators and goodness-of-fit machinery."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from qgalton.errors import (
     InvalidDistributionError,
 )
 from qgalton.stats import (
-    BinHistogram,
     ConsistencyReport,
     FitResult,
     chi_square_gof,
@@ -20,27 +22,6 @@ from qgalton.stats import (
     _grid_degeneracy,
 )
 from qgalton.walk import bin_probabilities
-
-
-class TestBinHistogram:
-    def test_from_pixels(self):
-        h = BinHistogram.from_pixels([0, 3, 3, 15], 16)
-        assert h.total == 4
-        assert h.counts[3] == 2
-        assert h.frequencies[3] == pytest.approx(0.5)
-
-    def test_pixel_bounds_checked(self):
-        with pytest.raises(InvalidArgumentError):
-            BinHistogram.from_pixels([16], 16)
-
-    def test_empty_frequencies_fail(self):
-        h = BinHistogram(np.zeros(16, dtype=np.int64))
-        with pytest.raises(DegenerateFitError):
-            _ = h.frequencies
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            BinHistogram(np.array([1, -1]))
 
 
 class TestFitT2:
@@ -93,11 +74,6 @@ class TestFitT2:
         counts[2] = -4
         with pytest.raises(InvalidArgumentError):
             fit_t2(counts)
-
-    def test_accepts_bin_histogram(self):
-        counts = np.round(bin_probabilities(8, 0.6) * 1e7).astype(np.int64)
-        r = fit_t2(BinHistogram(counts), n_bootstrap=10, seed=0)
-        assert r.estimate == pytest.approx(0.6, abs=1e-4)
 
     def test_both_bound_objective_rejected(self):
         obj = np.ones(11)
@@ -287,3 +263,32 @@ class TestMeanConsistency:
         d = rep.to_dict()
         assert isinstance(d["ci_overlap"], bool)
         assert d["implied_mean"] == pytest.approx(4.0)
+
+
+class TestFitRecipe:
+    """The three fits share one estimate-plus-bootstrap helper; pin what
+    each returns on seeded data so a change to the helper shows at once."""
+
+    # sha256 of json.dumps(fit.to_dict(), sort_keys=True)
+    CASES = {
+        "fit_t2": (
+            lambda rng: fit_t2(rng.multinomial(5000, bin_probabilities(8, 0.763)),
+                               n_bootstrap=60, seed=4),
+            "c8d8a61ded0db7c0aaeccbb1f13de70c84b4d7f48f7073f13a590b06b737001b"),
+        "fit_poisson": (
+            lambda rng: fit_poisson(rng.poisson(4.0, 2000), n_bootstrap=60,
+                                    seed=4),
+            "a2e8d84c3062c3bc560893cea5ed3981651c4797fcf277c254aeab3fba9f0047"),
+        "fit_exponential": (
+            lambda rng: fit_exponential(rng.exponential(5e-7, 3000),
+                                        n_bootstrap=60, seed=4),
+            "bc94a3c2325202dbeb9592b1620b4a94e74304611a7e27567b3e7c57e23c5483"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_result_pinned(self, name):
+        fit, sha256 = self.CASES[name]
+        d = fit(np.random.default_rng(2024)).to_dict()
+        assert d["n_bootstrap"] == 60 and d["method"] == "least-squares"
+        text = json.dumps(d, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
