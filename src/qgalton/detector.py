@@ -38,16 +38,11 @@ class DetectorConfig:
             raise InvalidArgumentError(
                 f"efficiency must lie in [0, 1], got {self.efficiency}"
             )
-        if self.dead_time < 0.0:
-            raise InvalidArgumentError(f"dead_time must be >= 0, got {self.dead_time}")
-        if self.jitter_sigma < 0.0:
-            raise InvalidArgumentError(
-                f"jitter_sigma must be >= 0, got {self.jitter_sigma}"
-            )
-        if self.dark_count_rate < 0.0:
-            raise InvalidArgumentError(
-                f"dark_count_rate must be >= 0, got {self.dark_count_rate}"
-            )
+        for name in ("dead_time", "jitter_sigma", "dark_count_rate"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise InvalidArgumentError(
+                    f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ photons ride along as a truth channel for validation.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from .detector import (
     detect,
 )
 from .detector import draw_window as draw_detector_window
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .readout import (
     FLAG_NAMES,
     LineConfig,
@@ -43,11 +44,14 @@ from .source import (
 )
 from .source import draw_window as draw_source_window
 from .stats import (
+    T2_GRID_POINTS,
+    check_bootstrap_size,
     chi_square_gof,
     fit_exponential,
     fit_poisson,
     fit_t2,
     mean_consistency,
+    poisson_pmf,
 )
 from .walk import bin_probabilities
 
@@ -86,6 +90,11 @@ _KNOWN_KEYS = set(_BASE_DEFAULTS) | {"wavelength_nm", "t_squared"}
 # the seed is one 64-bit word of every window's Philox key (window_rng)
 SEED_MAX = 2**64 - 1
 MIN_BOOTSTRAP = 10
+# hard bounds on the size of a run, checked before anything is simulated:
+# the draw loop is one Python step per window, and every expected photon or
+# dark count is a row of the run's event arrays
+MAX_WINDOWS = 1_000_000
+MAX_EXPECTED_COUNTS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -137,8 +146,14 @@ class ExperimentConfig:
         if self.t_squared is not None and not 0.0 <= self.t_squared <= 1.0:
             raise ConfigError(
                 f"t_squared must lie in [0, 1], got {self.t_squared}")
-        if self.window_ns <= 0.0:
+        if not 0.0 < self.window_ns < math.inf:
             raise ConfigError(f"window_ns must be positive, got {self.window_ns}")
+        for name in ("mean_photon_number", "dead_time_ns", "jitter_sigma_ns",
+                     "dark_count_rate_hz"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {value}")
         if self.n_bootstrap < MIN_BOOTSTRAP:
             raise ConfigError(
                 f"n_bootstrap must be at least {MIN_BOOTSTRAP}, "
@@ -156,6 +171,28 @@ class ExperimentConfig:
             raise ConfigError(
                 f"bin_width_ns must be positive, got {self.bin_width_ns}"
             )
+        self._check_size()
+
+    def _check_size(self) -> None:
+        """Refuse, with ResourceLimitError, runs too large to serve."""
+        if self.windows > MAX_WINDOWS:
+            raise ResourceLimitError(
+                f"windows={self.windows}: limit is windows <= {MAX_WINDOWS}")
+        photons = self.windows * self.mean_photon_number
+        if photons > MAX_EXPECTED_COUNTS:
+            raise ResourceLimitError(
+                f"windows * mean_photon_number = {photons:g} expected "
+                f"photons: limit is {MAX_EXPECTED_COUNTS}")
+        darks = (self.dark_count_rate_hz * self.window_ns * 1e-9
+                 * self.pixel_count * self.windows)
+        if darks > MAX_EXPECTED_COUNTS:
+            raise ResourceLimitError(
+                f"dark_count_rate_hz={self.dark_count_rate_hz:g} gives "
+                f"{darks:g} expected dark counts: limit is "
+                f"{MAX_EXPECTED_COUNTS}")
+        # each fit checks its own table again; fit_t2's grid scan is the
+        # widest any run builds short of hundreds of counts per window
+        check_bootstrap_size(self.n_bootstrap, T2_GRID_POINTS)
 
     @property
     def window(self) -> float:
@@ -418,8 +455,6 @@ def _window_counts(stream: SimulatedStream, config: ExperimentConfig):
 
 def run_counting(config: ExperimentConfig) -> ExperimentOutput:
     """Per-window count statistics against the Poisson model."""
-    from scipy import stats as sps
-
     stream = simulate_stream(config)
     counts = _window_counts(stream, config)
     truth_counts = np.bincount(stream.truth_windows, minlength=config.windows)
@@ -427,7 +462,7 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
     fit = fit_poisson(counts, n_bootstrap=config.n_bootstrap, seed=config.seed)
     kmax = int(counts.max())
     hist = np.bincount(counts, minlength=kmax + 1)
-    pmf = sps.poisson.pmf(np.arange(kmax + 1), fit.estimate)
+    pmf = poisson_pmf(np.arange(kmax + 1), fit.estimate)
     gof = chi_square_gof(hist, pmf, n_fitted=1)
 
     report = {

@@ -6,6 +6,11 @@ the analytic MLE alongside where one exists, and a bootstrap percentile
 interval.  The bootstrap refits run as one vectorized golden-section
 minimization over all resamples at once rather than a Python loop.  Each
 public fit only checks its input, bins it and names its model.
+
+Only `scipy.special` is used at run time: the distributions are written
+out from its functions and the bounded minimizer is Brent's method in
+plain Python, so importing this module does not load scipy's stats and
+optimize subpackages, which take most of a process's start-up.
 """
 
 from __future__ import annotations
@@ -14,17 +19,33 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize, stats as sps
+from scipy import special
 
 from .errors import (
     DegenerateFitError,
     InvalidArgumentError,
     InvalidDistributionError,
+    ResourceLimitError,
 )
 from .walk import bin_probabilities
 
 DEFAULT_BOOTSTRAP = 500
 _CI_LEVEL = 0.95
+# fit_t2 scans t^2 on this grid before refining, every resample included
+T2_GRID_POINTS = 513
+# floats in one bootstrap table: n_bootstrap rows by the columns scored
+MAX_BOOTSTRAP_CELLS = 2**23
+
+
+def check_bootstrap_size(n_bootstrap: int, columns: int) -> None:
+    """Refuse a bootstrap whose n_bootstrap x columns table is too large.
+
+    Raises ResourceLimitError before anything is allocated.
+    """
+    if n_bootstrap * columns > MAX_BOOTSTRAP_CELLS:
+        raise ResourceLimitError(
+            f"n_bootstrap={n_bootstrap} with {columns} columns per resample: "
+            f"limit is n_bootstrap * columns <= {MAX_BOOTSTRAP_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +154,103 @@ def _golden_minimize(objective: Callable[[np.ndarray], np.ndarray],
     return 0.5 * (a + b)
 
 
+def _fminbound(func: Callable[[float], float], x1: float, x2: float,
+               xtol: float, maxiter: int = 500) -> float:
+    """Bounded scalar minimum by Brent's golden/parabolic search.
+
+    A step-for-step copy of scipy's `fminbound` (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973), so it returns the same
+    bits for the same func; the tests hold it to scipy.  It never prints:
+    after maxiter function evaluations it returns the best point so far.
+    """
+    if not all(np.size(x) == 1 and np.isfinite(x) for x in (x1, x2)):
+        raise InvalidArgumentError(
+            "optimization bounds must be finite scalars")
+    if x1 > x2:
+        raise InvalidArgumentError("the lower bound exceeds the upper bound")
+
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xtol / 3.0
+    tol2 = 2.0 * tol1
+
+    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
+        golden = 1
+        # parabolic step through the three best points, if acceptable
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean*e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xtol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            break
+
+    return xf
+
+
 def _percentile_ci(samples: np.ndarray) -> tuple[float, float]:
     tail = 100.0 * (1.0 - _CI_LEVEL) / 2.0
     return (float(np.percentile(samples, tail)),
@@ -170,11 +288,13 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
     freq, and refits them all at once by golden section inside
     boot_bracket(resamples) (default: bracket for every resample).
     """
+    check_bootstrap_size(n_bootstrap, freq.size)
+
     def objective_rows(x_rows: np.ndarray) -> np.ndarray:
         return ((freq[None, :] - model_rows(x_rows)) ** 2).sum(axis=1)
 
     if estimate is None:
-        estimate = float(optimize.fminbound(
+        estimate = float(_fminbound(
             lambda x: float(objective_rows(np.array([x]))[0]),
             bracket[0], bracket[1], xtol=xtol))
     residual = float(objective_rows(np.array([estimate]))[0])
@@ -225,6 +345,7 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     if total == 0:
         raise DegenerateFitError("cannot fit transmission to an empty histogram")
     stages = counts.size // 2
+    check_bootstrap_size(n_bootstrap, T2_GRID_POINTS)
     freq = counts / total
 
     def model_rows(t2_rows: np.ndarray) -> np.ndarray:
@@ -233,7 +354,7 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     # the objective oscillates in t^2 (the model is a degree-2*stages
     # polynomial family), so every minimization below starts from a grid
     # scan to land in the right basin before local refinement
-    grid = np.linspace(0.0, 1.0, 513)
+    grid = np.linspace(0.0, 1.0, T2_GRID_POINTS)
     model_grid = model_rows(grid)
 
     def around(k) -> tuple:
@@ -262,8 +383,8 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
             return np.inf
         return -float(np.dot(counts[mask], np.log(p[mask])))
 
-    mle = float(optimize.fminbound(nll, *around(int(np.argmin(nll_grid))),
-                                   xtol=1e-8))
+    mle = float(_fminbound(nll, *around(int(np.argmin(nll_grid))),
+                           xtol=1e-8))
 
     return _least_squares_fit(
         model_rows, freq, total, around(int(np.argmin(grid_obj))), 1e-8,
@@ -274,11 +395,21 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
         flags=("flat-objective",) if flat else ())
 
 
+def poisson_pmf(k, lam):
+    """Poisson probability of k events at mean lam, broadcasting.
+
+    Defined for integer k >= 0 and lam >= 0; outside that domain the value
+    is meaningless (scipy's `poisson.pmf`, which this equals bit for bit
+    on the domain, returns 0 or NaN there).
+    """
+    return np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+
+
 def _poisson_pmf_matrix(lam_rows: np.ndarray, kmax: int) -> np.ndarray:
     """pmf over k = 0..kmax per row plus a tail-mass column."""
     k = np.arange(kmax + 1)
-    pmf = sps.poisson.pmf(k[None, :], lam_rows[:, None])
-    tail = sps.poisson.sf(kmax, lam_rows)[:, None]
+    pmf = poisson_pmf(k[None, :], lam_rows[:, None])
+    tail = special.pdtrc(kmax, lam_rows)[:, None]
     return np.concatenate([pmf, tail], axis=1)
 
 
@@ -451,5 +582,5 @@ def chi_square_gof(observed, expected_probs, n_fitted: int = 0,
             f"{k} pooled categories leave no degrees of freedom after "
             f"fitting {n_fitted} parameters"
         )
-    p_value = float(sps.chi2.sf(statistic, dof))
+    p_value = float(special.chdtrc(dof, statistic))
     return GofResult(statistic=statistic, dof=dof, p_value=p_value, n_pooled=k)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,10 @@ class TestRun:
         ("persistence", "bin_width_ns", 0), ("counting", "bin_width_ns", 0),
         ("persistence", "bin_width_ns", -0.1),
         ("interference", "t_squared", float("nan")),
+        ("counting", "dead_time_ns", float("nan")),
+        ("counting", "dead_time_ns", float("inf")),
+        ("counting", "jitter_sigma_ns", float("nan")),
+        ("counting", "dark_count_rate_hz", float("nan")),
     ])
     def test_out_of_range_field_exit_config(self, tmp_path, capsys,
                                             experiment, field, value):
@@ -199,6 +204,19 @@ class TestRun:
                                self.config(tmp_path, **{field: value}))
         assert code == EXIT_CONFIG
         assert field in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("windows", 10**12), ("mean_photon_number", 1e12),
+        ("dark_count_rate_hz", 1e15), ("n_bootstrap", 10**9),
+    ])
+    def test_oversized_request_exit_resource(self, tmp_path, capsys, field,
+                                             value):
+        # refused while the config is checked, before any array is built
+        code, rep, err = run_cli(capsys, "run", "counting", "--config",
+                                 self.config(tmp_path, **{field: value}))
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert field in err and "limit" in err
 
     def test_missing_config_file_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "run", "counting",
@@ -257,6 +275,15 @@ class TestFitCommands:
         assert code == EXIT_RESOURCE
         assert rep is None
         assert "stages=71" in err
+
+    def test_fit_oversized_bootstrap_exit_resource(self, tmp_path, capsys):
+        p = tmp_path / "counts.json"
+        p.write_text(json.dumps([3, 4, 5, 4]))
+        code, rep, err = run_cli(capsys, "fit-poisson", "--input", str(p),
+                                 "--bootstrap", str(10**9))
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert "n_bootstrap" in err
 
     def test_fit_poisson(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -411,3 +438,37 @@ class TestConsoleScript:
             capture_output=True, text=True, check=False,
         )
         self.check_report(proc)
+
+
+class TestStartup:
+    """scipy.stats and scipy.optimize are test oracles, never loaded at run
+    time: importing them would triple the start-up of every command."""
+
+    PROBE = textwrap.dedent("""\
+        import contextlib, io, json, sys
+        HEAVY = ("scipy.stats", "scipy.optimize")
+        loaded = lambda: [m for m in HEAVY if m in sys.modules]
+        from qgalton.cli import main
+        after_import = loaded()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "counting", "--config", sys.argv[1]])
+        print(json.dumps([after_import, code, loaded()]))
+    """)
+
+    def test_run_loads_neither(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"windows": 200, "n_bootstrap": 10}))
+        src = str(Path(qgalton.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(config)],
+            capture_output=True, text=True, check=False, cwd=tmp_path,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_import, code, after_run = json.loads(proc.stdout)
+        assert after_import == []
+        assert code == EXIT_OK
+        assert after_run == []

@@ -42,6 +42,10 @@ class TestDetectorConfig:
             {"dead_time": -1e-9},
             {"jitter_sigma": -1.0},
             {"dark_count_rate": -5.0},
+            {"dead_time": float("nan")},
+            {"dead_time": float("inf")},
+            {"jitter_sigma": float("nan")},
+            {"dark_count_rate": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impl
-from qgalton.errors import ConfigError
+from qgalton.errors import ConfigError, ResourceLimitError
 from qgalton.experiments import (
+    MAX_EXPECTED_COUNTS,
+    MAX_WINDOWS,
     _events_table,
     _truth_table,
     config_from_dict,
@@ -22,6 +24,7 @@ from qgalton.experiments import (
     write_outputs,
 )
 from qgalton.readout import DecodedEvents
+from qgalton.stats import MAX_BOOTSTRAP_CELLS, T2_GRID_POINTS
 
 
 def small(exp, extra=None, seed=0, windows=2000):
@@ -86,6 +89,33 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             config_from_dict("diffraction", {})
+
+    @pytest.mark.parametrize("field, largest, too_large", [
+        ("windows", {"windows": MAX_WINDOWS, "mean_photon_number": 0.0},
+         {"windows": MAX_WINDOWS + 1, "mean_photon_number": 0.0}),
+        ("mean_photon_number",
+         {"windows": 1000, "mean_photon_number": MAX_EXPECTED_COUNTS / 1000},
+         {"windows": 1000, "mean_photon_number": MAX_EXPECTED_COUNTS / 999}),
+        # 1000 windows of 2 us on 16 pixels: 0.032 s of pixel time
+        ("dark_count_rate_hz",
+         {"windows": 1000, "dark_count_rate_hz": MAX_EXPECTED_COUNTS / 0.0321},
+         {"windows": 1000, "dark_count_rate_hz": MAX_EXPECTED_COUNTS / 0.0319}),
+        ("n_bootstrap", {"n_bootstrap": MAX_BOOTSTRAP_CELLS // T2_GRID_POINTS},
+         {"n_bootstrap": MAX_BOOTSTRAP_CELLS // T2_GRID_POINTS + 1}),
+    ])
+    def test_size_limits(self, field, largest, too_large):
+        # configs are built, never run: the limits hold before any work
+        assert config_from_dict("counting", largest)
+        with pytest.raises(ResourceLimitError, match=field):
+            config_from_dict("counting", too_large)
+
+    @pytest.mark.parametrize("field", ["mean_photon_number", "dead_time_ns",
+                                       "jitter_sigma_ns", "dark_count_rate_hz",
+                                       "window_ns"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict("counting", {field: value})
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         p = tmp_path / "c.json"

@@ -5,13 +5,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import optimize, special, stats as sps
 
 from qgalton.errors import (
     DegenerateFitError,
     InvalidArgumentError,
     InvalidDistributionError,
+    ResourceLimitError,
 )
 from qgalton.stats import (
+    MAX_BOOTSTRAP_CELLS,
+    T2_GRID_POINTS,
     ConsistencyReport,
     FitResult,
     chi_square_gof,
@@ -19,6 +24,8 @@ from qgalton.stats import (
     fit_poisson,
     fit_t2,
     mean_consistency,
+    poisson_pmf,
+    _fminbound,
     _grid_degeneracy,
 )
 from qgalton.walk import bin_probabilities
@@ -292,3 +299,91 @@ class TestFitRecipe:
         assert d["n_bootstrap"] == 60 and d["method"] == "least-squares"
         text = json.dumps(d, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def objective(kind: str, c: float, a: float, w: float):
+    """Scalar objectives of the shapes the fits hand to the minimizer."""
+    if kind == "smooth":
+        return lambda x: (x - c) ** 2 + a * np.cos(w * x)
+    if kind == "inf-left":  # fit_t2's nll is inf where a bin has no mass
+        return lambda x: np.inf if x < c else (x - c - a) ** 2
+    if kind == "inf-right":
+        return lambda x: np.inf if x > c else (x - c + a) ** 2
+    if kind == "flat":
+        return lambda x: a
+    if kind == "steps":  # plateaus make the minimizer's ties happen
+        return lambda x: np.floor(abs(x - c) * w)
+    # monotone: the minimum sits on one bracket edge
+    return lambda x: (w - 5.0) * x
+
+
+class TestFminbound:
+    """scipy's fminbound is the oracle: same func, same bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(["smooth", "inf-left", "inf-right", "flat",
+                                 "steps", "edge"]),
+           x1=st.floats(-10.0, 10.0),
+           width=st.one_of(st.just(0.0), st.floats(1e-9, 30.0)),
+           c=st.floats(-15.0, 15.0), a=st.floats(0.0, 3.0),
+           w=st.floats(0.0, 10.0),
+           xtol=st.sampled_from([1e-10, 1e-8, 1e-5, 1e-2]),
+           maxiter=st.sampled_from([1, 2, 3, 7, 500]))
+    def test_matches_scipy(self, kind, x1, width, c, a, w, xtol, maxiter):
+        func = objective(kind, c, a, w)
+        x2 = x1 + width
+        with np.errstate(invalid="ignore"):
+            want = optimize.fminbound(func, x1, x2, xtol=xtol, maxfun=maxiter,
+                                      disp=0)
+            got = _fminbound(func, x1, x2, xtol=xtol, maxiter=maxiter)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("x1, x2", [
+        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0),
+        (1.0, 0.0), (np.zeros(2), 1.0),
+    ])
+    def test_bad_bounds_rejected(self, x1, x2):
+        with pytest.raises(InvalidArgumentError, match="bound"):
+            _fminbound(lambda x: x * x, x1, x2, xtol=1e-8)
+
+
+class TestSpecialForms:
+    """The scipy.special forms the fits use equal scipy.stats bit for bit."""
+
+    LAM = np.concatenate([[0.0, 1e-9], np.linspace(0.0, 60.0, 2002)])
+    K = np.arange(200)
+
+    def test_poisson_pmf(self):
+        assert same_bits(poisson_pmf(self.K[None, :], self.LAM[:, None]),
+                         sps.poisson.pmf(self.K[None, :], self.LAM[:, None]))
+
+    def test_poisson_sf(self):
+        assert same_bits(special.pdtrc(self.K[None, :], self.LAM[:, None]),
+                         sps.poisson.sf(self.K[None, :], self.LAM[:, None]))
+
+    def test_chi2_sf(self):
+        rng = np.random.default_rng(7)
+        dof = rng.integers(1, 120, size=5000)
+        x = np.concatenate([[0.0], rng.uniform(0.0, 300.0, size=4999)])
+        assert same_bits(special.chdtrc(dof, x), sps.chi2.sf(x, dof))
+
+
+class TestBootstrapLimit:
+    """Oversized bootstraps are refused before their table is allocated."""
+
+    @pytest.mark.parametrize("fit, data, columns", [
+        (fit_t2, [5, 3, 2, 1], T2_GRID_POINTS),
+        (fit_poisson, [1, 2, 3, 0], 5),
+        (fit_exponential, [1.0, 2.0, 0.5], 51),
+    ])
+    def test_limit(self, fit, data, columns):
+        largest = MAX_BOOTSTRAP_CELLS // columns
+        with pytest.raises(ResourceLimitError, match="n_bootstrap"):
+            fit(data, n_bootstrap=largest + 1)
+        with pytest.raises(ResourceLimitError, match="n_bootstrap"):
+            fit(data, n_bootstrap=10**12)
