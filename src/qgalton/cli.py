@@ -31,7 +31,8 @@ from .experiments import (
     run_experiment,
     write_outputs,
 )
-from .readout import FLAG_NAMES, LineConfig, TraceEvents, decode
+from .readout import (FLAG_NAMES, FLAG_TEXT, LineConfig, TraceEvents, decode,
+                      flag_summary)
 from .source import t2_of_wavelength
 from .stats import fit_exponential, fit_poisson, fit_t2
 from .walk import bin_probabilities, path_sum_oracle
@@ -85,8 +86,7 @@ def _read_trace(path: str) -> TraceEvents:
 
 
 def _emit(report: dict, tables: dict, args) -> None:
-    out = ExperimentOutput(report=report, tables=tables)
-    write_outputs(out, args.out, args.format)
+    write_outputs(ExperimentOutput(report, tables), args.out, args.format)
     sys.stdout.write(render_report(report))
 
 
@@ -110,12 +110,8 @@ def cmd_simulate_walk(args) -> int:
     if args.check_oracle:
         oracle = path_sum_oracle(args.stages, t2, args.input_port)
         report["oracle_max_abs_diff"] = float(np.abs(probs - oracle).max())
-    tables = {
-        "distribution": (
-            ["bin", "probability"],
-            [(b, repr(float(p))) for b, p in enumerate(probs)],
-        ),
-    }
+    tables = {"distribution": (["bin", "probability"],
+                               [np.arange(probs.size), probs])}
     _emit(report, tables, args)
     return EXIT_OK
 
@@ -126,8 +122,7 @@ def cmd_run(args) -> int:
     else:
         config = config_from_dict(args.experiment, {}, seed=args.seed)
     output = run_experiment(config)
-    write_outputs(output, args.out, args.format)
-    sys.stdout.write(render_report(output.report))
+    _emit(output.report, output.tables, args)
     return EXIT_OK
 
 
@@ -189,24 +184,21 @@ def cmd_decode_trace(args) -> int:
         raise DecodeFailure(str(exc)) from exc
     if len(dec) == 0 or not dec.ok.any():
         raise DecodeFailure("no pulse pairs decoded from the trace")
-    flags = {name: int((dec.flags == i).sum())
-             for i, name in enumerate(FLAG_NAMES)}
-    rows = []
-    for px, t, fl in zip(dec.pixels, dec.origin_times, dec.flags):
-        t_ns = float("nan") if np.isnan(t) else t * 1e9
-        rows.append((int(px), repr(float(t_ns)), FLAG_NAMES[fl]))
     report = {
         "n_pulses": len(trace),
         "n_events": len(dec),
         "n_ok": int(dec.ok.sum()),
-        "flags": flags,
+        "flags": flag_summary(dec.flags),
         "events": [
             {"pixel": int(px), "origin_time_ns": None if np.isnan(t) else t * 1e9,
              "flag": FLAG_NAMES[fl]}
             for px, t, fl in zip(dec.pixels, dec.origin_times, dec.flags)
         ],
     }
-    tables = {"events": (["pixel", "origin_time_ns", "flag"], rows)}
+    # orphans have no origin time: their cells print nan
+    tables = {"events": (["pixel", "origin_time_ns", "flag"],
+                         [dec.pixels, dec.origin_times * 1e9,
+                          FLAG_TEXT[dec.flags]])}
     _emit(report, tables, args)
     return EXIT_OK
 

@@ -29,10 +29,11 @@ from .detector import (
 from .detector import draw_window as draw_detector_window
 from .errors import ConfigError, ResourceLimitError
 from .readout import (
-    FLAG_NAMES,
+    FLAG_TEXT,
     LineConfig,
     decode,
     encode,
+    flag_summary,
     persistence_trace,
 )
 from .source import (
@@ -247,6 +248,13 @@ def _check_type(key: str, value) -> None:
     kinds, name = _ACCEPTED[args[0] if args else hint]
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"config field {key} must be {name}, got {value!r}")
+    if kinds is numbers.Real:
+        # an integer is stored as given, but a float field must hold it
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"config field {key} must fit in a float, got "
+                              f"a {len(str(abs(value)))}-digit integer") from None
 
 
 def config_from_dict(experiment: str, data: Optional[dict] = None,
@@ -357,16 +365,14 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
 
 @dataclass
 class ExperimentOutput:
-    """A JSON-ready report plus named tables for CSV output."""
+    """A JSON-ready report plus named tables for CSV output.
+
+    Each table is ``(header, columns)``: a list of column names and as many
+    equal-length 1-D arrays.  Cells become text only in ``write_outputs``.
+    """
 
     report: dict
     tables: dict
-
-
-def _flag_summary(decoded) -> dict:
-    names = list(FLAG_NAMES)
-    counts = np.bincount(decoded.flags, minlength=len(names))
-    return {name: int(c) for name, c in zip(names, counts)}
 
 
 def _decoded_ok(stream: SimulatedStream):
@@ -375,36 +381,23 @@ def _decoded_ok(stream: SimulatedStream):
     return dec.pixels[ok], dec.origin_times[ok]
 
 
-_FLAG_TEXT = np.array(FLAG_NAMES, dtype=object)
-
-
 def _window_index(times, window: float, n_windows: int) -> np.ndarray:
     """Window of each time, clipped into the run; -1 where the time is NaN."""
     win = np.clip(times // window, 0, n_windows - 1)
     return np.where(np.isnan(win), -1, win).astype(np.int64)
 
 
-def _table(header: list, *columns: np.ndarray):
-    """A CSV table, (header, rows), from equal-length array columns.
-
-    Each column is converted once: floats to their repr text, other dtypes
-    to Python scalars, so every cell prints as ``str`` of a scalar would.
-    """
-    cells = [map(repr, col.tolist()) if col.dtype.kind == "f" else col.tolist()
-             for col in columns]
-    return header, list(zip(*cells))
-
-
 def _events_table(stream: SimulatedStream, window: float, n_windows: int):
     dec = stream.decoded
-    return _table(["window_index", "pixel", "origin_time_ns", "flag"],
-                  _window_index(dec.origin_times, window, n_windows),
-                  dec.pixels, dec.origin_times * 1e9, _FLAG_TEXT[dec.flags])
+    return (["window_index", "pixel", "origin_time_ns", "flag"],
+            [_window_index(dec.origin_times, window, n_windows),
+             dec.pixels, dec.origin_times * 1e9, FLAG_TEXT[dec.flags]])
 
 
 def _truth_table(stream: SimulatedStream):
-    return _table(["window_index", "bin", "time_ns"], stream.truth_windows,
-                  stream.truth_pixels, stream.truth_times * 1e9)
+    return (["window_index", "bin", "time_ns"],
+            [stream.truth_windows, stream.truth_pixels,
+             stream.truth_times * 1e9])
 
 
 def run_interference(config: ExperimentConfig) -> ExperimentOutput:
@@ -429,7 +422,7 @@ def run_interference(config: ExperimentConfig) -> ExperimentOutput:
         "n_emitted": int(stream.truth_pixels.size),
         "n_clicks": len(stream.records),
         "n_decoded_ok": int(decoded_hist.sum()),
-        "decode_flags": _flag_summary(stream.decoded),
+        "decode_flags": flag_summary(stream.decoded.flags),
         "decoded_histogram": decoded_hist.tolist(),
         "truth_histogram": truth_hist.tolist(),
         "reference_t_squared": reference,
@@ -438,9 +431,9 @@ def run_interference(config: ExperimentConfig) -> ExperimentOutput:
         "gof_at_fit": gof.to_dict(),
     }
     tables = {
-        "histogram": _table(
+        "histogram": (
             ["bin", "decoded_count", "truth_count", "model_probability"],
-            np.arange(n_bins), decoded_hist, truth_hist, model_ref),
+            [np.arange(n_bins), decoded_hist, truth_hist, model_ref]),
         "events": _events_table(stream, config.window, config.windows),
         "truth_events": _truth_table(stream),
     }
@@ -470,7 +463,7 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
         "config": config.to_report_dict(),
         "n_emitted": int(stream.truth_pixels.size),
         "n_decoded_ok": int(counts.sum()),
-        "decode_flags": _flag_summary(stream.decoded),
+        "decode_flags": flag_summary(stream.decoded.flags),
         "count_histogram": hist.tolist(),
         "sample_mean": float(counts.mean()),
         "sample_variance": float(counts.var(ddof=1)),
@@ -479,12 +472,12 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
         "gof": gof.to_dict(),
     }
     tables = {
-        "window_counts": _table(
+        "window_counts": (
             ["window_index", "decoded_count", "truth_count"],
-            np.arange(config.windows), counts, truth_counts),
-        "count_histogram": _table(
+            [np.arange(config.windows), counts, truth_counts]),
+        "count_histogram": (
             ["count", "windows", "model_probability"],
-            np.arange(kmax + 1), hist, pmf),
+            [np.arange(kmax + 1), hist, pmf]),
         "events": _events_table(stream, config.window, config.windows),
     }
     return ExperimentOutput(report=report, tables=tables)
@@ -519,7 +512,7 @@ def run_intervals(config: ExperimentConfig) -> ExperimentOutput:
         "n_emitted": int(stream.truth_pixels.size),
         "n_decoded_ok": int(times.size),
         "n_gaps": int(gaps.size),
-        "decode_flags": _flag_summary(stream.decoded),
+        "decode_flags": flag_summary(stream.decoded.flags),
         "mean_gap_ns": mean_gap * 1e9,
         "interval_fit_ns": {
             **interval_fit.to_dict(),
@@ -534,8 +527,8 @@ def run_intervals(config: ExperimentConfig) -> ExperimentOutput:
     }
     centers = 0.5 * (edges[:-1] + edges[1:])
     tables = {
-        "gap_histogram": _table(["gap_ns", "count", "model_mass"],
-                                centers * 1e9, hist, masses[:-1]),
+        "gap_histogram": (["gap_ns", "count", "model_mass"],
+                          [centers * 1e9, hist, masses[:-1]]),
         "events": _events_table(stream, config.window, config.windows),
     }
     return ExperimentOutput(report=report, tables=tables)
@@ -551,14 +544,13 @@ def run_persistence(config: ExperimentConfig) -> ExperimentOutput:
     delays = np.array([p.delay for p in res.peaks])
     amps = np.array([p.amplitude for p in res.peaks])
     weights = np.array([p.weight for p in res.peaks])
-    spacing = np.diff(delays) if delays.size > 1 else np.empty(0)
+    spacing = np.diff(delays)
     model = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
     # peaks are ordered by delay; pixel index runs opposite to delay
-    peak_pixels = (np.round(
+    peak_pixels = np.round(
         ((config.pixel_count - 1) * config.segment_delay_ns * 1e-9 - delays)
-        / (2.0 * config.segment_delay_ns * 1e-9)
-    ).astype(int) if delays.size else np.empty(0, dtype=int))
+        / (2.0 * config.segment_delay_ns * 1e-9)).astype(int)
 
     report = {
         "experiment": "persistence",
@@ -572,28 +564,26 @@ def run_persistence(config: ExperimentConfig) -> ExperimentOutput:
         "peak_amplitudes": amps.tolist(),
         "peak_weights": weights.tolist(),
         "peak_pixels": peak_pixels.tolist(),
-        "amplitudes_strictly_decreasing": bool(
-            np.all(np.diff(amps) < 0)) if amps.size > 1 else True,
+        "amplitudes_strictly_decreasing": bool(np.all(np.diff(amps) < 0)),
         "model_probabilities": model.tolist(),
-        "decode_flags": _flag_summary(stream.decoded),
+        "decode_flags": flag_summary(stream.decoded.flags),
     }
+    # an empty cell where a delay bin holds no pulses
+    mean_amplitude = res.mean_amplitudes.astype(object)
+    mean_amplitude[res.bin_counts == 0] = ""
     tables = {
         "peaks": (
             ["delay_ns", "pixel", "amplitude", "count", "weight"],
-            [(repr(float(p.delay * 1e9)), int(px), repr(float(p.amplitude)),
-              p.count, repr(float(p.weight)))
-             for p, px in zip(res.peaks, peak_pixels)],
+            [delays * 1e9, peak_pixels, amps,
+             np.array([p.count for p in res.peaks], dtype=np.int64), weights],
         ),
         "persistence": (
             ["delay_ns", "count", "mean_amplitude"],
-            [(repr(float(0.5 * (res.bin_edges[i] + res.bin_edges[i + 1]) * 1e9)),
-              int(res.bin_counts[i]),
-              repr(float(res.mean_amplitudes[i]))
-              if res.bin_counts[i] else "")
-             for i in range(res.bin_counts.size)],
+            [0.5 * (res.bin_edges[:-1] + res.bin_edges[1:]) * 1e9,
+             res.bin_counts, mean_amplitude],
         ),
-        "trace": _table(["time_ns", "amplitude"], stream.trace.times * 1e9,
-                        stream.trace.amplitudes),
+        "trace": (["time_ns", "amplitude"],
+                  [stream.trace.times * 1e9, stream.trace.amplitudes]),
     }
     return ExperimentOutput(report=report, tables=tables)
 
@@ -615,12 +605,22 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _csv_lines(header: list, columns: list):
+    """CSV lines of one table: each cell is ``str`` of the column item as a
+    Python scalar, so a float prints as its repr and text as itself."""
+    yield ",".join(header) + "\n"
+    for row in zip(*(map(str, col.tolist()) for col in columns)):
+        yield ",".join(row) + "\n"
+
+
 def write_outputs(output: ExperimentOutput, out_dir: Optional[str],
                   fmt: str = "json") -> list[str]:
     """Write report.json (always) and the tables (csv format only).
 
-    Returns the list of paths written.  A None out_dir writes nothing,
-    which is how library callers skip disk output.
+    Each ``(header, columns)`` table becomes ``<name>.csv``; its cells are
+    turned into text here and nowhere else.  Returns the list of paths
+    written.  A None out_dir writes nothing, which is how library callers
+    skip disk output.
     """
     if out_dir is None:
         return []
@@ -633,11 +633,9 @@ def write_outputs(output: ExperimentOutput, out_dir: Optional[str],
         fh.write(render_report(output.report))
     written.append(report_path)
     if fmt == "csv":
-        for name, (header, rows) in output.tables.items():
+        for name, (header, columns) in output.tables.items():
             path = os.path.join(out_dir, f"{name}.csv")
             with open(path, "w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(str(x) for x in row) + "\n")
+                fh.writelines(_csv_lines(header, columns))
             written.append(path)
     return written

@@ -35,6 +35,14 @@ FLAG_ORPHAN_NEGATIVE = 1
 FLAG_ORPHAN_POSITIVE = 2
 FLAG_PIXEL_OUT_OF_RANGE = 3
 FLAG_NAMES = ("ok", "orphan_negative", "orphan_positive", "pixel_out_of_range")
+FLAG_TEXT = np.array(FLAG_NAMES, dtype=object)  # indexed by flag code
+
+
+def flag_summary(flags: np.ndarray) -> dict:
+    """How many events carry each flag, keyed by flag name."""
+    counts = np.bincount(flags, minlength=len(FLAG_NAMES))
+    return dict(zip(FLAG_NAMES, counts.tolist()))
+
 
 # pairing tolerance: pulse pairs from one click have spacing set by passive
 # line lengths, so the residual budget only covers arithmetic noise
@@ -159,7 +167,7 @@ def encode(records: DetectionRecords, config: LineConfig) -> TraceEvents:
     delta = config.segment_delay
     alpha = config.attenuation_per_segment
     last = config.pixel_count - 1
-    sign = -1.0 if config.trigger_polarity == "negative" else 1.0
+    sign = _trigger_sign(config)
 
     trig_times = times + pixels * delta
     trig_amps = sign * config.base_amplitude * alpha**pixels

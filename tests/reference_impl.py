@@ -191,3 +191,10 @@ def trace_table(trace):
         [(repr(float(t * 1e9)), repr(float(a)))
          for t, a in zip(trace.times, trace.amplitudes)],
     )
+
+
+def csv_lines(table):
+    """The lines a (header, rows) table wrote, one row at a time."""
+    header, rows = table
+    return [",".join(header) + "\n"] + [
+        ",".join(str(x) for x in row) + "\n" for row in rows]

@@ -1,5 +1,6 @@
 """Command line interface tests: exit codes, output files, round trips."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -29,6 +30,12 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr()
     report = json.loads(out.out) if out.out else None
     return code, report, out.err
+
+
+def csv_sha256(out_dir):
+    """sha256 of every CSV in a directory, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(out_dir).glob("*.csv"))}
 
 
 class TestSimulateWalk:
@@ -84,6 +91,14 @@ class TestSimulateWalk:
         assert code == EXIT_OK
         assert rep["n_bins"] == 124
         assert sum(rep["probabilities"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_csv_bytes_unchanged(self, tmp_path, capsys):
+        # pinned from the per-row table builder
+        code, _, _ = run_cli(capsys, "simulate-walk", "--out", str(tmp_path),
+                             "--format", "csv")
+        assert code == EXIT_OK
+        assert csv_sha256(tmp_path) == {"distribution.csv": (
+            "84191fb3d249a547ddf5cee178dd3f71a6c4fba90d9516b34bf4672d3a7b2754")}
 
 
 class TestRun:
@@ -197,6 +212,10 @@ class TestRun:
         ("counting", "dead_time_ns", float("inf")),
         ("counting", "jitter_sigma_ns", float("nan")),
         ("counting", "dark_count_rate_hz", float("nan")),
+        # JSON integers too large for a float
+        pytest.param("counting", "window_ns", 10**400, id="window_ns-401-digits"),
+        pytest.param("counting", "mean_photon_number", 10**400,
+                     id="mean_photon_number-401-digits"),
     ])
     def test_out_of_range_field_exit_config(self, tmp_path, capsys,
                                             experiment, field, value):
@@ -217,6 +236,31 @@ class TestRun:
         assert code == EXIT_RESOURCE
         assert rep is None
         assert field in err and "limit" in err
+
+    # sha256 of every CSV the per-row table builders wrote for the export
+    # config (intervals, efficiency 0.8, dark counts 2e4 Hz) at seed 1; the
+    # full 10,000 windows include orphan and out-of-range rows
+    EXPORT_CSV_SHA256 = {
+        300: {
+            "events.csv": "533134a7f618f753ee7cd1fc3302b928e96df214e47a24ea35b45d2fbf46e5a8",
+            "gap_histogram.csv": "64f3db694050d154c85511e80cea758979e8ad12c30db62d37fc188ff1f76076",
+        },
+        10_000: {
+            "events.csv": "477f0208cf5bd952211e3d2d7c4c8c25361b7ed85685efcec1f0da3e6612a6e6",
+            "gap_histogram.csv": "3e6a143e618a168b8fbc4444e19498b55361a7d7985a3599192b98588df041e6",
+        },
+    }
+
+    @pytest.mark.parametrize("windows", sorted(EXPORT_CSV_SHA256))
+    def test_export_csv_bytes_unchanged(self, tmp_path, capsys, windows):
+        cfg = self.config(tmp_path, windows=windows, efficiency=0.8,
+                          dark_count_rate_hz=2e4)
+        out = tmp_path / "results"
+        code, _, _ = run_cli(capsys, "run", "intervals", "--config", cfg,
+                             "--seed", "1", "--out", str(out),
+                             "--format", "csv")
+        assert code == EXIT_OK
+        assert csv_sha256(out) == self.EXPORT_CSV_SHA256[windows]
 
     def test_missing_config_file_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "run", "counting",
@@ -371,6 +415,20 @@ class TestDecodeTrace:
         text = (out / "events.csv").read_text().splitlines()
         assert text[0] == "pixel,origin_time_ns,flag"
         assert text[1].startswith("3,")
+
+    def test_csv_bytes_unchanged(self, tmp_path, capsys):
+        # pinned from the per-row table builder; the lone negative pulse
+        # decodes as an orphan, whose origin time prints nan
+        path = self.write_trace(tmp_path, [0, 5, 15], [0.0, 100e-9, 250e-9])
+        with open(path, "a") as fh:
+            fh.write("400.0,-0.5\n")
+        out = tmp_path / "dec"
+        code, rep, _ = run_cli(capsys, "decode-trace", "--input", path,
+                               "--out", str(out), "--format", "csv")
+        assert code == EXIT_OK
+        assert rep["flags"]["orphan_negative"] == 1
+        assert csv_sha256(out) == {"events.csv": (
+            "8242499edd07664558afda1f93a5d58644ddf59010c00bdd592ece2277ccd5ca")}
 
     def test_garbage_trace_exit_decode(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

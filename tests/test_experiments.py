@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 import reference_impl
 from qgalton.errors import ConfigError, ResourceLimitError
 from qgalton.experiments import (
+    EXPERIMENTS,
     MAX_EXPECTED_COUNTS,
     MAX_WINDOWS,
+    _csv_lines,
     _events_table,
     _truth_table,
     config_from_dict,
@@ -275,11 +277,12 @@ class TestInterferenceRun:
 
     def test_tables_shaped(self):
         out = run_experiment(small("interference", windows=300))
-        header, rows = out.tables["histogram"]
+        header, columns = out.tables["histogram"]
         assert header[0] == "bin"
-        assert len(rows) == 16
-        header, rows = out.tables["events"]
+        assert [len(col) for col in columns] == [16] * 4
+        header, columns = out.tables["events"]
         assert header == ["window_index", "pixel", "origin_time_ns", "flag"]
+        assert len({len(col) for col in columns}) == 1
 
 
 class TestCountingRun:
@@ -389,22 +392,40 @@ class TestOutputs:
             write_outputs(out, str(tmp_path), "yaml")
 
 
+def csv_lines(table):
+    return list(_csv_lines(*table))
+
+
 class TestTableParity:
-    """Column-wise tables equal the per-row builders they replaced."""
+    """Column tables write the CSV lines of the per-row builders they
+    replaced."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_tables_are_columns(self, experiment):
+        out = run_experiment(small(experiment, seed=1, windows=300))
+        for name, table in out.tables.items():
+            header, columns = table
+            assert len(header) == len(columns), name
+            assert all(isinstance(col, np.ndarray) and col.ndim == 1
+                       for col in columns), name
+            assert len({col.size for col in columns}) == 1, name
 
     def test_tables_of_a_saturated_run(self):
         cfg = small("counting", {"mean_photon_number": 30.0}, seed=1,
                     windows=300)
         stream = simulate_stream(cfg)
-        assert _events_table(stream, cfg.window, cfg.windows) == \
-            reference_impl.events_table(stream, cfg.window, cfg.windows)
-        assert _truth_table(stream) == reference_impl.truth_table(stream)
+        assert csv_lines(_events_table(stream, cfg.window, cfg.windows)) == \
+            reference_impl.csv_lines(
+                reference_impl.events_table(stream, cfg.window, cfg.windows))
+        assert csv_lines(_truth_table(stream)) == \
+            reference_impl.csv_lines(reference_impl.truth_table(stream))
 
     def test_trace_table(self):
         cfg = small("persistence", windows=300)
         out = run_experiment(cfg)
         stream = simulate_stream(cfg)
-        assert out.tables["trace"] == reference_impl.trace_table(stream.trace)
+        assert csv_lines(out.tables["trace"]) == reference_impl.csv_lines(
+            reference_impl.trace_table(stream.trace))
 
     def test_orphans_and_clipped_windows(self):
         window, n_windows = 2e-6, 3
@@ -424,10 +445,13 @@ class TestTableParity:
             truth_pixels=np.array([4, 5, 6, 7]),
             truth_times=np.array([-1e-9, 1.5e-7, 4.25e-6, 7e-6]))
         got = _events_table(stream, window, n_windows)
-        assert got == reference_impl.events_table(stream, window, n_windows)
-        assert [row[0] for row in got[1]] == [-1, 0, 0, 1, 2, 2, 2, -1]
-        assert got[1][0][2:] == ("nan", "orphan_negative")
-        assert _truth_table(stream) == reference_impl.truth_table(stream)
+        lines = csv_lines(got)
+        assert lines == reference_impl.csv_lines(
+            reference_impl.events_table(stream, window, n_windows))
+        assert got[1][0].tolist() == [-1, 0, 0, 1, 2, 2, 2, -1]
+        assert lines[1] == "-1,-1,nan,orphan_negative\n"
+        assert csv_lines(_truth_table(stream)) == \
+            reference_impl.csv_lines(reference_impl.truth_table(stream))
 
     def test_empty_stream(self):
         empty = np.empty(0)
@@ -435,9 +459,11 @@ class TestTableParity:
             decoded=DecodedEvents(empty, empty, empty, empty, empty),
             truth_windows=empty.astype(np.int64),
             truth_pixels=empty.astype(np.int64), truth_times=empty)
-        assert _events_table(stream, 2e-6, 5) == \
-            reference_impl.events_table(stream, 2e-6, 5)
-        assert _truth_table(stream) == reference_impl.truth_table(stream)
+        assert csv_lines(_events_table(stream, 2e-6, 5)) == \
+            reference_impl.csv_lines(
+                reference_impl.events_table(stream, 2e-6, 5))
+        assert csv_lines(_truth_table(stream)) == \
+            reference_impl.csv_lines(reference_impl.truth_table(stream))
 
     # sha256 of every CSV the per-row table builders wrote for these runs
     # (300 windows, 50 resamples, seed 1); re-pin only with a deliberate
