@@ -12,7 +12,6 @@ from .errors import (
     DegenerateFitError,
     InvalidArgumentError,
     InvalidDistributionError,
-    InvalidModelError,
     QGaltonError,
     ResourceLimitError,
 )

@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +146,7 @@ def cmd_fit_t2(args) -> int:
         raise QGaltonError("histogram entries must be integers")
     fit = fit_t2(counts, n_bootstrap=args.bootstrap, seed=args.seed,
                  input_port=args.input_port)
-    _emit({"fit": fit.to_dict()}, {}, args)
+    _emit({"fit": asdict(fit)}, {}, args)
     return EXIT_OK
 
 
@@ -156,7 +157,7 @@ def cmd_fit_poisson(args) -> int:
     if np.any(values != counts):
         raise QGaltonError("window counts must be integers")
     fit = fit_poisson(counts, n_bootstrap=args.bootstrap, seed=args.seed)
-    _emit({"fit": fit.to_dict()}, {}, args)
+    _emit({"fit": asdict(fit)}, {}, args)
     return EXIT_OK
 
 
@@ -164,7 +165,7 @@ def cmd_fit_exponential(args) -> int:
     _check_fit_options(args)
     gaps = _read_numbers(args.input)
     fit = fit_exponential(gaps, n_bootstrap=args.bootstrap, seed=args.seed)
-    report = {"fit": fit.to_dict(), "units": "same as input (ns expected)"}
+    report = {"fit": asdict(fit), "units": "same as input (ns expected)"}
     _emit(report, {}, args)
     return EXIT_OK
 

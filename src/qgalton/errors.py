@@ -9,10 +9,6 @@ class InvalidArgumentError(QGaltonError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InvalidModelError(QGaltonError, ValueError):
-    """A calibration model cannot be built from the given data."""
-
-
 class InvalidDistributionError(QGaltonError, ValueError):
     """A probability distribution fails its normalization contract."""
 

@@ -27,8 +27,14 @@ from .detector import (
     detect,
 )
 from .detector import draw_window as draw_detector_window
-from .errors import ConfigError, ResourceLimitError
+from .errors import (
+    ConfigError,
+    DegenerateFitError,
+    InvalidArgumentError,
+    ResourceLimitError,
+)
 from .readout import (
+    DEFAULT_TOLERANCE,
     FLAG_TEXT,
     LineConfig,
     decode,
@@ -37,7 +43,6 @@ from .readout import (
     persistence_trace,
 )
 from .source import (
-    SourceConfig,
     assign_bins,
     sample_arrivals,
     t2_of_wavelength,
@@ -51,6 +56,7 @@ from .stats import (
     fit_exponential,
     fit_poisson,
     fit_t2,
+    gap_histogram,
     mean_consistency,
     poisson_pmf,
 )
@@ -58,27 +64,7 @@ from .walk import bin_probabilities
 
 EXPERIMENTS = ("interference", "counting", "intervals", "persistence")
 
-# per-experiment defaults layered under the user's config
-_BASE_DEFAULTS = {
-    "stages": 8,
-    "windows": 10_000,
-    "mean_photon_number": 1.0,
-    "window_ns": 2000.0,
-    "input_port": "left",
-    "seed": 0,
-    "pixel_count": 16,
-    "efficiency": 1.0,
-    "dead_time_ns": 20.0,
-    "jitter_sigma_ns": 0.05,
-    "dark_count_rate_hz": 0.0,
-    "segment_delay_ns": 0.9,
-    "attenuation_per_segment": 0.97,
-    "base_amplitude": 1.0,
-    "trigger_polarity": "negative",
-    "n_bootstrap": 500,
-    "bin_width_ns": 0.1,
-    "min_cluster": None,
-}
+# per-experiment defaults layered over the field defaults
 _EXPERIMENT_DEFAULTS = {
     "interference": {"wavelength_nm": 1550.0},
     "counting": {"mean_photon_number": 4.0, "wavelength_nm": 1550.0},
@@ -87,7 +73,6 @@ _EXPERIMENT_DEFAULTS = {
     # carries enough probability to light up its peak
     "persistence": {"t_squared": 0.5},
 }
-_KNOWN_KEYS = set(_BASE_DEFAULTS) | {"wavelength_nm", "t_squared"}
 # the seed is one 64-bit word of every window's Philox key (window_rng)
 SEED_MAX = 2**64 - 1
 MIN_BOOTSTRAP = 10
@@ -101,29 +86,30 @@ MAX_EXPECTED_COUNTS = 8_000_000
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings for one run.  Times here are still in the JSON
-    units (nanoseconds); the accessor methods convert to seconds."""
+    units (nanoseconds); the accessor methods convert to seconds.  Every
+    field but the experiment is a config key, with its default here."""
 
     experiment: str
-    stages: int
-    windows: int
-    mean_photon_number: float
-    window_ns: float
-    input_port: str
-    seed: int
-    pixel_count: int
-    efficiency: float
-    dead_time_ns: float
-    jitter_sigma_ns: float
-    dark_count_rate_hz: float
-    segment_delay_ns: float
-    attenuation_per_segment: float
-    base_amplitude: float
-    trigger_polarity: str
-    n_bootstrap: int
-    bin_width_ns: float
-    min_cluster: Optional[int]
-    wavelength_nm: Optional[float]
-    t_squared: Optional[float]
+    stages: int = 8
+    windows: int = 10_000
+    mean_photon_number: float = 1.0
+    window_ns: float = 2000.0
+    input_port: str = "left"
+    seed: int = 0
+    pixel_count: int = 16
+    efficiency: float = 1.0
+    dead_time_ns: float = 20.0
+    jitter_sigma_ns: float = 0.05
+    dark_count_rate_hz: float = 0.0
+    segment_delay_ns: float = 0.9
+    attenuation_per_segment: float = 0.97
+    base_amplitude: float = 1.0
+    trigger_polarity: str = "negative"
+    n_bootstrap: int = 500
+    bin_width_ns: float = 0.1
+    min_cluster: Optional[int] = None
+    wavelength_nm: Optional[float] = None
+    t_squared: Optional[float] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -168,6 +154,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"min_cluster must be >= 1 or null, got {self.min_cluster}"
             )
+        # decode pairs pulses within DEFAULT_TOLERANCE (seconds), which must
+        # stay under half a segment delay to tell neighbouring pixels apart
+        min_delay_ns = 2e9 * DEFAULT_TOLERANCE
+        if not min_delay_ns < self.segment_delay_ns < math.inf:
+            raise ConfigError(
+                f"segment_delay_ns must be finite and above twice the decode "
+                f"tolerance, {min_delay_ns:g} ns, got {self.segment_delay_ns}")
         if not self.bin_width_ns > 0.0:
             raise ConfigError(
                 f"bin_width_ns must be positive, got {self.bin_width_ns}"
@@ -204,12 +197,6 @@ class ExperimentConfig:
             return float(self.t_squared)
         return t2_of_wavelength(self.wavelength_nm)
 
-    def source_config(self) -> SourceConfig:
-        return SourceConfig(
-            mean_photon_number=self.mean_photon_number,
-            window=self.window,
-        )
-
     def detector_config(self) -> DetectorConfig:
         return DetectorConfig(
             pixel_count=self.pixel_count,
@@ -228,11 +215,9 @@ class ExperimentConfig:
             trigger_polarity=self.trigger_polarity,
         )
 
-    def to_report_dict(self) -> dict:
-        return asdict(self)
-
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+_KNOWN_KEYS = set(_FIELD_TYPES) - {"experiment"}
 # bool is an int subclass, so it is refused explicitly below
 _ACCEPTED = {int: (numbers.Integral, "an integer"),
              float: (numbers.Real, "a number"),
@@ -277,14 +262,11 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
     if user_wl is not None and user_t2 is not None:
         raise ConfigError("set wavelength_nm or t_squared, not both")
 
-    merged = {**_BASE_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment], **data}
+    merged = {**_EXPERIMENT_DEFAULTS[experiment], **data}
     if user_wl is not None:
         merged["wavelength_nm"], merged["t_squared"] = float(user_wl), None
     elif user_t2 is not None:
         merged["wavelength_nm"], merged["t_squared"] = None, float(user_t2)
-    else:
-        merged.setdefault("wavelength_nm", None)
-        merged.setdefault("t_squared", None)
     if seed is not None:
         merged["seed"] = int(seed)
     return ExperimentConfig(experiment=experiment, **merged)
@@ -314,8 +296,7 @@ class SimulatedStream:
     decoded: "np.ndarray | object"  # decoder output (DecodedEvents)
 
 
-def _draw_windows(config: ExperimentConfig, src: SourceConfig,
-                  det: DetectorConfig):
+def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     """Every random draw of a run, window by window.
 
     Each window gets its own generator and draws, in this order: its photon
@@ -323,13 +304,14 @@ def _draw_windows(config: ExperimentConfig, src: SourceConfig,
     and jitter draws.  The generator is dropped before the next window.
     """
     arrivals, bin_uniforms, detector_draws = [], [], []
+    mean, window = config.mean_photon_number, config.window
     for w in range(config.windows):
         rng = window_rng(config.seed, w)
-        times, uniforms = draw_source_window(src, rng)
+        times, uniforms = draw_source_window(rng, mean, window)
         arrivals.append(times)
         bin_uniforms.append(uniforms)
         detector_draws.append(
-            draw_detector_window(det, rng, times.size, config.window))
+            draw_detector_window(det, rng, times.size, window))
     return (arrivals, np.concatenate(bin_uniforms),
             DetectorDraws.stack(detector_draws))
 
@@ -342,11 +324,10 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
-    src = config.source_config()
     det = config.detector_config()
     line = config.line_config()
 
-    arrivals, bin_uniforms, draws = _draw_windows(config, src, det)
+    arrivals, bin_uniforms, draws = _draw_windows(config, det)
     events = assign_bins(sample_arrivals(arrivals), probs, bin_uniforms)
     del arrivals, bin_uniforms
     records = detect(events, det, draws, config.window)
@@ -400,9 +381,9 @@ def _truth_table(stream: SimulatedStream):
              stream.truth_times * 1e9])
 
 
-def run_interference(config: ExperimentConfig) -> ExperimentOutput:
+def run_interference(config: ExperimentConfig,
+                     stream: SimulatedStream) -> ExperimentOutput:
     """Accumulate the output fringe and fit the coupler transmission."""
-    stream = simulate_stream(config)
     pixels, _ = _decoded_ok(stream)
     n_bins = config.pixel_count
     decoded_hist = np.bincount(pixels, minlength=n_bins)
@@ -418,7 +399,7 @@ def run_interference(config: ExperimentConfig) -> ExperimentOutput:
 
     report = {
         "experiment": "interference",
-        "config": config.to_report_dict(),
+        "config": asdict(config),
         "n_emitted": int(stream.truth_pixels.size),
         "n_clicks": len(stream.records),
         "n_decoded_ok": int(decoded_hist.sum()),
@@ -427,8 +408,8 @@ def run_interference(config: ExperimentConfig) -> ExperimentOutput:
         "truth_histogram": truth_hist.tolist(),
         "reference_t_squared": reference,
         "model_at_reference": model_ref.tolist(),
-        "fit": fit.to_dict(),
-        "gof_at_fit": gof.to_dict(),
+        "fit": asdict(fit),
+        "gof_at_fit": asdict(gof),
     }
     tables = {
         "histogram": (
@@ -446,9 +427,9 @@ def _window_counts(stream: SimulatedStream, config: ExperimentConfig):
     return np.bincount(wins, minlength=config.windows)
 
 
-def run_counting(config: ExperimentConfig) -> ExperimentOutput:
+def run_counting(config: ExperimentConfig,
+                 stream: SimulatedStream) -> ExperimentOutput:
     """Per-window count statistics against the Poisson model."""
-    stream = simulate_stream(config)
     counts = _window_counts(stream, config)
     truth_counts = np.bincount(stream.truth_windows, minlength=config.windows)
 
@@ -460,7 +441,7 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
 
     report = {
         "experiment": "counting",
-        "config": config.to_report_dict(),
+        "config": asdict(config),
         "n_emitted": int(stream.truth_pixels.size),
         "n_decoded_ok": int(counts.sum()),
         "decode_flags": flag_summary(stream.decoded.flags),
@@ -468,8 +449,8 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
         "sample_mean": float(counts.mean()),
         "sample_variance": float(counts.var(ddof=1)),
         "truth_mean": float(truth_counts.mean()),
-        "fit": fit.to_dict(),
-        "gof": gof.to_dict(),
+        "fit": asdict(fit),
+        "gof": asdict(gof),
     }
     tables = {
         "window_counts": (
@@ -483,9 +464,9 @@ def run_counting(config: ExperimentConfig) -> ExperimentOutput:
     return ExperimentOutput(report=report, tables=tables)
 
 
-def run_intervals(config: ExperimentConfig) -> ExperimentOutput:
+def run_intervals(config: ExperimentConfig,
+                  stream: SimulatedStream) -> ExperimentOutput:
     """Inter-arrival statistics and the count-rate consistency check."""
-    stream = simulate_stream(config)
     _, times = _decoded_ok(stream)
     times = np.sort(times)
     gaps = np.diff(times)
@@ -498,52 +479,45 @@ def run_intervals(config: ExperimentConfig) -> ExperimentOutput:
     consistency = mean_consistency(count_fit, interval_fit, config.window)
 
     # goodness of fit on the same binning the fit used
-    mean_gap = float(gaps.mean())
-    edges = np.linspace(0.0, 5.0 * mean_gap, 51)
-    hist, _ = np.histogram(gaps, bins=edges)
-    tail = gaps.size - hist.sum()
-    z = np.exp(-edges / interval_fit.estimate)
-    masses = np.concatenate([z[:-1] - z[1:], [z[-1]]])
-    gof = chi_square_gof(np.concatenate([hist, [tail]]), masses, n_fitted=1)
+    edges, binned, masses = gap_histogram(gaps, interval_fit.estimate)
+    gof = chi_square_gof(binned, masses, n_fitted=1)
 
     report = {
         "experiment": "intervals",
-        "config": config.to_report_dict(),
+        "config": asdict(config),
         "n_emitted": int(stream.truth_pixels.size),
         "n_decoded_ok": int(times.size),
         "n_gaps": int(gaps.size),
         "decode_flags": flag_summary(stream.decoded.flags),
-        "mean_gap_ns": mean_gap * 1e9,
+        "mean_gap_ns": float(gaps.mean()) * 1e9,
         "interval_fit_ns": {
-            **interval_fit.to_dict(),
+            **asdict(interval_fit),
             "estimate": interval_fit.estimate * 1e9,
             "ci_low": interval_fit.ci_low * 1e9,
             "ci_high": interval_fit.ci_high * 1e9,
             "mle": interval_fit.mle * 1e9,
         },
-        "count_fit": count_fit.to_dict(),
-        "consistency": consistency.to_dict(),
-        "gof": gof.to_dict(),
+        "count_fit": asdict(count_fit),
+        "consistency": asdict(consistency),
+        "gof": asdict(gof),
     }
     centers = 0.5 * (edges[:-1] + edges[1:])
     tables = {
         "gap_histogram": (["gap_ns", "count", "model_mass"],
-                          [centers * 1e9, hist, masses[:-1]]),
+                          [centers * 1e9, binned[:-1], masses[:-1]]),
         "events": _events_table(stream, config.window, config.windows),
     }
     return ExperimentOutput(report=report, tables=tables)
 
 
-def run_persistence(config: ExperimentConfig) -> ExperimentOutput:
+def run_persistence(config: ExperimentConfig,
+                    stream: SimulatedStream) -> ExperimentOutput:
     """Overlay the readout line on itself and report the peak comb."""
-    stream = simulate_stream(config)
     line = config.line_config()
     res = persistence_trace(stream.trace, line,
                             bin_width=config.bin_width_ns * 1e-9,
                             min_cluster=config.min_cluster)
-    delays = np.array([p.delay for p in res.peaks])
-    amps = np.array([p.amplitude for p in res.peaks])
-    weights = np.array([p.weight for p in res.peaks])
+    delays, amps = res.peak_delays, res.peak_amplitudes
     spacing = np.diff(delays)
     model = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
@@ -554,15 +528,15 @@ def run_persistence(config: ExperimentConfig) -> ExperimentOutput:
 
     report = {
         "experiment": "persistence",
-        "config": config.to_report_dict(),
+        "config": asdict(config),
         "n_emitted": int(stream.truth_pixels.size),
         "n_triggers": res.n_triggers,
         "n_overlaid": res.n_overlaid,
-        "n_peaks": len(res.peaks),
+        "n_peaks": delays.size,
         "peak_delays_ns": (delays * 1e9).tolist(),
         "peak_spacings_ns": (spacing * 1e9).tolist(),
         "peak_amplitudes": amps.tolist(),
-        "peak_weights": weights.tolist(),
+        "peak_weights": res.peak_weights.tolist(),
         "peak_pixels": peak_pixels.tolist(),
         "amplitudes_strictly_decreasing": bool(np.all(np.diff(amps) < 0)),
         "model_probabilities": model.tolist(),
@@ -574,8 +548,8 @@ def run_persistence(config: ExperimentConfig) -> ExperimentOutput:
     tables = {
         "peaks": (
             ["delay_ns", "pixel", "amplitude", "count", "weight"],
-            [delays * 1e9, peak_pixels, amps,
-             np.array([p.count for p in res.peaks], dtype=np.int64), weights],
+            [delays * 1e9, peak_pixels, amps, res.peak_counts,
+             res.peak_weights],
         ),
         "persistence": (
             ["delay_ns", "count", "mean_amplitude"],
@@ -597,7 +571,22 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
-    return _RUNNERS[config.experiment](config)
+    """Simulate the run, then analyse it as its experiment does.
+
+    A valid config can still leave too few decoded events for the fits and
+    the chi-square test; that is reported as a ConfigError naming the
+    fields that set the sample size.
+    """
+    stream = simulate_stream(config)
+    try:
+        return _RUNNERS[config.experiment](config, stream)
+    except (InvalidArgumentError, DegenerateFitError) as exc:
+        raise ConfigError(
+            f"{config.experiment} statistics failed on {config.windows} "
+            f"windows ({exc}): raise windows, or the detected rate "
+            f"mean_photon_number * efficiency (now "
+            f"{config.mean_photon_number:g} * {config.efficiency:g})"
+        ) from exc
 
 
 def render_report(report: dict) -> str:

@@ -186,6 +186,16 @@ def _trigger_sign(config: LineConfig) -> float:
     return -1.0 if config.trigger_polarity == "negative" else 1.0
 
 
+def _time_order(trace: TraceEvents, config: LineConfig):
+    """The trace's stable time order, its times in that order, and which of
+    them are trigger-polarity pulses; zero-amplitude pulses are refused."""
+    if np.any(trace.amplitudes == 0.0):
+        raise InvalidArgumentError("trace contains zero-amplitude pulses")
+    order = np.argsort(trace.times, kind="stable")
+    is_trig = np.sign(trace.amplitudes[order]) == _trigger_sign(config)
+    return order, trace.times[order], is_trig
+
+
 def decode(trace: TraceEvents, config: LineConfig,
            tolerance: float = DEFAULT_TOLERANCE,
            slot_pad: int = 2) -> DecodedEvents:
@@ -205,15 +215,8 @@ def decode(trace: TraceEvents, config: LineConfig,
             "tolerance must be well under half a segment delay to separate "
             "neighbouring slots"
         )
-    amps = trace.amplitudes
-    if np.any(amps == 0.0):
-        raise InvalidArgumentError("trace contains zero-amplitude pulses")
-
-    order = np.argsort(trace.times, kind="stable")
-    times = trace.times[order]
-
+    order, times, is_trig = _time_order(trace, config)
     sign = _trigger_sign(config)
-    is_trig = np.sign(amps[order]) == sign
     trig_pos_in_trace = order[is_trig]
     part_pos_in_trace = order[~is_trig]
     trig_times = times[is_trig]
@@ -297,29 +300,24 @@ def decode(trace: TraceEvents, config: LineConfig,
     )
 
 
-@dataclass(frozen=True)
-class PersistencePeak:
-    """One cluster on the persistence display."""
-
-    delay: float
-    amplitude: float
-    count: int
-    weight: float
-
-
 @dataclass
 class PersistenceResult:
     """Trigger-aligned overlay of counter pulses.
 
     bin_edges / bin_counts give the delay histogram over the sweep span;
-    mean_amplitudes is per delay bin (nan where empty); peaks lists the
-    clusters that survived the occupancy threshold, sorted by delay.
+    mean_amplitudes is per delay bin (nan where empty).  The peak_* columns
+    hold one entry per cluster that survived the occupancy threshold, in
+    increasing delay: its median delay and amplitude, its member count,
+    and that count per sweep as its weight.
     """
 
     bin_edges: np.ndarray
     bin_counts: np.ndarray
     mean_amplitudes: np.ndarray
-    peaks: list[PersistencePeak]
+    peak_delays: np.ndarray
+    peak_amplitudes: np.ndarray
+    peak_counts: np.ndarray
+    peak_weights: np.ndarray
     n_triggers: int
     n_overlaid: int
 
@@ -337,18 +335,10 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     """
     if bin_width <= 0.0:
         raise InvalidArgumentError(f"bin_width must be positive, got {bin_width}")
-    sign = _trigger_sign(config)
-    amps = trace.amplitudes
-    if np.any(amps == 0.0):
-        raise InvalidArgumentError("trace contains zero-amplitude pulses")
-
-    order = np.argsort(trace.times, kind="stable")
-    times = trace.times[order]
-    s_amps = amps[order]
-    is_trig = np.sign(s_amps) == sign
+    order, times, is_trig = _time_order(trace, config)
     trig_times = times[is_trig]
     part_times = times[~is_trig]
-    part_amps = s_amps[~is_trig]
+    part_amps = trace.amplitudes[order][~is_trig]
 
     reach = config.span + 2.0 * config.segment_delay
     n_trig = trig_times.size
@@ -377,28 +367,25 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
         mean_amps = np.where(bin_counts > 0, amp_sums / np.maximum(bin_counts, 1),
                              np.nan)
 
-    peaks: list[PersistencePeak] = []
-    if delays.size:
-        srt = np.argsort(delays, kind="stable")
-        d = delays[srt]
-        a = amplitudes[srt]
-        breaks = np.nonzero(np.diff(d) > bin_width)[0] + 1
-        for seg_d, seg_a in zip(np.split(d, breaks), np.split(a, breaks)):
-            if seg_d.size >= min_cluster:
-                # weight against sweep count: each sweep holds exactly one
-                # true partner, so this estimates the pixel probability
-                peaks.append(PersistencePeak(
-                    delay=float(np.median(seg_d)),
-                    amplitude=float(np.median(seg_a)),
-                    count=int(seg_d.size),
-                    weight=float(seg_d.size) / float(max(n_trig, 1)),
-                ))
-    peaks.sort(key=lambda p: p.delay)
+    # clusters are runs of sorted delays no more than a bin apart, so their
+    # medians already increase
+    srt = np.argsort(delays, kind="stable")
+    breaks = np.nonzero(np.diff(delays[srt]) > bin_width)[0] + 1
+    clusters = [c for c in np.split(srt, breaks)
+                if c.size and c.size >= min_cluster]
+    peak_counts = np.array([c.size for c in clusters], dtype=np.int64)
     return PersistenceResult(
         bin_edges=edges,
         bin_counts=bin_counts,
         mean_amplitudes=mean_amps,
-        peaks=peaks,
+        peak_delays=np.array([np.median(delays[c]) for c in clusters],
+                             dtype=float),
+        peak_amplitudes=np.array([np.median(amplitudes[c]) for c in clusters],
+                                 dtype=float),
+        peak_counts=peak_counts,
+        # weight against sweep count: each sweep holds exactly one true
+        # partner, so this estimates the pixel probability
+        peak_weights=peak_counts / float(max(n_trig, 1)),
         n_triggers=n_trig,
         n_overlaid=total,
     )

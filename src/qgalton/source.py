@@ -14,98 +14,24 @@ straight-line fit through calibration points with clamping at the physical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidDistributionError,
-    InvalidModelError,
-)
+from .errors import InvalidArgumentError, InvalidDistributionError
 
 # transmission calibration: (wavelength in nm, fitted t^2)
 DEFAULT_CALIBRATION = ((1520.0, 0.816), (1550.0, 0.763))
+# slope (per nm) and intercept of the least-squares line through them
+_SLOPE, _INTERCEPT = map(float, np.polyfit(*np.array(DEFAULT_CALIBRATION).T, 1))
 
 
-class T2Prediction(NamedTuple):
-    """Predicted coupler transmission at one wavelength."""
-
-    t_squared: float
-    extrapolated: bool
-
-
-@dataclass(frozen=True)
-class WavelengthModel:
-    """Linear map from wavelength to coupler transmission t^2.
-
-    Fit by least squares through two or more calibration points; with
-    exactly two points this is the line through them.  Predictions are
-    clamped to [0, 1] and flagged when the query lies outside the
-    calibrated wavelength range.
-    """
-
-    slope: float
-    intercept: float
-    wavelength_min: float
-    wavelength_max: float
-
-    @classmethod
-    def fit(cls, points: Sequence[tuple[float, float]] = DEFAULT_CALIBRATION):
-        if len(points) < 2:
-            raise InvalidModelError(
-                "wavelength model needs at least two calibration points, "
-                f"got {len(points)}"
-            )
-        wl = np.asarray([p[0] for p in points], dtype=float)
-        t2 = np.asarray([p[1] for p in points], dtype=float)
-        if np.unique(wl).size < 2:
-            raise InvalidModelError("calibration wavelengths are all identical")
-        if np.any(t2 < 0.0) or np.any(t2 > 1.0):
-            raise InvalidModelError("calibration t^2 values must lie in [0, 1]")
-        slope, intercept = np.polyfit(wl, t2, 1)
-        return cls(
-            slope=float(slope),
-            intercept=float(intercept),
-            wavelength_min=float(wl.min()),
-            wavelength_max=float(wl.max()),
-        )
-
-    def predict(self, wavelength: float) -> T2Prediction:
-        if not np.isfinite(wavelength) or wavelength <= 0.0:
-            raise InvalidArgumentError(f"wavelength must be positive, got {wavelength}")
-        raw = self.slope * wavelength + self.intercept
-        clamped = min(1.0, max(0.0, raw))
-        outside = wavelength < self.wavelength_min or wavelength > self.wavelength_max
-        return T2Prediction(t_squared=clamped, extrapolated=bool(outside))
-
-
-def t2_of_wavelength(wavelength: float, model: WavelengthModel | None = None) -> float:
-    """Shorthand for the default-calibration transmission at `wavelength`."""
-    if model is None:
-        model = WavelengthModel.fit()
-    return model.predict(wavelength).t_squared
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Source settings for one acquisition run.
-
-    mean_photon_number is the Poisson mean per window; window is the
-    acquisition window length in seconds.
-    """
-
-    mean_photon_number: float = 1.0
-    window: float = 2e-6
-
-    def __post_init__(self):
-        if not (self.mean_photon_number >= 0.0 and np.isfinite(self.mean_photon_number)):
-            raise InvalidArgumentError(
-                f"mean photon number must be finite and >= 0, got {self.mean_photon_number}"
-            )
-        if not (self.window > 0.0 and np.isfinite(self.window)):
-            raise InvalidArgumentError(f"window must be positive, got {self.window}")
+def t2_of_wavelength(wavelength: float) -> float:
+    """Coupler transmission t^2 at `wavelength` nm, clamped to [0, 1]."""
+    if not np.isfinite(wavelength) or wavelength <= 0.0:
+        raise InvalidArgumentError(f"wavelength must be positive, got {wavelength}")
+    return min(1.0, max(0.0, _SLOPE * wavelength + _INTERCEPT))
 
 
 @dataclass
@@ -178,15 +104,16 @@ def window_rng(master_seed: int, window_index: int) -> np.random.Generator:
         _PhiloxKey(master_seed, window_index)))
 
 
-def draw_window(config: SourceConfig, rng: np.random.Generator):
+def draw_window(rng: np.random.Generator, mean_photon_number: float,
+                window: float):
     """One window's source draws, in stream order.
 
     Returns the photon arrival times, unsorted, and one uniform per photon
     for its output bin: a Poisson(mean_photon_number) count, then that
-    many uniform times over the window, then the bin uniforms.
+    many uniform times over the window (seconds), then the bin uniforms.
     """
-    n = int(rng.poisson(config.mean_photon_number))
-    return rng.uniform(0.0, config.window, size=n), rng.random(n)
+    n = int(rng.poisson(mean_photon_number))
+    return rng.uniform(0.0, window, size=n), rng.random(n)
 
 
 def sample_arrivals(arrivals: Sequence[np.ndarray]) -> PhotonEvents:

@@ -67,20 +67,6 @@ class FitResult:
     mle: Optional[float] = None
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "residual": self.residual,
-            "method": self.method,
-            "n_samples": self.n_samples,
-            "n_bootstrap": self.n_bootstrap,
-            "seed": self.seed,
-            "mle": self.mle,
-            "flags": list(self.flags),
-        }
-
 
 @dataclass(frozen=True)
 class GofResult:
@@ -90,14 +76,6 @@ class GofResult:
     dof: int
     p_value: float
     n_pooled: int
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "n_pooled": self.n_pooled,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,19 +96,6 @@ class ConsistencyReport:
     implied_ci: tuple[float, float]
     ratio: float
     ci_overlap: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "count_mean": self.count_mean,
-            "count_ci": list(self.count_ci),
-            "interval_mean": self.interval_mean,
-            "interval_ci": list(self.interval_ci),
-            "window": self.window,
-            "implied_mean": self.implied_mean,
-            "implied_ci": list(self.implied_ci),
-            "ratio": self.ratio,
-            "ci_overlap": self.ci_overlap,
-        }
 
 
 def _golden_minimize(objective: Callable[[np.ndarray], np.ndarray],
@@ -453,6 +418,22 @@ def _exp_mass_matrix(tau_rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.concatenate([z[:, :-1] - z[:, 1:], z[:, -1:]], axis=1)
 
 
+def _gap_bins(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The binning of fit_exponential: edges every tenth of the mean gap
+    out to five means, and the count per bin with the open tail last."""
+    edges = np.linspace(0.0, 5.0 * float(gaps.mean()), 51)
+    hist, _ = np.histogram(gaps, bins=edges)
+    return edges, np.append(hist, gaps.size - hist.sum())
+
+
+def gap_histogram(gaps, tau: float):
+    """Gaps binned as fit_exponential bins them, against the exponential
+    model at mean tau: the bin edges, the counts and the model masses, the
+    last two each ending with the open tail."""
+    edges, counts = _gap_bins(np.asarray(gaps, dtype=float))
+    return edges, counts, _exp_mass_matrix(np.array([tau]), edges)[0]
+
+
 def fit_exponential(intervals, n_bootstrap: int = DEFAULT_BOOTSTRAP,
                     seed: int = 0) -> FitResult:
     """Least-squares exponential mean from inter-arrival gaps.
@@ -472,10 +453,8 @@ def fit_exponential(intervals, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     if mean_gap <= 0.0:
         raise DegenerateFitError("all gaps are zero; no timescale to fit")
 
-    edges = np.linspace(0.0, 5.0 * mean_gap, 51)
-    hist, _ = np.histogram(gaps, bins=edges)
-    tail = n - hist.sum()
-    freq = np.concatenate([hist, [tail]]) / n
+    edges, counts = _gap_bins(gaps)
+    freq = counts / n
     lo, hi = mean_gap / 20.0, mean_gap * 20.0
     return _least_squares_fit(
         lambda tau_rows: _exp_mass_matrix(tau_rows, edges), freq, n,

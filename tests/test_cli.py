@@ -237,6 +237,35 @@ class TestRun:
         assert rep is None
         assert field in err and "limit" in err
 
+    @pytest.mark.parametrize("experiment, overrides, reason", [
+        ("counting", {"windows": 10}, "pooled categories"),
+        ("interference", {"windows": 10}, "pooled categories"),
+        ("interference", {"efficiency": 0.0}, "empty histogram"),
+        ("intervals", {"mean_photon_number": 0.0}, "two inter-arrival gaps"),
+    ])
+    def test_too_few_events_for_statistics_exit_config(
+            self, tmp_path, capsys, experiment, overrides, reason):
+        # the config is valid, but the run leaves the fits or the
+        # chi-square test too little to work on
+        code, rep, err = run_cli(capsys, "run", experiment, "--config",
+                                 self.config(tmp_path, **overrides))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert reason in err
+        assert "windows" in err and "Traceback" not in err
+        for field in overrides:
+            assert field in err
+
+    @pytest.mark.parametrize("experiment, windows", [
+        ("intervals", 10), ("persistence", 10), ("interference", 20),
+        ("counting", 20), ("intervals", 20), ("persistence", 20),
+    ])
+    def test_small_runs_exit_ok(self, tmp_path, capsys, experiment, windows):
+        code, rep, _ = run_cli(capsys, "run", experiment, "--config",
+                               self.config(tmp_path, windows=windows))
+        assert code == EXIT_OK
+        assert rep["config"]["windows"] == windows
+
     # sha256 of every CSV the per-row table builders wrote for the export
     # config (intervals, efficiency 0.8, dark counts 2e4 Hz) at seed 1; the
     # full 10,000 windows include orphan and out-of-range rows

@@ -113,11 +113,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["mean_photon_number", "dead_time_ns",
                                        "jitter_sigma_ns", "dark_count_rate_hz",
-                                       "window_ns"])
+                                       "window_ns", "segment_delay_ns"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             config_from_dict("counting", {field: value})
+
+    @pytest.mark.parametrize("value", [0.015, 0.02, -1, 0.0])
+    def test_segment_delay_at_or_under_decode_tolerance_rejected(self, value):
+        # decode pairs pulses within 10 ps, under half a segment delay;
+        # refused here, before the run is simulated
+        with pytest.raises(ConfigError, match="segment_delay_ns"):
+            config_from_dict("counting", {"segment_delay_ns": value})
+
+    def test_segment_delay_above_decode_tolerance_accepted(self):
+        cfg = config_from_dict("counting", {"segment_delay_ns": 0.021})
+        assert cfg.line_config().segment_delay == pytest.approx(0.021e-9)
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -257,6 +268,41 @@ class TestStreamParity:
         text = render_report(run_experiment(cfg).report)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5d337132fbf356e4d5cba8e2b716f87a10be88231b4cda89cbd53c4b9fe3a7ba")
+
+    # the other parity reports: (experiment, overrides, seed, sha256 of
+    # render_report); with the export case above these are all eleven
+    EXPORT = {"efficiency": 0.8, "dark_count_rate_hz": 2e4}
+    REPORTS = [
+        ("interference", {}, 0,
+         "7e724725697166106b50e75afe76c94ecd0937962fd9a202a68f34c9ca1cbdfb"),
+        ("interference", {}, 1,
+         "5d9c4ee2571e1b9853c53ee66e79cedfe1195d39cb109d84f02a58d41c12154d"),
+        ("counting", {}, 0,
+         "7f483877eadb403bcde1112da62bb394e97be24b134e0ae6147c7affd95018c0"),
+        ("counting", {}, 1,
+         "8db71f48a06d56f4d45ed0e51db2aa36e5b644565b1b8c57d75ba4741495f926"),
+        ("intervals", {}, 0,
+         "8fc93600e0d1371867e21120fda88ced84e910d6657a34dd22216655624c9563"),
+        ("intervals", {}, 1,
+         "8913c55f65fd130dc80092becb87736a72b7798ff0dcf55ab315755acd5847fd"),
+        ("persistence", {}, 0,
+         "211e545858eaaed710f739046d8d1e87cb3068601e6fb327d192c28e16cd9fea"),
+        ("persistence", {}, 1,
+         "5e25fb13fccb44ab757a86379c21d5b797ab2ab6a36c2fab62eff07df94cfe4b"),
+        ("counting", {"mean_photon_number": 30.0}, 0,
+         "a9a7e03f8637b79eb31551a34bc39bff61214816ecefdc4c32dd742c2976687f"),
+        ("intervals", EXPORT, 1,
+         "da0f0fa1a71df65e1a98660d64ccb553e0fc6e97a6ff9355cd2e4b0f4c857d6e"),
+    ]
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, seed, sha256", REPORTS,
+        ids=[f"{e}-{'-'.join(map(str, o.values())) or 'default'}-seed{s}"
+             for e, o, s, _ in REPORTS])
+    def test_report_pinned(self, experiment, overrides, seed, sha256):
+        cfg = config_from_dict(experiment, overrides, seed=seed)
+        text = render_report(run_experiment(cfg).report)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestInterferenceRun:

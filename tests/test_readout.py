@@ -278,28 +278,29 @@ class TestPersistence:
 
     def test_sixteen_peaks(self):
         res = persistence_trace(self.enumeration_trace(), LineConfig())
-        assert len(res.peaks) == 16
+        columns = (res.peak_delays, res.peak_amplitudes, res.peak_counts,
+                   res.peak_weights)
+        assert [c.size for c in columns] == [16] * 4
         assert res.n_triggers == 3200
 
     def test_peak_spacing_is_1p8ns(self):
         res = persistence_trace(self.enumeration_trace(), LineConfig())
-        delays = np.array([p.delay for p in res.peaks])
+        delays = res.peak_delays
         np.testing.assert_allclose(np.diff(delays), 1.8e-9, atol=1e-13)
         assert delays[0] == pytest.approx(-13.5e-9, abs=1e-13)
         assert delays[-1] == pytest.approx(13.5e-9, abs=1e-13)
 
     def test_amplitudes_strictly_decreasing(self):
         res = persistence_trace(self.enumeration_trace(), LineConfig())
-        amps = np.array([p.amplitude for p in res.peaks])
+        amps = res.peak_amplitudes
         assert np.all(np.diff(amps) < 0)
         assert amps[0] == pytest.approx(1.0)
         assert amps[-1] == pytest.approx(0.97**15)
 
     def test_uniform_weights(self):
         res = persistence_trace(self.enumeration_trace(), LineConfig())
-        for p in res.peaks:
-            assert p.weight == pytest.approx(1.0 / 16, abs=1e-12)
-            assert p.count == 200
+        np.testing.assert_allclose(res.peak_weights, 1.0 / 16, atol=1e-12)
+        np.testing.assert_array_equal(res.peak_counts, [200] * 16)
 
     def test_haze_from_overlap_counted_but_not_peaked(self):
         # two overlapping clicks add stray overlay points; with a real
@@ -309,7 +310,7 @@ class TestPersistence:
         res = persistence_trace(trace, cfg, min_cluster=1)
         assert res.n_overlaid == 4  # 2 true pairs + 2 cross overlays
         res2 = persistence_trace(trace, cfg, min_cluster=2)
-        assert len(res2.peaks) == 0
+        assert res2.peak_delays.size == 0
 
     def test_weight_matches_distribution(self):
         rng = np.random.default_rng(41)
@@ -318,7 +319,7 @@ class TestPersistence:
         times = np.arange(5000) * 60e-9
         res = persistence_trace(encode(records_for(pixels, times), LineConfig()),
                                 LineConfig())
-        weights = np.array([p.weight for p in res.peaks])
+        weights = res.peak_weights
         # binomial sd at n=5000, p=1/16 is 0.0034
         np.testing.assert_allclose(weights, 1 / 16.0, atol=0.015)
 

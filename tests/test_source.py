@@ -5,15 +5,14 @@ import pytest
 
 import reference_impl
 from qgalton.errors import (
+    ConfigError,
     InvalidArgumentError,
     InvalidDistributionError,
-    InvalidModelError,
 )
+from qgalton.experiments import config_from_dict
 from qgalton.source import (
     DEFAULT_CALIBRATION,
     PhotonEvents,
-    SourceConfig,
-    WavelengthModel,
     assign_bins,
     draw_window,
     sample_arrivals,
@@ -24,75 +23,48 @@ from qgalton.source import (
 
 class TestWavelengthModel:
     def test_reproduces_calibration_points(self):
-        model = WavelengthModel.fit()
         for wl, t2 in DEFAULT_CALIBRATION:
-            pred = model.predict(wl)
-            assert pred.t_squared == pytest.approx(t2, abs=1e-12)
-            assert not pred.extrapolated
+            assert t2_of_wavelength(wl) == pytest.approx(t2, abs=1e-12)
 
     def test_slope_sign_and_value(self):
         # line through (1520, 0.816) and (1550, 0.763):
         # slope = (0.763 - 0.816) / 30 = -0.053/30
-        model = WavelengthModel.fit()
-        assert model.slope == pytest.approx(-0.053 / 30.0, abs=1e-12)
+        slope = (t2_of_wavelength(1551.0) - t2_of_wavelength(1549.0)) / 2.0
+        assert slope == pytest.approx(-0.053 / 30.0, abs=1e-12)
 
     def test_midband_interpolation(self):
         assert t2_of_wavelength(1535.0) == pytest.approx((0.816 + 0.763) / 2, abs=1e-12)
 
-    def test_extrapolation_flagged(self):
-        model = WavelengthModel.fit()
-        assert model.predict(1500.0).extrapolated
-        assert model.predict(1600.0).extrapolated
-        assert not model.predict(1530.0).extrapolated
-
     def test_clamped_to_unit_interval(self):
-        model = WavelengthModel.fit()
         # far enough red that the raw line goes negative
-        far_red = model.predict(3000.0)
-        assert far_red.t_squared == 0.0
-        far_blue = model.predict(1000.0)
-        assert far_blue.t_squared == 1.0
-
-    def test_needs_two_points(self):
-        with pytest.raises(InvalidModelError):
-            WavelengthModel.fit([(1550.0, 0.763)])
-
-    def test_rejects_degenerate_wavelengths(self):
-        with pytest.raises(InvalidModelError):
-            WavelengthModel.fit([(1550.0, 0.7), (1550.0, 0.8)])
-
-    def test_rejects_unphysical_calibration(self):
-        with pytest.raises(InvalidModelError):
-            WavelengthModel.fit([(1520.0, 1.2), (1550.0, 0.763)])
-
-    def test_least_squares_through_three_points(self):
-        # exact line t2 = 2 - wl/1000 sampled at three wavelengths
-        pts = [(1500.0, 0.5), (1520.0, 0.48), (1540.0, 0.46)]
-        model = WavelengthModel.fit(pts)
-        assert model.predict(1510.0).t_squared == pytest.approx(0.49, abs=1e-12)
+        assert t2_of_wavelength(3000.0) == 0.0
+        assert t2_of_wavelength(1000.0) == 1.0
 
     def test_rejects_bad_wavelength_query(self):
-        model = WavelengthModel.fit()
-        with pytest.raises(InvalidArgumentError):
-            model.predict(-5.0)
+        for wavelength in (-5.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError):
+                t2_of_wavelength(wavelength)
 
 
 class TestSourceConfig:
+    """The source settings are config fields, checked where a run is built."""
+
     def test_defaults(self):
-        cfg = SourceConfig()
+        cfg = config_from_dict("interference")
         assert cfg.window == pytest.approx(2e-6)
         assert cfg.mean_photon_number == 1.0
 
     def test_zero_rate(self):
-        assert SourceConfig(mean_photon_number=0.0).mean_photon_number == 0.0
+        cfg = config_from_dict("counting", {"mean_photon_number": 0.0})
+        assert cfg.mean_photon_number == 0.0
 
     def test_rejects_negative_rate(self):
-        with pytest.raises(InvalidArgumentError):
-            SourceConfig(mean_photon_number=-1.0)
+        with pytest.raises(ConfigError, match="mean_photon_number"):
+            config_from_dict("counting", {"mean_photon_number": -1.0})
 
     def test_rejects_nonpositive_window(self):
-        with pytest.raises(InvalidArgumentError):
-            SourceConfig(window=0.0)
+        with pytest.raises(ConfigError, match="window_ns"):
+            config_from_dict("counting", {"window_ns": 0.0})
 
 
 class TestWindowRng:
@@ -155,25 +127,24 @@ class TestWindowRngParity:
         np.testing.assert_array_equal(got.random(9), want.random(9))
 
 
-def draw_run(config, seed, windows):
+def draw_run(mean, seed, windows, window=2e-6):
     """Arrival and bin draws of `windows` windows, each on its own stream."""
-    draws = [draw_window(config, window_rng(seed, w)) for w in range(windows)]
+    draws = [draw_window(window_rng(seed, w), mean, window)
+             for w in range(windows)]
     return [t for t, _ in draws], np.concatenate([u for _, u in draws])
 
 
 class TestSampleArrivals:
     def test_times_sorted_and_in_window(self):
-        cfg = SourceConfig(mean_photon_number=30.0, window=2e-6)
-        times, _ = draw_window(cfg, window_rng(3, 0))
+        times, _ = draw_window(window_rng(3, 0), 30.0, 2e-6)
         ev = sample_arrivals([times])
         assert np.all(np.diff(ev.times) >= 0)
         assert np.all(ev.times >= 0.0)
-        assert np.all(ev.times < cfg.window)
+        assert np.all(ev.times < 2e-6)
         assert np.all(ev.bins == -1)
 
     def test_poisson_mean_and_variance(self):
-        cfg = SourceConfig(mean_photon_number=4.0)
-        arrivals, _ = draw_run(cfg, 11, 4000)
+        arrivals, _ = draw_run(4.0, 11, 4000)
         counts = np.bincount(sample_arrivals(arrivals).windows, minlength=4000)
         # Poisson(4): mean 4, variance 4; with 4000 windows the sample mean
         # has sd 0.032 and the sample variance sd ~0.14
@@ -181,16 +152,14 @@ class TestSampleArrivals:
         assert counts.var() == pytest.approx(4.0, abs=0.6)
 
     def test_uniform_conditional_times(self):
-        cfg = SourceConfig(mean_photon_number=10.0, window=1e-6)
-        arrivals, _ = draw_run(cfg, 5, 500)
+        arrivals, _ = draw_run(10.0, 5, 500, window=1e-6)
         all_times = sample_arrivals(arrivals).times
         # mean of U(0, W) is W/2, variance W^2/12
-        assert all_times.mean() == pytest.approx(cfg.window / 2, rel=0.02)
-        assert all_times.var() == pytest.approx(cfg.window**2 / 12, rel=0.06)
+        assert all_times.mean() == pytest.approx(1e-6 / 2, rel=0.02)
+        assert all_times.var() == pytest.approx(1e-6**2 / 12, rel=0.06)
 
     def test_window_index_recorded(self):
-        times, _ = draw_window(SourceConfig(mean_photon_number=5.0),
-                               window_rng(0, 12))
+        times, _ = draw_window(window_rng(0, 12), 5.0, 2e-6)
         ev = sample_arrivals([np.empty(0)] * 12 + [times])
         assert len(ev) == times.size > 0
         assert np.all(ev.windows == 12)
@@ -203,7 +172,7 @@ class TestSampleArrivals:
                                       [1e-7, 3e-7, 0.0, 2e-7, 2e-7])
 
     def test_one_window_per_entry(self):
-        arrivals, _ = draw_run(SourceConfig(mean_photon_number=3.0), 2, 50)
+        arrivals, _ = draw_run(3.0, 2, 50)
         ev = sample_arrivals(arrivals)
         for w, times in enumerate(arrivals):
             np.testing.assert_array_equal(ev.times[ev.windows == w],
@@ -255,10 +224,9 @@ class TestAssignBins:
         from qgalton.walk import bin_probabilities
 
         p = bin_probabilities(8, 0.763)
-        cfg = SourceConfig(mean_photon_number=4.0)
-        arrivals, uniforms = draw_run(cfg, 23, 40)
+        arrivals, uniforms = draw_run(4.0, 23, 40)
         run = assign_bins(sample_arrivals(arrivals), p, uniforms)
         for w in range(40):
-            times, u = draw_window(cfg, window_rng(23, w))
+            times, u = draw_window(window_rng(23, w), 4.0, 2e-6)
             one = assign_bins(sample_arrivals([times]), p, u)
             np.testing.assert_array_equal(run.bins[run.windows == w], one.bins)
