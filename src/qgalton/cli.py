@@ -175,8 +175,6 @@ def cmd_decode_trace(args) -> int:
     line = LineConfig(
         segment_delay=args.segment_delay_ns * 1e-9,
         pixel_count=args.pixel_count,
-        attenuation_per_segment=args.attenuation,
-        base_amplitude=args.base_amplitude,
         trigger_polarity=args.trigger_polarity,
     )
     try:
@@ -271,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with time_ns,amplitude columns")
     p.add_argument("--segment-delay-ns", type=float, default=0.9)
     p.add_argument("--pixel-count", type=int, default=16)
-    p.add_argument("--attenuation", type=float, default=0.97)
-    p.add_argument("--base-amplitude", type=float, default=1.0)
     p.add_argument("--trigger-polarity", default="negative",
                    choices=("negative", "positive"))
     _add_common_output(p)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .kernels import dead_time_filter
-from .source import PhotonEvents
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,12 @@ _NO_PIXELS = np.empty(0, dtype=np.int64)
 
 
 def draw_window(config: DetectorConfig, rng: np.random.Generator,
-                n_photons: int, duration: float | None = None):
+                n_photons: int, duration: float):
     """One window's detector draws, in stream order after its photons'.
 
     Returns (keep, dark_times, dark_pixels, jitter): one efficiency uniform
     per photon (none at efficiency 1); the dark counts over [0, duration),
-    whose count is Poisson and which `duration` is required for when
-    dark_count_rate > 0; and the timing jitter.  Jitter is the last draw,
+    whose count is Poisson; and the timing jitter.  Jitter is the last draw,
     and the dead time decides later how many clicks need it, so one normal
     is drawn for every click that could register: each surviving photon
     and each dark count.  A window left with k clicks uses the first k,
@@ -91,10 +89,6 @@ def draw_window(config: DetectorConfig, rng: np.random.Generator,
               else int(np.count_nonzero(keep < config.efficiency)))
     dark_times, dark_pixels = _NONE, _NO_PIXELS
     if config.dark_count_rate > 0.0:
-        if duration is None:
-            raise InvalidArgumentError(
-                "duration is required when dark_count_rate > 0"
-            )
         mean_darks = config.dark_count_rate * duration * config.pixel_count
         n_dark = int(rng.poisson(mean_darks))
         dark_times = rng.uniform(0.0, duration, size=n_dark)
@@ -137,66 +131,70 @@ class DetectorDraws:
         )
 
 
-def detect(events: PhotonEvents, config: DetectorConfig, draws: DetectorDraws,
+def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
+           config: DetectorConfig, draws: DetectorDraws,
            window: float) -> DetectionRecords:
     """Run the photons of a run through the detector array.
 
-    Every window starts with the detector recovered, as if it ran alone:
-    the dead time acts within a pixel and a window.  Window w's clicks are
-    placed on the run's timeline at w * window, in window order and sorted
-    by time within each window.  Incident photons must already carry bin
-    assignments, which map one-to-one onto pixels.
+    Each photon has a time from the start of its window, an output bin (bins
+    map one-to-one onto pixels) and a window index, as `sample_arrivals` and
+    `assign_bins` give them.  Every window starts with the detector
+    recovered, as if it ran alone: the dead time acts within a pixel and a
+    window.  Window w's clicks are placed on the run's timeline at
+    w * window, in window order and sorted by time within each window.
     """
-    times, bins, wins = events.times, events.bins, events.windows
+    if not times.shape == bins.shape == windows.shape:
+        raise InvalidArgumentError(
+            "photon times, bins and window indices must have equal length")
     if np.any(bins < 0) or np.any(bins >= config.pixel_count):
         raise InvalidArgumentError(
             "photon bins must be assigned and lie in "
             f"[0, {config.pixel_count}); run bin assignment first"
         )
-    step = np.diff(wins)
+    step = np.diff(windows)
     if np.any(step < 0) or np.any((step == 0) & (np.diff(times) < 0)):
         raise InvalidArgumentError("photon times must be sorted")
     n_windows = draws.jitter_counts.size
-    if wins.size and wins[-1] >= n_windows:
+    if windows.size and windows[-1] >= n_windows:
         raise InvalidArgumentError(
-            f"photons in window {wins[-1]}, draws for {n_windows} windows")
+            f"photons in window {windows[-1]}, draws for {n_windows} windows")
 
     # efficiency thinning: each photon independently survives with prob eta
     if config.efficiency < 1.0:
         survive = draws.keep < config.efficiency
-        times, bins, wins = times[survive], bins[survive], wins[survive]
+        times, bins, windows = times[survive], bins[survive], windows[survive]
     is_dark = np.zeros(times.size, dtype=bool)
 
     if config.dark_count_rate > 0.0:
         times = np.concatenate([times, draws.dark_times])
         bins = np.concatenate([bins, draws.dark_pixels])
-        wins = np.concatenate([wins, np.repeat(
+        windows = np.concatenate([windows, np.repeat(
             np.arange(n_windows, dtype=np.int64), draws.dark_counts)])
         is_dark = np.concatenate(
             [is_dark, np.ones(draws.dark_times.size, dtype=bool)])
 
     # stable: on a tie the photon comes before the dark count
-    order = np.lexsort((times, wins))
-    times, bins, wins, is_dark = (times[order], bins[order], wins[order],
-                                  is_dark[order])
+    order = np.lexsort((times, windows))
+    times, bins, windows, is_dark = (times[order], bins[order],
+                                     windows[order], is_dark[order])
 
     if config.dead_time > 0.0 and times.size:
         # one pixel of one window is one group: each window starts recovered
-        alive = dead_time_filter(wins * config.pixel_count + bins, times,
+        alive = dead_time_filter(windows * config.pixel_count + bins, times,
                                  config.dead_time)
-        times, bins, wins, is_dark = (times[alive], bins[alive], wins[alive],
-                                      is_dark[alive])
+        times, bins, windows, is_dark = (times[alive], bins[alive],
+                                         windows[alive], is_dark[alive])
 
     if config.jitter_sigma > 0.0 and times.size:
         # the k-th click of window w takes that window's k-th jitter draw
         first_draw = np.cumsum(draws.jitter_counts) - draws.jitter_counts
-        first_click = np.searchsorted(wins, wins, side="left")
-        k = np.arange(wins.size) - first_click
-        times = times + draws.jitter[first_draw[wins] + k]
-        order = np.lexsort((times, wins))
-        times, bins, wins, is_dark = (times[order], bins[order], wins[order],
-                                      is_dark[order])
+        first_click = np.searchsorted(windows, windows, side="left")
+        k = np.arange(windows.size) - first_click
+        times = times + draws.jitter[first_draw[windows] + k]
+        order = np.lexsort((times, windows))
+        times, bins, windows, is_dark = (times[order], bins[order],
+                                         windows[order], is_dark[order])
 
-    return DetectionRecords(pixels=bins, times=times + wins * window,
+    return DetectionRecords(pixels=bins, times=times + windows * window,
                             is_dark=is_dark)
 

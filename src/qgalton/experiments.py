@@ -130,15 +130,19 @@ class ExperimentConfig:
             raise ConfigError(
                 "exactly one of wavelength_nm and t_squared must be set"
             )
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.t_squared is not None and not 0.0 <= self.t_squared <= 1.0:
             raise ConfigError(
                 f"t_squared must lie in [0, 1], got {self.t_squared}")
-        if not 0.0 < self.window_ns < math.inf:
+        if not self.window_ns > 0.0:
             raise ConfigError(f"window_ns must be positive, got {self.window_ns}")
         for name in ("mean_photon_number", "dead_time_ns", "jitter_sigma_ns",
                      "dark_count_rate_hz"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
+            if not value >= 0.0:
                 raise ConfigError(
                     f"{name} must be finite and >= 0, got {value}")
         if self.n_bootstrap < MIN_BOOTSTRAP:
@@ -157,7 +161,7 @@ class ExperimentConfig:
         # decode pairs pulses within DEFAULT_TOLERANCE (seconds), which must
         # stay under half a segment delay to tell neighbouring pixels apart
         min_delay_ns = 2e9 * DEFAULT_TOLERANCE
-        if not min_delay_ns < self.segment_delay_ns < math.inf:
+        if not min_delay_ns < self.segment_delay_ns:
             raise ConfigError(
                 f"segment_delay_ns must be finite and above twice the decode "
                 f"tolerance, {min_delay_ns:g} ns, got {self.segment_delay_ns}")
@@ -165,6 +169,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"bin_width_ns must be positive, got {self.bin_width_ns}"
             )
+        # the far-end pulse is the weakest; decode refuses a zero amplitude
+        if self.base_amplitude * self.attenuation_per_segment ** (
+                self.pixel_count - 1) == 0.0:
+            raise ConfigError(
+                "base_amplitude * attenuation_per_segment ** (pixel_count - 1)"
+                f" underflows to 0.0 at {self.base_amplitude} and "
+                f"{self.attenuation_per_segment}")
         self._check_size()
 
     def _check_size(self) -> None:
@@ -218,6 +229,8 @@ class ExperimentConfig:
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 _KNOWN_KEYS = set(_FIELD_TYPES) - {"experiment"}
+_FLOAT_FIELDS = [key for key, hint in _FIELD_TYPES.items()
+                 if float in (hint, *get_args(hint))]
 # bool is an int subclass, so it is refused explicitly below
 _ACCEPTED = {int: (numbers.Integral, "an integer"),
              float: (numbers.Real, "a number"),
@@ -251,18 +264,13 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, value in data.items():
         _check_type(key, value)
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of "
-            f"{', '.join(EXPERIMENTS)}"
-        )
 
     user_wl = data.pop("wavelength_nm", None)
     user_t2 = data.pop("t_squared", None)
     if user_wl is not None and user_t2 is not None:
         raise ConfigError("set wavelength_nm or t_squared, not both")
 
-    merged = {**_EXPERIMENT_DEFAULTS[experiment], **data}
+    merged = {**_EXPERIMENT_DEFAULTS.get(experiment, {}), **data}
     if user_wl is not None:
         merged["wavelength_nm"], merged["t_squared"] = float(user_wl), None
     elif user_t2 is not None:
@@ -328,16 +336,17 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     line = config.line_config()
 
     arrivals, bin_uniforms, draws = _draw_windows(config, det)
-    events = assign_bins(sample_arrivals(arrivals), probs, bin_uniforms)
+    times, windows = sample_arrivals(arrivals)
+    bins = assign_bins(probs, bin_uniforms)
     del arrivals, bin_uniforms
-    records = detect(events, det, draws, config.window)
+    records = detect(times, bins, windows, det, draws, config.window)
     del draws
     trace = encode(records, line)
     decoded = decode(trace, line)
     return SimulatedStream(
-        truth_pixels=events.bins,
-        truth_times=events.times + events.windows * config.window,
-        truth_windows=events.windows,
+        truth_pixels=bins,
+        truth_times=times + windows * config.window,
+        truth_windows=windows,
         records=records,
         trace=trace,
         decoded=decoded,
@@ -398,12 +407,8 @@ def run_interference(config: ExperimentConfig,
     model_ref = bin_probabilities(config.stages, reference, config.input_port)
 
     report = {
-        "experiment": "interference",
-        "config": asdict(config),
-        "n_emitted": int(stream.truth_pixels.size),
         "n_clicks": len(stream.records),
         "n_decoded_ok": int(decoded_hist.sum()),
-        "decode_flags": flag_summary(stream.decoded.flags),
         "decoded_histogram": decoded_hist.tolist(),
         "truth_histogram": truth_hist.tolist(),
         "reference_t_squared": reference,
@@ -440,11 +445,7 @@ def run_counting(config: ExperimentConfig,
     gof = chi_square_gof(hist, pmf, n_fitted=1)
 
     report = {
-        "experiment": "counting",
-        "config": asdict(config),
-        "n_emitted": int(stream.truth_pixels.size),
         "n_decoded_ok": int(counts.sum()),
-        "decode_flags": flag_summary(stream.decoded.flags),
         "count_histogram": hist.tolist(),
         "sample_mean": float(counts.mean()),
         "sample_variance": float(counts.var(ddof=1)),
@@ -483,12 +484,8 @@ def run_intervals(config: ExperimentConfig,
     gof = chi_square_gof(binned, masses, n_fitted=1)
 
     report = {
-        "experiment": "intervals",
-        "config": asdict(config),
-        "n_emitted": int(stream.truth_pixels.size),
         "n_decoded_ok": int(times.size),
         "n_gaps": int(gaps.size),
-        "decode_flags": flag_summary(stream.decoded.flags),
         "mean_gap_ns": float(gaps.mean()) * 1e9,
         "interval_fit_ns": {
             **asdict(interval_fit),
@@ -527,9 +524,6 @@ def run_persistence(config: ExperimentConfig,
         / (2.0 * config.segment_delay_ns * 1e-9)).astype(int)
 
     report = {
-        "experiment": "persistence",
-        "config": asdict(config),
-        "n_emitted": int(stream.truth_pixels.size),
         "n_triggers": res.n_triggers,
         "n_overlaid": res.n_overlaid,
         "n_peaks": delays.size,
@@ -540,7 +534,6 @@ def run_persistence(config: ExperimentConfig,
         "peak_pixels": peak_pixels.tolist(),
         "amplitudes_strictly_decreasing": bool(np.all(np.diff(amps) < 0)),
         "model_probabilities": model.tolist(),
-        "decode_flags": flag_summary(stream.decoded.flags),
     }
     # an empty cell where a delay bin holds no pulses
     mean_amplitude = res.mean_amplitudes.astype(object)
@@ -579,7 +572,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     """
     stream = simulate_stream(config)
     try:
-        return _RUNNERS[config.experiment](config, stream)
+        output = _RUNNERS[config.experiment](config, stream)
     except (InvalidArgumentError, DegenerateFitError) as exc:
         raise ConfigError(
             f"{config.experiment} statistics failed on {config.windows} "
@@ -587,6 +580,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
             f"mean_photon_number * efficiency (now "
             f"{config.mean_photon_number:g} * {config.efficiency:g})"
         ) from exc
+    # the header every report shares; each runner adds its own fields
+    output.report.update(experiment=config.experiment, config=asdict(config),
+                         n_emitted=int(stream.truth_pixels.size),
+                         decode_flags=flag_summary(stream.decoded.flags))
+    return output
 
 
 def render_report(report: dict) -> str:

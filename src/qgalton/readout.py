@@ -47,6 +47,8 @@ def flag_summary(flags: np.ndarray) -> dict:
 # pairing tolerance: pulse pairs from one click have spacing set by passive
 # line lengths, so the residual budget only covers arithmetic noise
 DEFAULT_TOLERANCE = 10e-12
+# slots scanned beyond each end of the line, to flag pixel_out_of_range pairs
+SLOT_PAD = 2
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,7 @@ class DecodedEvents:
 
 def encode(records: DetectionRecords, config: LineConfig) -> TraceEvents:
     """Turn detector clicks into the pulse train on the shared line."""
-    pixels = np.asarray(records.pixels, dtype=np.int64)
-    times = np.asarray(records.times, dtype=float)
+    pixels, times = records.pixels, records.times
     if np.any(pixels < 0) or np.any(pixels >= config.pixel_count):
         raise InvalidArgumentError(
             f"record pixels must lie in [0, {config.pixel_count})"
@@ -196,25 +197,20 @@ def _time_order(trace: TraceEvents, config: LineConfig):
     return order, trace.times[order], is_trig
 
 
-def decode(trace: TraceEvents, config: LineConfig,
-           tolerance: float = DEFAULT_TOLERANCE,
-           slot_pad: int = 2) -> DecodedEvents:
+def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     """Recover clicks (pixel, time) from the pulse train.
 
     Pairing runs one pass per candidate pixel slot: trigger pulses shifted
     by that slot's expected spacing are matched to the nearest unused
-    counter pulse within `tolerance`.  Legal slots are scanned first, then
-    `slot_pad` slots beyond each end of the line; a pair landing there is
+    counter pulse within DEFAULT_TOLERANCE.  Legal slots are scanned first,
+    then SLOT_PAD slots beyond each end of the line; a pair landing there is
     structurally valid but names no physical pixel, so it is flagged
     pixel_out_of_range.  Unmatched pulses come back as orphans.
     """
-    if tolerance <= 0.0:
-        raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
-    if 2.0 * tolerance >= config.segment_delay:
+    if 2.0 * DEFAULT_TOLERANCE >= config.segment_delay:
         raise InvalidArgumentError(
-            "tolerance must be well under half a segment delay to separate "
-            "neighbouring slots"
-        )
+            f"segment_delay ({config.segment_delay:g} s) must exceed twice "
+            f"the {DEFAULT_TOLERANCE:g} s decode tolerance to separate pixels")
     order, times, is_trig = _time_order(trace, config)
     sign = _trigger_sign(config)
     trig_pos_in_trace = order[is_trig]
@@ -227,40 +223,35 @@ def decode(trace: TraceEvents, config: LineConfig,
 
     n_pix = config.pixel_count
     slots = list(range(n_pix))
-    for k in range(1, slot_pad + 1):
+    for k in range(1, SLOT_PAD + 1):
         slots.append(-k)
         slots.append(n_pix - 1 + k)
 
     trig_pool = np.arange(trig_times.size, dtype=np.int64)
     part_pool = np.arange(part_times.size, dtype=np.int64)
 
-    pair_trig: list[np.ndarray] = []
-    pair_part: list[np.ndarray] = []
-    pair_slot: list[np.ndarray] = []
+    no_pairs = np.empty(0, dtype=np.int64)
+    pair_trig: list[np.ndarray] = [no_pairs]
+    pair_part: list[np.ndarray] = [no_pairs]
+    pair_slot: list[np.ndarray] = [no_pairs]
     for slot in slots:
         if trig_pool.size == 0 or part_pool.size == 0:
             break
         offset = float(config.slot_delay(slot))
         match = pair_pulses(trig_times[trig_pool] + offset,
-                            part_times[part_pool], tolerance)
+                            part_times[part_pool], DEFAULT_TOLERANCE)
         hit = match >= 0
-        if hit.any():
-            pair_trig.append(trig_pool[hit])
-            pair_part.append(part_pool[match[hit]])
-            pair_slot.append(np.full(int(hit.sum()), slot, dtype=np.int64))
-            trig_pool = trig_pool[~hit]
-            used = np.zeros(part_pool.size, dtype=bool)
-            used[match[hit]] = True
-            part_pool = part_pool[~used]
+        pair_trig.append(trig_pool[hit])
+        pair_part.append(part_pool[match[hit]])
+        pair_slot.append(np.full(int(hit.sum()), slot, dtype=np.int64))
+        trig_pool = trig_pool[~hit]
+        used = np.zeros(part_pool.size, dtype=bool)
+        used[match[hit]] = True
+        part_pool = part_pool[~used]
 
-    if pair_trig:
-        p_trig = np.concatenate(pair_trig)
-        p_part = np.concatenate(pair_part)
-        p_slot = np.concatenate(pair_slot)
-    else:
-        p_trig = np.empty(0, dtype=np.int64)
-        p_part = np.empty(0, dtype=np.int64)
-        p_slot = np.empty(0, dtype=np.int64)
+    p_trig = np.concatenate(pair_trig)
+    p_part = np.concatenate(pair_part)
+    p_slot = np.concatenate(pair_slot)
 
     half_span = 0.5 * config.span
     pair_origin = 0.5 * (trig_times[p_trig] + part_times[p_part]) - half_span
@@ -274,20 +265,18 @@ def decode(trace: TraceEvents, config: LineConfig,
     rows_part = [part_pos_in_trace[p_part]]
     rows_sort = [pair_origin]
 
-    if trig_pool.size:
-        rows_pixel.append(np.full(trig_pool.size, -1, dtype=np.int64))
-        rows_time.append(np.full(trig_pool.size, np.nan))
-        rows_flag.append(np.full(trig_pool.size, trig_flag, dtype=np.int8))
-        rows_trig.append(trig_pos_in_trace[trig_pool])
-        rows_part.append(np.full(trig_pool.size, -1, dtype=np.int64))
-        rows_sort.append(trig_times[trig_pool])
-    if part_pool.size:
-        rows_pixel.append(np.full(part_pool.size, -1, dtype=np.int64))
-        rows_time.append(np.full(part_pool.size, np.nan))
-        rows_flag.append(np.full(part_pool.size, part_flag, dtype=np.int8))
-        rows_trig.append(np.full(part_pool.size, -1, dtype=np.int64))
-        rows_part.append(part_pos_in_trace[part_pool])
-        rows_sort.append(part_times[part_pool])
+    rows_pixel.append(np.full(trig_pool.size, -1, dtype=np.int64))
+    rows_time.append(np.full(trig_pool.size, np.nan))
+    rows_flag.append(np.full(trig_pool.size, trig_flag, dtype=np.int8))
+    rows_trig.append(trig_pos_in_trace[trig_pool])
+    rows_part.append(np.full(trig_pool.size, -1, dtype=np.int64))
+    rows_sort.append(trig_times[trig_pool])
+    rows_pixel.append(np.full(part_pool.size, -1, dtype=np.int64))
+    rows_time.append(np.full(part_pool.size, np.nan))
+    rows_flag.append(np.full(part_pool.size, part_flag, dtype=np.int8))
+    rows_trig.append(np.full(part_pool.size, -1, dtype=np.int64))
+    rows_part.append(part_pos_in_trace[part_pool])
+    rows_sort.append(part_times[part_pool])
 
     sort_key = np.concatenate(rows_sort)
     order = np.argsort(sort_key, kind="stable")
@@ -349,16 +338,12 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     hi = np.searchsorted(part_times, trig_times + reach, side="right")
     counts = hi - lo
     total = int(counts.sum())
-    if total:
-        # flat indices of every (trigger, counter) overlay pair
-        starts = np.repeat(lo, counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        part_idx = starts + within
-        delays = part_times[part_idx] - np.repeat(trig_times, counts)
-        amplitudes = part_amps[part_idx]
-    else:
-        delays = np.empty(0)
-        amplitudes = np.empty(0)
+    # flat indices of every (trigger, counter) overlay pair
+    starts = np.repeat(lo, counts)
+    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    part_idx = starts + within
+    delays = part_times[part_idx] - np.repeat(trig_times, counts)
+    amplitudes = part_amps[part_idx]
 
     edges = np.arange(-reach, reach + bin_width, bin_width)
     bin_counts, _ = np.histogram(delays, bins=edges)

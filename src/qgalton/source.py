@@ -13,7 +13,6 @@ straight-line fit through calibration points with clamping at the physical
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,38 +31,6 @@ def t2_of_wavelength(wavelength: float) -> float:
     if not np.isfinite(wavelength) or wavelength <= 0.0:
         raise InvalidArgumentError(f"wavelength must be positive, got {wavelength}")
     return min(1.0, max(0.0, _SLOPE * wavelength + _INTERCEPT))
-
-
-@dataclass
-class PhotonEvents:
-    """The photons of a run, window after window.
-
-    windows holds each photon's window index and never decreases; times
-    are seconds from the start of that window, sorted within each window;
-    bins is filled by assign_bins and holds -1 until then.  A one-window
-    run leaves windows at its default, all zero.
-    """
-
-    times: np.ndarray
-    bins: np.ndarray = field(default=None)  # type: ignore[assignment]
-    windows: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.bins is None:
-            self.bins = np.full(self.times.shape, -1, dtype=np.int64)
-        else:
-            self.bins = np.asarray(self.bins, dtype=np.int64)
-        if self.windows is None:
-            self.windows = np.zeros(self.times.shape, dtype=np.int64)
-        else:
-            self.windows = np.asarray(self.windows, dtype=np.int64)
-        if not self.bins.shape == self.windows.shape == self.times.shape:
-            raise InvalidArgumentError(
-                "times, bins and windows must have matching length")
-
-    def __len__(self):
-        return self.times.size
 
 
 class _PhiloxKey(ISeedSequence):
@@ -116,29 +83,29 @@ def draw_window(rng: np.random.Generator, mean_photon_number: float,
     return rng.uniform(0.0, window, size=n), rng.random(n)
 
 
-def sample_arrivals(arrivals: Sequence[np.ndarray]) -> PhotonEvents:
+def sample_arrivals(arrivals: Sequence[np.ndarray]):
     """The photons of a run from each window's arrival-time draws.
 
     ``arrivals[w]`` holds window w's times from `draw_window`.  Conditioned
     on its Poisson count, a window's times are independent uniforms, which
     is exactly a homogeneous Poisson process restricted to the window; here
     they are sorted within each window, one stable sort for the whole run.
+    Returns (times, windows): each photon's time in seconds from the start
+    of its window, and its window index, which never decreases.
     """
     counts = [a.size for a in arrivals]
     times = np.concatenate(arrivals)
     windows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     order = np.lexsort((times, windows))
-    return PhotonEvents(times=times[order], windows=windows)
+    return times[order], windows
 
 
-def assign_bins(events: PhotonEvents, probabilities: np.ndarray,
-                uniforms: np.ndarray) -> PhotonEvents:
-    """Assign each photon an output bin drawn from the walk distribution.
+def assign_bins(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each photon's output bin, drawn from the walk distribution.
 
     ``uniforms`` holds one [0, 1) draw per photon, in the photons' order.
-    Mutates and returns `events`.  The distribution must be normalized to
-    within 1e-9; anything worse points at a bug upstream rather than
-    rounding error.
+    The distribution must be normalized to within 1e-9; anything worse
+    points at a bug upstream rather than rounding error.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -150,11 +117,6 @@ def assign_bins(events: PhotonEvents, probabilities: np.ndarray,
         raise InvalidDistributionError(
             f"probabilities sum to {total!r}, expected 1 within 1e-9"
         )
-    u = np.asarray(uniforms, dtype=float)
-    if u.shape != events.times.shape:
-        raise InvalidArgumentError(
-            f"{u.size} bin uniforms for {len(events)} photons")
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    events.bins = np.searchsorted(cdf, u, side="right").astype(np.int64)
-    return events
+    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)

@@ -35,6 +35,8 @@ _CI_LEVEL = 0.95
 T2_GRID_POINTS = 513
 # floats in one bootstrap table: n_bootstrap rows by the columns scored
 MAX_BOOTSTRAP_CELLS = 2**23
+_GOLDEN_ITERATIONS = 48
+_MIN_EXPECTED = 5.0
 
 
 def check_bootstrap_size(n_bootstrap: int, columns: int) -> None:
@@ -99,18 +101,17 @@ class ConsistencyReport:
 
 
 def _golden_minimize(objective: Callable[[np.ndarray], np.ndarray],
-                     lo: np.ndarray, hi: np.ndarray,
-                     iterations: int = 48) -> np.ndarray:
+                     lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section minimum per row of a vectorized objective.
 
     objective maps an array of candidate points (one per row) to objective
-    values of the same shape.  48 iterations shrink the bracket by about
-    1e-10 of its width, well past the precision any of these fits needs.
+    values of the same shape.  _GOLDEN_ITERATIONS steps shrink the bracket
+    by about 1e-10 of its width, well past the precision any fit needs.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         x1 = b - invphi * (b - a)
         x2 = a + invphi * (b - a)
         keep_left = objective(x1) < objective(x2)
@@ -492,12 +493,11 @@ def mean_consistency(count_fit: FitResult, interval_fit: FitResult,
     )
 
 
-def chi_square_gof(observed, expected_probs, n_fitted: int = 0,
-                   min_expected: float = 5.0) -> GofResult:
+def chi_square_gof(observed, expected_probs, n_fitted: int = 0) -> GofResult:
     """Pearson chi-square with small-expectation pooling.
 
     Categories are pooled left to right until each pooled cell expects at
-    least min_expected counts; a trailing remainder folds into the last
+    least _MIN_EXPECTED (5) counts; a trailing remainder folds into the last
     cell.  When the model mass does not reach one, the deficit becomes an
     extra category with zero observed counts.  dof is cells - 1 - n_fitted.
     """
@@ -528,7 +528,7 @@ def chi_square_gof(observed, expected_probs, n_fitted: int = 0,
     for o, e in zip(obs, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = 0.0

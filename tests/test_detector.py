@@ -11,19 +11,21 @@ from qgalton.detector import (
     draw_window,
 )
 from qgalton.errors import InvalidArgumentError
-from qgalton.source import PhotonEvents, window_rng
+from qgalton.source import window_rng
 
 
 def make_events(times, bins, windows=None):
-    return PhotonEvents(np.asarray(times, float), np.asarray(bins, np.int64),
-                        windows)
+    """Photon times, bins and window indices (default all 0), as arrays."""
+    times = np.asarray(times, float)
+    windows = np.zeros(times.size) if windows is None else windows
+    return times, np.asarray(bins, np.int64), np.asarray(windows, np.int64)
 
 
-def detect_window(events, config, rng, duration=None):
+def detect_window(events, config, rng, duration=1.0):
     """One window through the detector: its draws, then the whole-run code."""
     draws = DetectorDraws.stack(
-        [draw_window(config, rng, len(events), duration)])
-    return detect(events, config, draws, window=duration or 1.0)
+        [draw_window(config, rng, events[0].size, duration)])
+    return detect(*events, config, draws, window=duration)
 
 
 class TestDetectorConfig:
@@ -144,11 +146,6 @@ class TestDarkCounts:
         assert len(rec) == pytest.approx(8000, abs=400)
         assert rec.is_dark.all()
 
-    def test_duration_required(self):
-        cfg = DetectorConfig(dark_count_rate=100.0)
-        with pytest.raises(InvalidArgumentError):
-            detect_window(make_events([], []), cfg, window_rng(0, 0))
-
     def test_darks_flagged_photons_not(self):
         cfg = DetectorConfig(efficiency=1.0, dead_time=0.0, jitter_sigma=0.0,
                              dark_count_rate=5e4)
@@ -162,8 +159,16 @@ class TestDarkCounts:
 
 class TestValidation:
     def test_unassigned_bins_rejected(self):
-        ev = PhotonEvents(np.array([1e-9]))  # bins default to -1
+        ev = make_events([1e-9], [-1])
         with pytest.raises(InvalidArgumentError):
+            detect_window(ev, DetectorConfig(), window_rng(0, 0))
+
+    @pytest.mark.parametrize("short", [0, 1, 2])
+    def test_mismatched_lengths_rejected(self, short):
+        # one time, one bin and one window index per photon
+        ev = list(make_events([1e-9, 2e-9], [0, 0]))
+        ev[short] = ev[short][:1]
+        with pytest.raises(InvalidArgumentError, match="equal length"):
             detect_window(ev, DetectorConfig(), window_rng(0, 0))
 
     def test_bin_out_of_range_rejected(self):
@@ -204,13 +209,11 @@ class TestWholeRun:
         # shifted to its place on the timeline
         config, window = self.cfg(**kw), 2e-6
         parts = self.windows(config, 31, 25)
-        events = make_events(
-            np.concatenate([ev.times for ev, _ in parts]),
-            np.concatenate([ev.bins for ev, _ in parts]),
-            np.concatenate([ev.windows for ev, _ in parts]))
-        run = detect(events, config,
+        times, bins, windows = (np.concatenate(column)
+                                for column in zip(*(ev for ev, _ in parts)))
+        run = detect(times, bins, windows, config,
                      DetectorDraws.stack([d for _, d in parts]), window)
-        one = [detect(make_events(ev.times, ev.bins), config,
+        one = [detect(*make_events(ev[0], ev[1]), config,
                       DetectorDraws.stack([d]), window) for ev, d in parts]
         np.testing.assert_array_equal(
             run.pixels, np.concatenate([r.pixels for r in one]))
@@ -226,18 +229,18 @@ class TestWholeRun:
         config = self.cfg(efficiency=1.0, jitter_sigma=0.0,
                           dark_count_rate=0.0)
         ev = make_events([1.995e-6, 0.0], [3, 3], [0, 1])
-        draws = DetectorDraws.stack([draw_window(config, window_rng(0, w), 1)
-                                     for w in range(2)])
-        rec = detect(ev, config, draws, 2e-6)
+        draws = DetectorDraws.stack(
+            [draw_window(config, window_rng(0, w), 1, 2e-6) for w in range(2)])
+        rec = detect(*ev, config, draws, 2e-6)
         np.testing.assert_allclose(rec.times, [1.995e-6, 2e-6])
 
     def test_windows_must_not_decrease(self):
         config = self.cfg(dark_count_rate=0.0)
         ev = make_events([0.0, 0.0], [3, 3], [1, 0])
-        draws = DetectorDraws.stack([draw_window(config, window_rng(0, w), 1)
-                                     for w in range(2)])
+        draws = DetectorDraws.stack(
+            [draw_window(config, window_rng(0, w), 1, 2e-6) for w in range(2)])
         with pytest.raises(InvalidArgumentError):
-            detect(ev, config, draws, 2e-6)
+            detect(*ev, config, draws, 2e-6)
 
     def test_jitter_draws_cover_every_possible_click(self):
         config = self.cfg()

@@ -119,6 +119,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             config_from_dict("counting", {field: value})
 
+    @pytest.mark.parametrize("field", [
+        "mean_photon_number", "window_ns", "efficiency", "dead_time_ns",
+        "jitter_sigma_ns", "dark_count_rate_hz", "segment_delay_ns",
+        "attenuation_per_segment", "base_amplitude", "bin_width_ns",
+        "wavelength_nm", "t_squared"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_float_fields_rejected(self, field, value):
+        # a non-finite value would reach report.json as Infinity or NaN
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict("counting", {field: value})
+
+    @pytest.mark.parametrize("extra", [
+        {"attenuation_per_segment": 1e-30},
+        {"base_amplitude": 1e-320, "attenuation_per_segment": 0.5}])
+    def test_underflowing_far_pulse_rejected(self, extra):
+        # 16 pixels: the far pulse is base_amplitude * attenuation ** 15
+        with pytest.raises(ConfigError,
+                           match="base_amplitude.*attenuation_per_segment"):
+            config_from_dict("counting", extra)
+
+    def test_tiny_far_pulse_accepted(self):
+        cfg = config_from_dict("counting", {"attenuation_per_segment": 1e-20})
+        assert cfg.attenuation_per_segment == 1e-20
+
     @pytest.mark.parametrize("value", [0.015, 0.02, -1, 0.0])
     def test_segment_delay_at_or_under_decode_tolerance_rejected(self, value):
         # decode pairs pulses within 10 ps, under half a segment delay;

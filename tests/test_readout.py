@@ -260,10 +260,11 @@ class TestDecodeValidation:
             decode(TraceEvents(np.array([0.0]), np.array([0.0])), LineConfig())
 
     def test_oversize_tolerance_rejected(self):
-        cfg = LineConfig()
+        # the 10 ps decode tolerance is not under half of a 15 ps segment
+        cfg = LineConfig(segment_delay=0.015e-9)
         trace = encode(records_for([3], [0.0]), cfg)
         with pytest.raises(InvalidArgumentError):
-            decode(trace, cfg, tolerance=0.5e-9)
+            decode(trace, cfg)
 
     def test_empty_trace(self):
         dec = decode(TraceEvents(np.array([]), np.array([])), LineConfig())

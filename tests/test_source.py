@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import reference_impl
+from qgalton.detector import DetectorConfig, DetectorDraws, detect
+from qgalton.detector import draw_window as draw_detector_window
 from qgalton.errors import (
     ConfigError,
     InvalidArgumentError,
@@ -12,7 +14,6 @@ from qgalton.errors import (
 from qgalton.experiments import config_from_dict
 from qgalton.source import (
     DEFAULT_CALIBRATION,
-    PhotonEvents,
     assign_bins,
     draw_window,
     sample_arrivals,
@@ -137,15 +138,15 @@ def draw_run(mean, seed, windows, window=2e-6):
 class TestSampleArrivals:
     def test_times_sorted_and_in_window(self):
         times, _ = draw_window(window_rng(3, 0), 30.0, 2e-6)
-        ev = sample_arrivals([times])
-        assert np.all(np.diff(ev.times) >= 0)
-        assert np.all(ev.times >= 0.0)
-        assert np.all(ev.times < 2e-6)
-        assert np.all(ev.bins == -1)
+        sorted_times, windows = sample_arrivals([times])
+        assert np.all(np.diff(sorted_times) >= 0)
+        assert np.all(sorted_times >= 0.0)
+        assert np.all(sorted_times < 2e-6)
+        assert np.all(windows == 0)
 
     def test_poisson_mean_and_variance(self):
         arrivals, _ = draw_run(4.0, 11, 4000)
-        counts = np.bincount(sample_arrivals(arrivals).windows, minlength=4000)
+        counts = np.bincount(sample_arrivals(arrivals)[1], minlength=4000)
         # Poisson(4): mean 4, variance 4; with 4000 windows the sample mean
         # has sd 0.032 and the sample variance sd ~0.14
         assert counts.mean() == pytest.approx(4.0, abs=0.15)
@@ -153,80 +154,78 @@ class TestSampleArrivals:
 
     def test_uniform_conditional_times(self):
         arrivals, _ = draw_run(10.0, 5, 500, window=1e-6)
-        all_times = sample_arrivals(arrivals).times
+        all_times, _ = sample_arrivals(arrivals)
         # mean of U(0, W) is W/2, variance W^2/12
         assert all_times.mean() == pytest.approx(1e-6 / 2, rel=0.02)
         assert all_times.var() == pytest.approx(1e-6**2 / 12, rel=0.06)
 
     def test_window_index_recorded(self):
         times, _ = draw_window(window_rng(0, 12), 5.0, 2e-6)
-        ev = sample_arrivals([np.empty(0)] * 12 + [times])
-        assert len(ev) == times.size > 0
-        assert np.all(ev.windows == 12)
+        sorted_times, windows = sample_arrivals([np.empty(0)] * 12 + [times])
+        assert sorted_times.size == windows.size == times.size > 0
+        assert np.all(windows == 12)
 
     def test_sorted_within_each_window(self):
-        ev = sample_arrivals([np.array([3e-7, 1e-7]), np.empty(0),
-                              np.array([2e-7, 0.0, 2e-7])])
-        np.testing.assert_array_equal(ev.windows, [0, 0, 2, 2, 2])
-        np.testing.assert_array_equal(ev.times,
-                                      [1e-7, 3e-7, 0.0, 2e-7, 2e-7])
+        times, windows = sample_arrivals([np.array([3e-7, 1e-7]), np.empty(0),
+                                          np.array([2e-7, 0.0, 2e-7])])
+        np.testing.assert_array_equal(windows, [0, 0, 2, 2, 2])
+        np.testing.assert_array_equal(times, [1e-7, 3e-7, 0.0, 2e-7, 2e-7])
 
     def test_one_window_per_entry(self):
         arrivals, _ = draw_run(3.0, 2, 50)
-        ev = sample_arrivals(arrivals)
+        all_times, windows = sample_arrivals(arrivals)
         for w, times in enumerate(arrivals):
-            np.testing.assert_array_equal(ev.times[ev.windows == w],
+            np.testing.assert_array_equal(all_times[windows == w],
                                           np.sort(times))
 
 
 class TestAssignBins:
     def test_point_mass(self):
-        ev = PhotonEvents(np.linspace(0, 1e-6, 50))
         p = np.zeros(16)
         p[7] = 1.0
-        assign_bins(ev, p, window_rng(1, 0).random(len(ev)))
-        assert np.all(ev.bins == 7)
+        bins = assign_bins(p, window_rng(1, 0).random(50))
+        assert bins.size == 50
+        assert np.all(bins == 7)
 
     def test_empirical_frequencies_match(self):
         from qgalton.walk import bin_probabilities
 
         p = bin_probabilities(8, 0.5)
-        rng = window_rng(17, 0)
-        ev = PhotonEvents(rng.uniform(0, 1e-6, size=200_000))
-        assign_bins(ev, p, rng.random(len(ev)))
-        freq = np.bincount(ev.bins, minlength=16) / len(ev)
+        bins = assign_bins(p, window_rng(17, 0).random(200_000))
+        freq = np.bincount(bins, minlength=16) / bins.size
         # multinomial sd per bin is sqrt(p(1-p)/n) <= 1.2e-3 at n=2e5
         np.testing.assert_allclose(freq, p, atol=5e-3)
 
     def test_unnormalized_rejected(self):
-        ev = PhotonEvents(np.array([1e-7]))
         with pytest.raises(InvalidDistributionError):
-            assign_bins(ev, np.full(16, 0.07), np.array([0.5]))
+            assign_bins(np.full(16, 0.07), np.array([0.5]))
 
     def test_negative_probability_rejected(self):
-        ev = PhotonEvents(np.array([1e-7]))
         p = np.full(16, 1.0 / 16)
         p[0], p[1] = -0.01, p[1] + 0.01 + 1.0 / 16
         with pytest.raises(InvalidDistributionError):
-            assign_bins(ev, p, np.array([0.5]))
+            assign_bins(p, np.array([0.5]))
 
     def test_empty_window(self):
-        ev = PhotonEvents(np.array([]))
-        assign_bins(ev, np.full(16, 1.0 / 16), np.empty(0))
-        assert len(ev) == 0
+        assert assign_bins(np.full(16, 1.0 / 16), np.empty(0)).size == 0
 
     def test_one_uniform_per_photon(self):
-        ev = PhotonEvents(np.array([1e-7, 2e-7]))
+        # one uniform gives one bin; detect refuses it for two photons
+        times, windows = sample_arrivals([np.array([1e-7, 2e-7])])
+        bins = assign_bins(np.full(16, 1.0 / 16), np.array([0.5]))
+        config = DetectorConfig()
+        draws = DetectorDraws.stack(
+            [draw_detector_window(config, window_rng(0, 0), 2, 2e-6)])
         with pytest.raises(InvalidArgumentError):
-            assign_bins(ev, np.full(16, 1.0 / 16), np.array([0.5]))
+            detect(times, bins, windows, config, draws, 2e-6)
 
     def test_whole_run_equals_window_by_window(self):
         from qgalton.walk import bin_probabilities
 
         p = bin_probabilities(8, 0.763)
         arrivals, uniforms = draw_run(4.0, 23, 40)
-        run = assign_bins(sample_arrivals(arrivals), p, uniforms)
+        _, windows = sample_arrivals(arrivals)
+        run = assign_bins(p, uniforms)
         for w in range(40):
-            times, u = draw_window(window_rng(23, w), 4.0, 2e-6)
-            one = assign_bins(sample_arrivals([times]), p, u)
-            np.testing.assert_array_equal(run.bins[run.windows == w], one.bins)
+            _, u = draw_window(window_rng(23, w), 4.0, 2e-6)
+            np.testing.assert_array_equal(run[windows == w], assign_bins(p, u))
