@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -79,6 +80,10 @@ def _read_trace(path: str) -> TraceEvents:
             raise DecodeFailure(
                 f"{path}:{line_no + 1}: could not parse {line!r}"
             ) from None
+        if not (math.isfinite(t) and math.isfinite(a)):
+            raise DecodeFailure(
+                f"{path}:{line_no + 1}: time and amplitude must be finite, "
+                f"got {line!r}")
         times.append(t * 1e-9)
         amps.append(a)
     if not times:
@@ -138,12 +143,21 @@ def _check_fit_options(args) -> None:
             f"got {args.bootstrap}")
 
 
-def cmd_fit_t2(args) -> int:
-    _check_fit_options(args)
-    values = _read_numbers(args.input)
+def _read_counts(path: str, what: str) -> np.ndarray:
+    """Integer counts from a `_read_numbers` file, refused unless exact."""
+    values = _read_numbers(path)
+    # NaN fails the comparison too; checked before the cast, which warns
+    if not np.all(np.abs(values) < 2.0**63):
+        raise QGaltonError(f"{what} must be finite integers below 2**63")
     counts = values.astype(np.int64)
     if np.any(values != counts):
-        raise QGaltonError("histogram entries must be integers")
+        raise QGaltonError(f"{what} must be integers")
+    return counts
+
+
+def cmd_fit_t2(args) -> int:
+    _check_fit_options(args)
+    counts = _read_counts(args.input, "histogram entries")
     fit = fit_t2(counts, n_bootstrap=args.bootstrap, seed=args.seed,
                  input_port=args.input_port)
     _emit({"fit": asdict(fit)}, {}, args)
@@ -152,10 +166,7 @@ def cmd_fit_t2(args) -> int:
 
 def cmd_fit_poisson(args) -> int:
     _check_fit_options(args)
-    values = _read_numbers(args.input)
-    counts = values.astype(np.int64)
-    if np.any(values != counts):
-        raise QGaltonError("window counts must be integers")
+    counts = _read_counts(args.input, "window counts")
     fit = fit_poisson(counts, n_bootstrap=args.bootstrap, seed=args.seed)
     _emit({"fit": asdict(fit)}, {}, args)
     return EXIT_OK
@@ -171,12 +182,12 @@ def cmd_fit_exponential(args) -> int:
 
 
 def cmd_decode_trace(args) -> int:
-    trace = _read_trace(args.input)
     line = LineConfig(
         segment_delay=args.segment_delay_ns * 1e-9,
         pixel_count=args.pixel_count,
         trigger_polarity=args.trigger_polarity,
     )
+    trace = _read_trace(args.input)
     try:
         dec = decode(trace, line)
     except QGaltonError as exc:

@@ -7,7 +7,7 @@ ignores further photons and the blocked photons do not extend the recovery
 each pixel also fires spontaneously at a low dark rate.
 
 The random draws are made window by window (`draw_window`), each window on
-its own generator; `detect` then runs the whole run at once.
+its own stream; `detect` then runs the whole run at once.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ def draw_window(config: DetectorConfig, rng: np.random.Generator,
     if config.dark_count_rate > 0.0:
         mean_darks = config.dark_count_rate * duration * config.pixel_count
         n_dark = int(rng.poisson(mean_darks))
-        dark_times = rng.uniform(0.0, duration, size=n_dark)
+        # uniform(0, duration) would be 0 + duration * u on the same doubles
+        dark_times = rng.random(n_dark) * duration
         dark_pixels = rng.integers(0, config.pixel_count, size=n_dark)
         clicks += n_dark
     jitter = (rng.normal(0.0, config.jitter_sigma, size=clicks)

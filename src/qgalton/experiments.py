@@ -307,14 +307,16 @@ class SimulatedStream:
 def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     """Every random draw of a run, window by window.
 
-    Each window gets its own generator and draws, in this order: its photon
-    count, arrival times and bin uniforms, then its efficiency, dark-count
-    and jitter draws.  The generator is dropped before the next window.
+    Each window has its own stream and draws from it, in this order: its
+    photon count, arrival times and bin uniforms, then its efficiency,
+    dark-count and jitter draws.  One generator serves the whole run,
+    re-keyed to each window's stream in turn.
     """
     arrivals, bin_uniforms, detector_draws = [], [], []
-    mean, window = config.mean_photon_number, config.window
+    mean, window, seed = config.mean_photon_number, config.window, config.seed
+    rng = None
     for w in range(config.windows):
-        rng = window_rng(config.seed, w)
+        rng = window_rng(seed, w, rng)
         times, uniforms = draw_source_window(rng, mean, window)
         arrivals.append(times)
         bin_uniforms.append(uniforms)

@@ -27,8 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .detector import DetectionRecords
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .kernels import pair_pulses
+from .walk import MAX_STAGES
 
 FLAG_OK = 0
 FLAG_ORPHAN_NEGATIVE = 1
@@ -67,14 +68,22 @@ class LineConfig:
     trigger_polarity: str = "negative"
 
     def __post_init__(self):
-        if not self.segment_delay > 0.0:
+        # decode pairs pulses within DEFAULT_TOLERANCE, which must stay
+        # under half a segment delay to tell neighbouring pixels apart
+        if not 2.0 * DEFAULT_TOLERANCE < self.segment_delay < np.inf:
             raise InvalidArgumentError(
-                f"segment_delay must be positive, got {self.segment_delay}"
-            )
+                f"segment_delay ({self.segment_delay:g} s) must be finite and "
+                f"exceed twice the {DEFAULT_TOLERANCE:g} s decode tolerance "
+                "to separate pixels")
         if self.pixel_count < 1:
             raise InvalidArgumentError(
                 f"pixel_count must be >= 1, got {self.pixel_count}"
             )
+        # one pixel per output bin of the largest mesh a run may build
+        if self.pixel_count > 2 * MAX_STAGES:
+            raise ResourceLimitError(
+                f"pixel_count={self.pixel_count}: limit is pixel_count <= "
+                f"{2 * MAX_STAGES}")
         if not 0.0 < self.attenuation_per_segment <= 1.0:
             raise InvalidArgumentError(
                 "attenuation_per_segment must lie in (0, 1], got "
@@ -207,10 +216,6 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     structurally valid but names no physical pixel, so it is flagged
     pixel_out_of_range.  Unmatched pulses come back as orphans.
     """
-    if 2.0 * DEFAULT_TOLERANCE >= config.segment_delay:
-        raise InvalidArgumentError(
-            f"segment_delay ({config.segment_delay:g} s) must exceed twice "
-            f"the {DEFAULT_TOLERANCE:g} s decode tolerance to separate pixels")
     order, times, is_trig = _time_order(trace, config)
     sign = _trigger_sign(config)
     trig_pos_in_trace = order[is_trig]

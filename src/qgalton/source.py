@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidArgumentError, InvalidDistributionError
 
@@ -33,42 +32,41 @@ def t2_of_wavelength(wavelength: float) -> float:
     return min(1.0, max(0.0, _SLOPE * wavelength + _INTERCEPT))
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its two 64-bit key words, seed first, as they are.
-
-    ``Philox(key=...)`` would first gather OS entropy for a SeedSequence it
-    then throws away; passing the key words as the seed sequence skips that
-    and leaves the same key, a zero counter and so the same stream.
-    """
-
-    def __init__(self, seed: int, window_index: int):
-        self.words = np.array([seed, window_index], dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise InvalidArgumentError(
-                f"a Philox key is two uint64 words, not {n_words} {dtype}")
-        return self.words
+_ZEROS = (0, 0, 0, 0)
 
 
-def window_rng(master_seed: int, window_index: int) -> np.random.Generator:
+def window_rng(master_seed: int, window_index: int,
+               rng: np.random.Generator | None = None) -> np.random.Generator:
     """Independent per-window stream from a counter-based generator.
 
     Keying the generator on (master_seed, window_index) makes every window
     reproducible on its own: its draws never depend on the other windows.
-    A run makes one generator per window, draws everything that window
-    needs from it in a fixed order, drops it, and then does all further
-    work once over the whole run.
+    A run draws everything a window needs from its stream in a fixed order,
+    then does all further work once over the whole run.
+
+    Building a generator costs more than a window's draws, so a run builds
+    one and re-keys it per window: ``rng``, a generator an earlier call
+    returned, is reused, otherwise one is built.  Either way its Philox
+    state is set to key (master_seed, window_index), a zero counter and an
+    empty buffer, so whatever was drawn from it before, it gives exactly
+    the stream of a fresh generator.
     """
     if window_index < 0:
         raise InvalidArgumentError(f"window index must be >= 0, got {window_index}")
     if not 0 <= master_seed < 2**64:
         raise InvalidArgumentError(
             f"master seed must lie in [0, 2**64), got {master_seed}")
-    # two key words, low the seed and high the window; a list key would
-    # pass through float64 for seeds >= 2**63 and collide
-    return np.random.Generator(np.random.Philox(
-        _PhiloxKey(master_seed, window_index)))
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))
+    # two key words, low the seed and high the window; buffer_pos 4 marks
+    # the four-word output buffer as used up, and has_uint32 0 drops a half
+    # word left by a bounded integer draw
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (master_seed, window_index)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def draw_window(rng: np.random.Generator, mean_photon_number: float,
@@ -78,9 +76,15 @@ def draw_window(rng: np.random.Generator, mean_photon_number: float,
     Returns the photon arrival times, unsorted, and one uniform per photon
     for its output bin: a Poisson(mean_photon_number) count, then that
     many uniform times over the window (seconds), then the bin uniforms.
+    Both come from one draw of 2n uniforms: ``uniform(0, window, n)``
+    would be ``0 + window * u`` on the same first n doubles.  Each half is
+    returned as its own array, not a view: a run keeps every window's
+    draws, and two views plus their base cost one array object more per
+    window than two arrays.
     """
     n = int(rng.poisson(mean_photon_number))
-    return rng.uniform(0.0, window, size=n), rng.random(n)
+    u = rng.random(2 * n)
+    return u[:n] * window, u[n:].copy()
 
 
 def sample_arrivals(arrivals: Sequence[np.ndarray]):

@@ -104,17 +104,21 @@ def _golden_minimize(objective: Callable[[np.ndarray], np.ndarray],
                      lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section minimum per row of a vectorized objective.
 
-    objective maps an array of candidate points (one per row) to objective
-    values of the same shape.  _GOLDEN_ITERATIONS steps shrink the bracket
-    by about 1e-10 of its width, well past the precision any fit needs.
+    objective maps 2n candidate points, both probes of each of the n rows
+    stacked as [x1, x2], to objective values of the same shape; each value
+    must depend on its own point and row alone.  _GOLDEN_ITERATIONS steps
+    shrink the bracket by about 1e-10 of its width, well past the precision
+    any fit needs.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
+    n = a.size
     for _ in range(_GOLDEN_ITERATIONS):
         x1 = b - invphi * (b - a)
         x2 = a + invphi * (b - a)
-        keep_left = objective(x1) < objective(x2)
+        f = objective(np.concatenate([x1, x2]))
+        keep_left = f[:n] < f[n:]
         b = np.where(keep_left, x2, b)
         a = np.where(keep_left, a, x1)
     return 0.5 * (a + b)
@@ -273,13 +277,16 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
         resamples = np.concatenate(
             [resamples, np.zeros((n_bootstrap, pad))], axis=1)
 
-    def boot_objective(x_rows: np.ndarray) -> np.ndarray:
-        return ((resamples - model_rows(x_rows)) ** 2).sum(axis=1)
-
     if boot_bracket is None:
         boot_lo, boot_hi = (np.full(n_bootstrap, b) for b in bracket)
     else:
         boot_lo, boot_hi = boot_bracket(resamples)
+
+    def boot_objective(x_rows: np.ndarray) -> np.ndarray:
+        # x_rows holds both golden-section probes of every resample
+        d = resamples - model_rows(x_rows).reshape(2, n_bootstrap, -1)
+        return (d ** 2).sum(axis=-1).ravel()
+
     boot = _golden_minimize(boot_objective, boot_lo, boot_hi)
     ci_low, ci_high = _percentile_ci(boot)
     return FitResult(

@@ -18,6 +18,21 @@ from the left output of coupler j, with vacuum at both edges.
 many values of t**2 at once; `path_sum_oracle` recomputes one distribution
 by brute-force enumeration of all 2**S transmit/cross decision paths and is
 kept deliberately independent of it so the two can check each other.
+
+Every amplitude is purely real or purely imaginary, so the recurrence runs
+on real numbers.  A cross contributes a factor i, and a path's input side
+at each row fixes the parity of its crossings so far (a same-side step
+flips the side into the next row, a cross keeps it), so all left inputs of
+a row share one phase and all right inputs the phase times -i.  Writing
+left = a * phase and right = -i * c * phase, one coupler gives
+
+    out_left  = (t*a + r*c) * phase
+    out_right = (r*a - t*c) * i * phase
+
+and the next row's inputs keep the same relation.  Only the real
+coefficients are carried; a probability is the coefficient squared.  The
+products and sums are those of the complex recurrence with its zero parts
+dropped, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -78,26 +93,27 @@ def bin_probabilities(stages: int, t_squared, input_port: str = "left") -> np.nd
     if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
         raise InvalidArgumentError("t_squared values must lie in [0, 1]")
     t = np.sqrt(x)
-    ir = 1j * np.sqrt(1.0 - x)
+    r = np.sqrt(1.0 - x)
 
-    # in_l[j] / in_r[j]: the left / right input of coupler j+1 in the current
-    # row, one column per t^2 value.  Coupler j of the next row takes the
-    # right output of coupler j-1 on its left and the left output of coupler
-    # j on its right; slots past the row and in_l[0] stay vacuum.
-    in_l = np.zeros((stages, x.size), dtype=np.complex128)
-    in_r = np.zeros((stages, x.size), dtype=np.complex128)
+    # in_l[j] / in_r[j]: the real coefficients a / c of the left / right
+    # input of coupler j+1 in the current row, one column per t^2 value.
+    # Coupler j of the next row takes the right output of coupler j-1 on
+    # its left and the left output of coupler j on its right; slots past
+    # the row and in_l[0] stay vacuum.
+    in_l = np.zeros((stages, x.size))
+    in_r = np.zeros((stages, x.size))
     (in_l if input_port == "left" else in_r)[0] = 1.0
     for row in range(1, stages + 1):
-        left, right = in_l[:row], in_r[:row]
-        out_l = t * left + ir * right
-        out_r = ir * left + t * right
+        a, c = in_l[:row], in_r[:row]
+        out_l = t * a + r * c
+        out_r = r * a - t * c
         if row < stages:
             in_r[:row] = out_l
             in_l[1:row + 1] = out_r
             in_l[0] = 0.0
     probs = np.empty((x.size, 2 * stages))
-    probs[:, 0::2] = (out_l.real ** 2 + out_l.imag ** 2).T
-    probs[:, 1::2] = (out_r.real ** 2 + out_r.imag ** 2).T
+    probs[:, 0::2] = (out_l ** 2).T
+    probs[:, 1::2] = (out_r ** 2).T
     return probs[0] if scalar else probs
 
 

@@ -1,9 +1,9 @@
 """Reference implementations that the vectorized code must reproduce exactly.
 
-These are the original loops: the dead-time and greedy pulse-pairing
-kernels, the window-by-window simulation and the row-by-row CSV tables.
-The package replaced them with vectorized forms; the parity tests compare
-the two element for element.
+These are the original forms: the walk on complex amplitudes, the
+dead-time and greedy pulse-pairing loops, the window-by-window simulation
+and the row-by-row CSV tables.  The package replaced them with real-valued
+or vectorized forms; the parity tests compare the two element for element.
 """
 
 from types import SimpleNamespace
@@ -12,6 +12,34 @@ import numpy as np
 
 from qgalton.readout import FLAG_NAMES
 from qgalton.walk import bin_probabilities
+
+
+def complex_bin_probabilities(stages, t_squared, input_port="left"):
+    """The coupler recurrence on complex amplitudes, one row at a time.
+
+    Each coupler maps (left, right) to (t*left + i*r*right, i*r*left +
+    t*right); coupler j of the next row takes the right output of coupler
+    j-1 on its left and the left output of coupler j on its right.
+    Returns (len(t_squared), 2*stages) probabilities |amplitude|**2.
+    """
+    x = np.atleast_1d(np.asarray(t_squared, dtype=np.float64))
+    t = np.sqrt(x)
+    ir = 1j * np.sqrt(1.0 - x)
+    in_l = np.zeros((stages, x.size), dtype=np.complex128)
+    in_r = np.zeros((stages, x.size), dtype=np.complex128)
+    (in_l if input_port == "left" else in_r)[0] = 1.0
+    for row in range(1, stages + 1):
+        left, right = in_l[:row], in_r[:row]
+        out_l = t * left + ir * right
+        out_r = ir * left + t * right
+        if row < stages:
+            in_r[:row] = out_l
+            in_l[1:row + 1] = out_r
+            in_l[0] = 0.0
+    probs = np.empty((x.size, 2 * stages))
+    probs[:, 0::2] = (out_l.real ** 2 + out_l.imag ** 2).T
+    probs[:, 1::2] = (out_r.real ** 2 + out_r.imag ** 2).T
+    return probs
 
 
 def dead_time_filter(pixels, times, n_pixels, dead_time):

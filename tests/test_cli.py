@@ -378,6 +378,20 @@ class TestFitCommands:
         assert code == EXIT_OK
         assert rep["fit"]["estimate"] == pytest.approx(500.0, rel=0.05)
 
+    @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson"])
+    @pytest.mark.parametrize("value", ["1e400", "NaN", "-Infinity", "1e19"])
+    def test_non_finite_count_exit_config(self, tmp_path, capsys, command,
+                                          value):
+        # refused before the integer cast, so no numpy warning reaches stderr
+        p = tmp_path / "values.json"
+        p.write_text(f"[{value}, 3, 4, 5]")
+        code, rep, err = run_cli(capsys, command, "--input", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "finite integers" in err
+
     def test_fit_input_missing_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "fit-poisson", "--input", "/no/file")
         assert code == EXIT_CONFIG
@@ -478,6 +492,38 @@ class TestDecodeTrace:
         p.write_text("0.0,-1.0\n500.0,-0.5\n")
         code, _, _ = run_cli(capsys, "decode-trace", "--input", str(p))
         assert code == EXIT_DECODE
+
+    def test_non_finite_pulse_exit_decode(self, tmp_path, capsys):
+        # a NaN amplitude is no polarity; it once paired as an ok event
+        path = self.write_trace(tmp_path, [3], [10e-9])
+        lines = Path(path).read_text().splitlines()
+        time_ns, amplitude = lines[2].split(",")
+        assert float(amplitude) > 0.0
+        lines[2] = f"{time_ns},nan"
+        Path(path).write_text("\n".join(lines) + "\n")
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", path)
+        assert code == EXIT_DECODE
+        assert rep is None
+        assert f"{path}:3:" in err and "finite" in err
+
+    @pytest.mark.parametrize("value", ["0.015", "nan", "inf"])
+    def test_segment_delay_under_tolerance_exit_config(self, tmp_path, capsys,
+                                                        value):
+        # a bad option is a configuration problem, not a decode failure
+        path = self.write_trace(tmp_path, [3], [10e-9])
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", path,
+                                 "--segment-delay-ns", value)
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert "segment_delay" in err
+
+    def test_oversized_pixel_count_exit_resource(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path, [3], [10e-9])
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", path,
+                                 "--pixel-count", "100000000000")
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert "pixel_count" in err and "124" in err
 
     def test_missing_file_exit_decode_is_config(self, capsys):
         # unreadable input is a configuration problem, not a decode failure

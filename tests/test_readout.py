@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgalton.detector import DetectionRecords
-from qgalton.errors import InvalidArgumentError
+from qgalton.errors import InvalidArgumentError, ResourceLimitError
 from qgalton.readout import (
     FLAG_NAMES,
     FLAG_OK,
@@ -55,6 +55,11 @@ class TestLineConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             LineConfig(**kwargs)
+
+    def test_pixel_count_bounded_by_largest_mesh(self):
+        assert LineConfig(pixel_count=124).pixel_count == 124
+        with pytest.raises(ResourceLimitError, match="124"):
+            LineConfig(pixel_count=125)
 
 
 class TestEncode:
@@ -260,11 +265,10 @@ class TestDecodeValidation:
             decode(TraceEvents(np.array([0.0]), np.array([0.0])), LineConfig())
 
     def test_oversize_tolerance_rejected(self):
-        # the 10 ps decode tolerance is not under half of a 15 ps segment
-        cfg = LineConfig(segment_delay=0.015e-9)
-        trace = encode(records_for([3], [0.0]), cfg)
-        with pytest.raises(InvalidArgumentError):
-            decode(trace, cfg)
+        # the 10 ps decode tolerance is not under half of a 15 ps segment;
+        # the line refuses such a geometry before any trace is decoded
+        with pytest.raises(InvalidArgumentError, match="decode tolerance"):
+            LineConfig(segment_delay=0.015e-9)
 
     def test_empty_trace(self):
         dec = decode(TraceEvents(np.array([]), np.array([])), LineConfig())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_impl
 from qgalton.detector import DetectorConfig, DetectorDraws, detect
@@ -126,6 +127,60 @@ class TestWindowRngParity:
                                 want.bit_generator.state)
         np.testing.assert_array_equal(got.normal(size=9), want.normal(size=9))
         np.testing.assert_array_equal(got.random(9), want.random(9))
+
+
+def draw_kind(rng, kind, size):
+    """One draw of a kind a run makes: counts, uniforms, pixels, jitter."""
+    if kind == "poisson":
+        return rng.poisson(3.0, size)
+    if kind == "random":
+        return rng.random(size)
+    if kind == "integers":
+        # a bounded draw under 2**32 takes 32-bit halves of a 64-bit word
+        return rng.integers(0, 16, size)
+    return rng.normal(0.0, 50e-12, size)
+
+
+DRAWS = st.lists(st.tuples(
+    st.sampled_from(["poisson", "random", "integers", "normal"]),
+    st.integers(0, 40)), max_size=8)
+
+
+class TestWindowRngRekey:
+    @settings(max_examples=80, deadline=None)
+    @given(first=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**63)),
+           key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**63)),
+           before=DRAWS, after=DRAWS)
+    def test_rekeyed_equals_fresh(self, first, key, before, after):
+        # whatever was drawn before, the re-keyed generator starts the
+        # window's stream afresh, including after a buffered half word
+        rng = window_rng(*first)
+        for kind, size in before:
+            draw_kind(rng, kind, size)
+        assert window_rng(*key, rng) is rng
+        fresh = reference_impl.window_rng(*key)
+        np.testing.assert_equal(rng.bit_generator.state,
+                                fresh.bit_generator.state)
+        for kind, size in after:
+            np.testing.assert_array_equal(draw_kind(rng, kind, size),
+                                          draw_kind(fresh, kind, size))
+
+    def test_odd_bounded_draw_leaves_half_word(self):
+        # the state the re-key must clear is reachable
+        rng = window_rng(3, 0)
+        rng.integers(0, 16, 3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        window_rng(3, 1, rng)
+        np.testing.assert_array_equal(
+            rng.integers(0, 16, 5),
+            reference_impl.window_rng(3, 1).integers(0, 16, 5))
+
+    def test_rekey_checks_its_arguments(self):
+        rng = window_rng(0, 0)
+        with pytest.raises(InvalidArgumentError):
+            window_rng(0, -1, rng)
+        with pytest.raises(InvalidArgumentError):
+            window_rng(2**64, 0, rng)
 
 
 def draw_run(mean, seed, windows, window=2e-6):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_impl
 from qgalton.errors import InvalidArgumentError, ResourceLimitError
 from qgalton.walk import MAX_STAGES, bin_probabilities, path_sum_oracle
 
@@ -248,3 +249,19 @@ class TestBinProbabilities:
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
             bin_probabilities(8, [0.5, np.nan])
+
+
+class TestComplexRecurrenceParity:
+    # both ends of the range, a regular grid and random values
+    T2 = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 101),
+                         np.random.default_rng(11).random(200)])
+
+    @pytest.mark.parametrize("input_port", ["left", "right"])
+    def test_real_walk_is_bit_equal(self, input_port):
+        # the real-coefficient walk drops only the exact zero parts of the
+        # complex recurrence, so every probability keeps its bits
+        for stages in range(1, MAX_STAGES + 1):
+            assert np.array_equal(
+                bin_probabilities(stages, self.T2, input_port),
+                reference_impl.complex_bin_probabilities(
+                    stages, self.T2, input_port)), stages
