@@ -36,7 +36,9 @@ from .errors import (
 from .readout import (
     DEFAULT_TOLERANCE,
     FLAG_TEXT,
+    DecodedEvents,
     LineConfig,
+    TraceEvents,
     decode,
     encode,
     flag_summary,
@@ -300,8 +302,8 @@ class SimulatedStream:
     truth_times: np.ndarray       # emitted photon times, absolute seconds
     truth_windows: np.ndarray     # emitted photon window indices
     records: DetectionRecords     # detector clicks, absolute times
-    trace: "np.ndarray | object"  # encoded pulse train (TraceEvents)
-    decoded: "np.ndarray | object"  # decoder output (DecodedEvents)
+    trace: TraceEvents            # encoded pulse train
+    decoded: DecodedEvents        # decoder output
 
 
 def _draw_windows(config: ExperimentConfig, det: DetectorConfig):

@@ -17,7 +17,8 @@ predecessor run the sequential rule, in a loop over those events alone.
 
 import numpy as np
 
-__all__ = ["BACKEND", "dead_time_filter", "pair_pulses"]
+__all__ = ["BACKEND", "dead_time_filter", "pair_pulses",
+           "searchsorted_sorted"]
 
 # Read by the benchmark harness (perfbench/worker.py, perfbench/run.py),
 # which stamps every result with the kernel implementation it timed.
@@ -55,7 +56,7 @@ def dead_time_filter(pixels, times, dead_time):
     return keep
 
 
-def _searchsorted_sorted(a, v, side):
+def searchsorted_sorted(a, v, side):
     """``np.searchsorted(a, v, side)`` for a sorted ``v``.
 
     Both runs are sorted, so one stable merge places every key; it costs
@@ -87,8 +88,8 @@ def pair_pulses(trigger_times, partner_times, window):
     if trig.size == 0 or n_part == 0:
         return match
     # candidates of trigger i are part[lo[i]:hi[i]]
-    lo = _searchsorted_sorted(part, trig - window, "left")
-    hi = np.maximum(_searchsorted_sorted(part, trig + window, "right"), lo)
+    lo = searchsorted_sorted(part, trig - window, "left")
+    hi = np.maximum(searchsorted_sorted(part, trig + window, "right"), lo)
     # cover[j]: how many trigger windows hold partner j
     cover = np.cumsum(np.bincount(lo, minlength=n_part + 1)
                       - np.bincount(hi, minlength=n_part + 1))

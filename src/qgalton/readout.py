@@ -13,10 +13,13 @@ the segment delay between neighbours.  The pair midpoint sits half the
 line span after the click, so the click time is recovered from the pair
 without knowing the pixel first.
 
-Decoding scans each expected spacing separately (nearest-match pairing at
-a tight tolerance), which keeps accidental cross-pairings between clicks
-that overlap on the line to coincidences at the tolerance scale instead
-of coincidences at the line-span scale.
+Decoding pairs pulses only at the expected spacings (nearest-match pairing
+at a tight tolerance around each pixel slot), which keeps accidental
+cross-pairings between clicks that overlap on the line to coincidences at
+the tolerance scale instead of coincidences at the line-span scale.  One
+sweep over the trace finds every pair whose spacing fits a slot; a pair
+that shares neither pulse with another candidate is taken at once, and
+only the contested pulses go through the slot-by-slot greedy passes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .detector import DetectionRecords
 from .errors import InvalidArgumentError, ResourceLimitError
-from .kernels import pair_pulses
+from .kernels import pair_pulses, searchsorted_sorted
 from .walk import MAX_STAGES
 
 FLAG_OK = 0
@@ -206,57 +209,153 @@ def _time_order(trace: TraceEvents, config: LineConfig):
     return order, trace.times[order], is_trig
 
 
+def _scan_order(pixel_count: int) -> np.ndarray:
+    """Slots in the order pairing visits them: the legal slots, then
+    SLOT_PAD slots beyond each end of the line, alternating outward."""
+    scan = list(range(pixel_count))
+    for k in range(1, SLOT_PAD + 1):
+        scan.append(-k)
+        scan.append(pixel_count - 1 + k)
+    return np.array(scan, dtype=np.int64)
+
+
+def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
+    """Every (trigger, partner, slot) whose spacing passes that slot's
+    pairing test, as three arrays: trigger and partner indices and slots.
+
+    The test is pair_pulses' window test: t = trigger + slot delay, then
+    t - DEFAULT_TOLERANCE <= partner <= t + DEFAULT_TOLERANCE in floating
+    point.  slot_delays holds the delay of slot s at s + SLOT_PAD.
+    """
+    n_pix = config.pixel_count
+    delta = config.segment_delay
+    # a pair passes a slot's test at most `slack` off the slot's exact
+    # spacing: the tolerance plus rounding at the largest time
+    largest = max(np.abs(trig_times).max(initial=0.0),
+                  np.abs(part_times).max(initial=0.0))
+    far = (n_pix - 1 + 2 * SLOT_PAD) * delta
+    slack = DEFAULT_TOLERANCE + 4.0 * float(np.spacing(largest + far))
+    lo = searchsorted_sorted(part_times, trig_times - (far + slack), "left")
+    hi = searchsorted_sorted(part_times, trig_times + (far + slack), "right")
+    n_cand = hi - lo
+    cand_trig = np.repeat(np.arange(trig_times.size), n_cand)
+    cand_part = (np.arange(cand_trig.size)
+                 - np.repeat(np.cumsum(n_cand) - n_cand - lo, n_cand))
+    del lo, hi, n_cand
+    trig_c = trig_times[cand_trig]
+    part_c = part_times[cand_part]
+    # try every slot within slack of the spacing; all lie in the scan
+    reach = slack / (2.0 * delta)
+    n_try = min(int(2.0 * reach) + 1, slot_delays.size)
+    first = np.clip(
+        np.ceil(0.5 * ((n_pix - 1) - (part_c - trig_c) / delta) - reach),
+        -SLOT_PAD, n_pix + SLOT_PAD - n_try).astype(np.int64)
+    found = []
+    for k in range(n_try):
+        slot = first + k
+        t = trig_c + slot_delays[slot + SLOT_PAD]
+        hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
+                             & (part_c <= t + DEFAULT_TOLERANCE))
+        found.append((cand_trig[hit], cand_part[hit], slot[hit]))
+    # decode sets a run's memory peak: drop the sweep's arrays before the
+    # copies below
+    del cand_trig, cand_part, trig_c, part_c, first, slot, t, hit
+    return tuple(np.concatenate(c) for c in zip(*found))
+
+
+def _pair(trig_times, part_times, config: LineConfig, scan: np.ndarray):
+    """The slot passes' pairing: each trigger's partner (-1 if none) and
+    the scan rank of the pass that paired it.
+
+    A pass pairs each trigger, in trigger order, with the nearest unused
+    partner that passes its slot's test.  A candidate whose trigger and
+    partner have no other candidate is paired in its slot's pass whatever
+    else that pass does, so it is taken at once.  Every other candidate
+    belongs to a contested group that shares no pulse with the rest, and
+    the passes run over those pulses alone.
+    """
+    slot_delays = config.slot_delay(
+        np.arange(-SLOT_PAD, config.pixel_count + SLOT_PAD))
+    cand_trig, cand_part, cand_slot = _candidates(trig_times, part_times,
+                                                  config, slot_delays)
+    trig_degree = np.bincount(cand_trig, minlength=trig_times.size)
+    part_degree = np.bincount(cand_part, minlength=part_times.size)
+    alone = (trig_degree[cand_trig] == 1) & (part_degree[cand_part] == 1)
+    # scan ranks fit uint8: LineConfig allows at most 124 + 2 * SLOT_PAD slots
+    rank_of_slot = np.empty(scan.size, dtype=np.uint8)  # at slot + SLOT_PAD
+    rank_of_slot[scan + SLOT_PAD] = np.arange(scan.size)
+    match = np.full(trig_times.size, -1, dtype=np.int64)
+    rank = np.zeros(trig_times.size, dtype=np.uint8)
+    match[cand_trig[alone]] = cand_part[alone]
+    rank[cand_trig[alone]] = rank_of_slot[cand_slot[alone] + SLOT_PAD]
+
+    contested = np.zeros(trig_times.size, dtype=bool)
+    contested[cand_trig[~alone]] = True
+    trig_pool = np.flatnonzero(contested)
+    contested = np.zeros(part_times.size, dtype=bool)
+    contested[cand_part[~alone]] = True
+    part_pool = np.flatnonzero(contested)
+    for r, slot in enumerate(scan):
+        shifted = trig_times[trig_pool] + slot_delays[slot + SLOT_PAD]
+        hit_part = pair_pulses(shifted, part_times[part_pool],
+                               DEFAULT_TOLERANCE)
+        hit = hit_part >= 0
+        match[trig_pool[hit]] = part_pool[hit_part[hit]]
+        rank[trig_pool[hit]] = r
+        trig_pool = trig_pool[~hit]
+        used = np.zeros(part_pool.size, dtype=bool)
+        used[hit_part[hit]] = True
+        part_pool = part_pool[~used]
+    return match, rank
+
+
 def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     """Recover clicks (pixel, time) from the pulse train.
 
-    Pairing runs one pass per candidate pixel slot: trigger pulses shifted
-    by that slot's expected spacing are matched to the nearest unused
-    counter pulse within DEFAULT_TOLERANCE.  Legal slots are scanned first,
-    then SLOT_PAD slots beyond each end of the line; a pair landing there is
-    structurally valid but names no physical pixel, so it is flagged
-    pixel_out_of_range.  Unmatched pulses come back as orphans.
+    A trigger pulse and a counter pulse pair in pixel slot s when their
+    spacing lies within DEFAULT_TOLERANCE of that slot's expected spacing.
+    Slots are visited in scan order, the legal slots first, then SLOT_PAD
+    slots beyond each end of the line; in each, triggers take the nearest
+    unused counter pulse in trigger order.  One sweep over the trace finds
+    every candidate pair; a pair that shares neither pulse with another
+    candidate is taken at once, and only the contested rest go through
+    the slot-by-slot passes.  A pair in a padding slot is structurally
+    valid but names no physical pixel, so it is flagged pixel_out_of_range.
+    Unmatched pulses come back as orphans.  Rows are sorted by origin time
+    (a pulse time for orphans); rows of equal time keep pass order, then
+    trigger orphans, then counter orphans.
     """
     order, times, is_trig = _time_order(trace, config)
     sign = _trigger_sign(config)
-    trig_pos_in_trace = order[is_trig]
-    part_pos_in_trace = order[~is_trig]
-    trig_times = times[is_trig]
-    part_times = times[~is_trig]
+    trig_at = np.flatnonzero(is_trig)
+    part_at = np.flatnonzero(~is_trig)
+    trig_pos_in_trace = order[trig_at]
+    part_pos_in_trace = order[part_at]
+    trig_times = times[trig_at]
+    part_times = times[part_at]
+    # the sweep below sets a run's memory peak; keep only what it needs
+    del order, times, is_trig, trig_at, part_at
 
     trig_flag = FLAG_ORPHAN_NEGATIVE if sign < 0 else FLAG_ORPHAN_POSITIVE
     part_flag = FLAG_ORPHAN_POSITIVE if sign < 0 else FLAG_ORPHAN_NEGATIVE
 
     n_pix = config.pixel_count
-    slots = list(range(n_pix))
-    for k in range(1, SLOT_PAD + 1):
-        slots.append(-k)
-        slots.append(n_pix - 1 + k)
+    scan = _scan_order(n_pix)
+    match, rank = _pair(trig_times, part_times, config, scan)
 
-    trig_pool = np.arange(trig_times.size, dtype=np.int64)
-    part_pool = np.arange(part_times.size, dtype=np.int64)
-
-    no_pairs = np.empty(0, dtype=np.int64)
-    pair_trig: list[np.ndarray] = [no_pairs]
-    pair_part: list[np.ndarray] = [no_pairs]
-    pair_slot: list[np.ndarray] = [no_pairs]
-    for slot in slots:
-        if trig_pool.size == 0 or part_pool.size == 0:
-            break
-        offset = float(config.slot_delay(slot))
-        match = pair_pulses(trig_times[trig_pool] + offset,
-                            part_times[part_pool], DEFAULT_TOLERANCE)
-        hit = match >= 0
-        pair_trig.append(trig_pool[hit])
-        pair_part.append(part_pool[match[hit]])
-        pair_slot.append(np.full(int(hit.sum()), slot, dtype=np.int64))
-        trig_pool = trig_pool[~hit]
-        used = np.zeros(part_pool.size, dtype=bool)
-        used[match[hit]] = True
-        part_pool = part_pool[~used]
-
-    p_trig = np.concatenate(pair_trig)
-    p_part = np.concatenate(pair_part)
-    p_slot = np.concatenate(pair_slot)
+    # pairs in the order the passes found them: by scan rank, then trigger
+    paired = match >= 0
+    p_trig = np.flatnonzero(paired)
+    p_rank = rank[p_trig]
+    by_rank = np.argsort(p_rank, kind="stable")
+    p_trig = p_trig[by_rank]
+    p_part = match[p_trig]
+    p_slot = scan[p_rank[by_rank]]
+    trig_pool = np.flatnonzero(~paired)
+    used = np.zeros(part_times.size, dtype=bool)
+    used[p_part] = True
+    part_pool = np.flatnonzero(~used)
+    del match, rank, paired, p_rank, by_rank, used
 
     half_span = 0.5 * config.span
     pair_origin = 0.5 * (trig_times[p_trig] + part_times[p_part]) - half_span

@@ -37,6 +37,11 @@ T2_GRID_POINTS = 513
 MAX_BOOTSTRAP_CELLS = 2**23
 _GOLDEN_ITERATIONS = 48
 _MIN_EXPECTED = 5.0
+# fit_exponential searches a bracket about 20 mean gaps wide.  Brent's
+# parabolic step in _fminbound multiplies two bracket-wide differences by
+# at most 8 objective units (a squared-mass residual is at most 2), so a
+# mean gap above this would overflow it
+_MAX_MEAN_GAP = float(np.sqrt(np.finfo(float).max / 8.0) / 20.0)
 
 
 def check_bootstrap_size(n_bootstrap: int, columns: int) -> None:
@@ -460,6 +465,10 @@ def fit_exponential(intervals, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     mean_gap = float(gaps.mean())
     if mean_gap <= 0.0:
         raise DegenerateFitError("all gaps are zero; no timescale to fit")
+    if mean_gap > _MAX_MEAN_GAP:
+        raise InvalidArgumentError(
+            f"gaps: mean gap {mean_gap:g} exceeds {_MAX_MEAN_GAP:.3g}, "
+            "past which the fit's bracket search overflows")
 
     edges, counts = _gap_bins(gaps)
     freq = counts / n

@@ -1,8 +1,8 @@
 """Reference implementations that the vectorized code must reproduce exactly.
 
 These are the original forms: the walk on complex amplitudes, the
-dead-time and greedy pulse-pairing loops, the window-by-window simulation
-and the row-by-row CSV tables.  The package replaced them with real-valued
+dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, the
+window-by-window simulation and the row-by-row CSV tables.  The package replaced them with real-valued
 or vectorized forms; the parity tests compare the two element for element.
 """
 
@@ -10,7 +10,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qgalton.readout import FLAG_NAMES
+from qgalton import kernels
+from qgalton.readout import (
+    DEFAULT_TOLERANCE,
+    FLAG_NAMES,
+    FLAG_OK,
+    FLAG_ORPHAN_NEGATIVE,
+    FLAG_ORPHAN_POSITIVE,
+    FLAG_PIXEL_OUT_OF_RANGE,
+    SLOT_PAD,
+    DecodedEvents,
+    _time_order,
+    _trigger_sign,
+)
 from qgalton.walk import bin_probabilities
 
 
@@ -188,6 +200,94 @@ def pair_pulses(trigger_times, partner_times, window):
             used[best] = True
             match[i] = best
     return match
+
+
+def decode(trace, config):
+    """Recover clicks (pixel, time) from the pulse train, slot by slot.
+
+    Pairing runs one pass per candidate pixel slot: trigger pulses shifted
+    by that slot's expected spacing are matched to the nearest unused
+    counter pulse within DEFAULT_TOLERANCE.  Legal slots are scanned first,
+    then SLOT_PAD slots beyond each end of the line; a pair landing there is
+    structurally valid but names no physical pixel, so it is flagged
+    pixel_out_of_range.  Unmatched pulses come back as orphans.
+    """
+    order, times, is_trig = _time_order(trace, config)
+    sign = _trigger_sign(config)
+    trig_pos_in_trace = order[is_trig]
+    part_pos_in_trace = order[~is_trig]
+    trig_times = times[is_trig]
+    part_times = times[~is_trig]
+
+    trig_flag = FLAG_ORPHAN_NEGATIVE if sign < 0 else FLAG_ORPHAN_POSITIVE
+    part_flag = FLAG_ORPHAN_POSITIVE if sign < 0 else FLAG_ORPHAN_NEGATIVE
+
+    n_pix = config.pixel_count
+    slots = list(range(n_pix))
+    for k in range(1, SLOT_PAD + 1):
+        slots.append(-k)
+        slots.append(n_pix - 1 + k)
+
+    trig_pool = np.arange(trig_times.size, dtype=np.int64)
+    part_pool = np.arange(part_times.size, dtype=np.int64)
+
+    no_pairs = np.empty(0, dtype=np.int64)
+    pair_trig = [no_pairs]
+    pair_part = [no_pairs]
+    pair_slot = [no_pairs]
+    for slot in slots:
+        if trig_pool.size == 0 or part_pool.size == 0:
+            break
+        offset = float(config.slot_delay(slot))
+        match = kernels.pair_pulses(trig_times[trig_pool] + offset,
+                                    part_times[part_pool], DEFAULT_TOLERANCE)
+        hit = match >= 0
+        pair_trig.append(trig_pool[hit])
+        pair_part.append(part_pool[match[hit]])
+        pair_slot.append(np.full(int(hit.sum()), slot, dtype=np.int64))
+        trig_pool = trig_pool[~hit]
+        used = np.zeros(part_pool.size, dtype=bool)
+        used[match[hit]] = True
+        part_pool = part_pool[~used]
+
+    p_trig = np.concatenate(pair_trig)
+    p_part = np.concatenate(pair_part)
+    p_slot = np.concatenate(pair_slot)
+
+    half_span = 0.5 * config.span
+    pair_origin = 0.5 * (trig_times[p_trig] + part_times[p_part]) - half_span
+    pair_flags = np.where((p_slot >= 0) & (p_slot < n_pix),
+                          FLAG_OK, FLAG_PIXEL_OUT_OF_RANGE).astype(np.int8)
+
+    rows_pixel = [p_slot]
+    rows_time = [pair_origin]
+    rows_flag = [pair_flags]
+    rows_trig = [trig_pos_in_trace[p_trig]]
+    rows_part = [part_pos_in_trace[p_part]]
+    rows_sort = [pair_origin]
+
+    rows_pixel.append(np.full(trig_pool.size, -1, dtype=np.int64))
+    rows_time.append(np.full(trig_pool.size, np.nan))
+    rows_flag.append(np.full(trig_pool.size, trig_flag, dtype=np.int8))
+    rows_trig.append(trig_pos_in_trace[trig_pool])
+    rows_part.append(np.full(trig_pool.size, -1, dtype=np.int64))
+    rows_sort.append(trig_times[trig_pool])
+    rows_pixel.append(np.full(part_pool.size, -1, dtype=np.int64))
+    rows_time.append(np.full(part_pool.size, np.nan))
+    rows_flag.append(np.full(part_pool.size, part_flag, dtype=np.int8))
+    rows_trig.append(np.full(part_pool.size, -1, dtype=np.int64))
+    rows_part.append(part_pos_in_trace[part_pool])
+    rows_sort.append(part_times[part_pool])
+
+    sort_key = np.concatenate(rows_sort)
+    order = np.argsort(sort_key, kind="stable")
+    return DecodedEvents(
+        pixels=np.concatenate(rows_pixel)[order],
+        origin_times=np.concatenate(rows_time)[order],
+        flags=np.concatenate(rows_flag)[order],
+        trigger_index=np.concatenate(rows_trig)[order],
+        partner_index=np.concatenate(rows_part)[order],
+    )
 
 
 def events_table(stream, window: float, n_windows: int):

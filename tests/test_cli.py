@@ -378,6 +378,27 @@ class TestFitCommands:
         assert code == EXIT_OK
         assert rep["fit"]["estimate"] == pytest.approx(500.0, rel=0.05)
 
+    def test_fit_exponential_huge_gaps_exit_config(self, tmp_path):
+        # refused before the bracket search, whose products would overflow;
+        # a fresh interpreter shows any numpy warning on its stderr
+        p = tmp_path / "gaps.json"
+        p.write_text("[1e300, 2e300]")
+        src = str(Path(qgalton.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgalton.cli", "fit-exponential",
+             "--input", str(p)],
+            capture_output=True, text=True, check=False, cwd=tmp_path,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: gaps: mean gap 1.5e+300")
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson"])
     @pytest.mark.parametrize("value", ["1e400", "NaN", "-Infinity", "1e19"])
     def test_non_finite_count_exit_config(self, tmp_path, capsys, command,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qgalton.experiments import (
     EXPERIMENTS,
     MAX_EXPECTED_COUNTS,
     MAX_WINDOWS,
+    SimulatedStream,
     _csv_lines,
     _events_table,
     _truth_table,
@@ -25,7 +27,7 @@ from qgalton.experiments import (
     simulate_stream,
     write_outputs,
 )
-from qgalton.readout import DecodedEvents
+from qgalton.readout import DecodedEvents, TraceEvents
 from qgalton.stats import MAX_BOOTSTRAP_CELLS, T2_GRID_POINTS
 
 
@@ -194,6 +196,14 @@ class TestSimulateStream:
     def test_clicks_no_more_than_photons(self):
         stream = simulate_stream(small("interference"))
         assert len(stream.records) <= stream.truth_pixels.size
+
+    def test_trace_and_decoded_types(self):
+        hints = get_type_hints(SimulatedStream)
+        assert hints["trace"] is TraceEvents
+        assert hints["decoded"] is DecodedEvents
+        stream = simulate_stream(small("counting", windows=20))
+        assert isinstance(stream.trace, TraceEvents)
+        assert isinstance(stream.decoded, DecodedEvents)
 
     def test_emission_rate(self):
         stream = simulate_stream(small("counting"))

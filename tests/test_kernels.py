@@ -162,7 +162,9 @@ class TestPairPulsesParity:
         monkeypatch.setattr(readout, "pair_pulses", recording)
         simulate_stream(config_from_dict(
             "counting", {"mean_photon_number": 30.0, "windows": 300}, seed=1))
-        assert len(passes) >= 16  # one per pixel slot until a pool empties
+        # one pass per slot (16 pixels, 2 padding slots at each end), over
+        # the pulses whose candidates are contested
+        assert 1 <= len(passes) <= 20
         contested = 0
         for trig, part, window in passes:
             lo = np.searchsorted(part, trig - window, side="left")

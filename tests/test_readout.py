@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_impl
 from qgalton.detector import DetectionRecords
 from qgalton.errors import InvalidArgumentError, ResourceLimitError
+from qgalton.experiments import config_from_dict, simulate_stream
 from qgalton.readout import (
+    DEFAULT_TOLERANCE,
     FLAG_NAMES,
     FLAG_OK,
     FLAG_ORPHAN_NEGATIVE,
     FLAG_ORPHAN_POSITIVE,
     FLAG_PIXEL_OUT_OF_RANGE,
+    SLOT_PAD,
     LineConfig,
     TraceEvents,
     decode,
@@ -273,6 +278,80 @@ class TestDecodeValidation:
     def test_empty_trace(self):
         dec = decode(TraceEvents(np.array([]), np.array([])), LineConfig())
         assert len(dec) == 0
+
+
+def assert_same_decode(got, want):
+    for name in ("pixels", "origin_times", "flags", "trigger_index",
+                 "partner_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+@st.composite
+def grid_traces(draw):
+    """Pulses on a grid of segment-delay multiples, each moved by at most
+    the pairing tolerance: most triggers have candidates in several slots
+    and share partners with their neighbours, and exact window edges are
+    common.  A large base time makes the slot tests round off."""
+    config = LineConfig(
+        pixel_count=draw(st.sampled_from([1, 16, 124])),
+        segment_delay=draw(st.sampled_from([0.9e-9, 25e-12])),
+        trigger_polarity=draw(st.sampled_from(["negative", "positive"])))
+    n = draw(st.integers(0, 40))
+    reach = config.pixel_count + 2 * SLOT_PAD
+    steps = np.array(draw(st.lists(st.integers(0, 2 * reach), min_size=n,
+                                   max_size=n)), dtype=float)
+    shifts = np.array(draw(st.lists(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        | st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    only = draw(st.sampled_from([None, -1.0, 1.0]))  # one polarity only
+    if only is None:
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                       min_size=n, max_size=n)))
+    else:
+        signs = np.full(n, only)
+    base = draw(st.sampled_from([0.0, 3e-6, 1e5, 1e9]))
+    times = (base + steps * config.segment_delay
+             + shifts * DEFAULT_TOLERANCE)
+    amplitudes = signs * draw(st.floats(0.1, 1.0))
+    return TraceEvents(times, amplitudes), config
+
+
+class TestDecodeParity:
+    """The one-sweep decoder returns the slot-by-slot loop's rows exactly."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(grid_traces())
+    def test_matches_reference_loop(self, case):
+        trace, config = case
+        assert_same_decode(decode(trace, config),
+                           reference_impl.decode(trace, config))
+
+    def test_saturated_run(self):
+        # 30 photons per window: clicks overlap on the line, and about 0.6%
+        # of the pulses contest a partner
+        config = config_from_dict("counting", {"mean_photon_number": 30.0},
+                                  seed=1)
+        stream = simulate_stream(config)
+        assert_same_decode(stream.decoded, reference_impl.decode(
+            stream.trace, config.line_config()))
+
+    def test_readout_round_trip_sets(self):
+        # the event sets of the readout round-trip acceptance gate: one
+        # click per pixel, then the random sparse sets
+        line = LineConfig()
+        trace = encode(records_for(np.arange(16), np.arange(16) * 1e-6), line)
+        assert_same_decode(decode(trace, line),
+                           reference_impl.decode(trace, line))
+        rng = np.random.default_rng(99)
+        for _ in range(10_000):
+            n = int(rng.integers(1, 9))
+            t = np.sort(rng.uniform(0.0, 5e-5, n))
+            px = rng.integers(0, 16, n).astype(np.int64)
+            trace = encode(records_for(px, t), line)
+            assert_same_decode(decode(trace, line),
+                               reference_impl.decode(trace, line))
 
 
 class TestPersistence:

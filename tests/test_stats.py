@@ -26,6 +26,7 @@ from qgalton.stats import (
     fit_t2,
     mean_consistency,
     poisson_pmf,
+    _MAX_MEAN_GAP,
     _fminbound,
     _grid_degeneracy,
 )
@@ -150,6 +151,17 @@ class TestFitExponential:
             fit_exponential(np.array([0.5, -0.1]))
         with pytest.raises(DegenerateFitError):
             fit_exponential(np.zeros(10))
+
+    def test_largest_mean_gap_fits_without_overflow(self):
+        gaps = np.random.default_rng(8).exponential(1.0, 50)
+        gaps *= 0.999 * _MAX_MEAN_GAP / gaps.mean()
+        with np.errstate(all="raise"):
+            r = fit_exponential(gaps, n_bootstrap=10, seed=0)
+        assert r.estimate == pytest.approx(
+            fit_exponential(gaps / _MAX_MEAN_GAP, n_bootstrap=10,
+                            seed=0).estimate * _MAX_MEAN_GAP, rel=1e-5)
+        with pytest.raises(InvalidArgumentError, match="mean gap"):
+            fit_exponential(gaps * 1.01)
 
 
 class TestChiSquare:
