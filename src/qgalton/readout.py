@@ -219,47 +219,73 @@ def _scan_order(pixel_count: int) -> np.ndarray:
     return np.array(scan, dtype=np.int64)
 
 
+# candidates the sweep holds at once: at under 100 bytes each, this bounds
+# the sweep's own memory at about 1.5 MiB however dense the trace is (a
+# denser trace takes more blocks, not more memory), under the trace-sized
+# arrays around it; at 30 photons per window it also runs faster than one
+# block of every candidate
+_BLOCK = 1 << 14
+
+
 def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
     """Every (trigger, partner, slot) whose spacing passes that slot's
     pairing test, as three arrays: trigger and partner indices and slots.
 
     The test is pair_pulses' window test: t = trigger + slot delay, then
     t - DEFAULT_TOLERANCE <= partner <= t + DEFAULT_TOLERANCE in floating
-    point.  slot_delays holds the delay of slot s at s + SLOT_PAD.
+    point.  slot_delays holds the delay of slot s at s + SLOT_PAD.  The
+    sweep runs over blocks of triggers with about _BLOCK candidates each,
+    and keeps only the pairs that pass.
     """
     n_pix = config.pixel_count
     delta = config.segment_delay
-    # a pair passes a slot's test at most `slack` off the slot's exact
-    # spacing: the tolerance plus rounding at the largest time
-    largest = max(np.abs(trig_times).max(initial=0.0),
-                  np.abs(part_times).max(initial=0.0))
     far = (n_pix - 1 + 2 * SLOT_PAD) * delta
-    slack = DEFAULT_TOLERANCE + 4.0 * float(np.spacing(largest + far))
-    lo = searchsorted_sorted(part_times, trig_times - (far + slack), "left")
-    hi = searchsorted_sorted(part_times, trig_times + (far + slack), "right")
-    n_cand = hi - lo
-    cand_trig = np.repeat(np.arange(trig_times.size), n_cand)
-    cand_part = (np.arange(cand_trig.size)
-                 - np.repeat(np.cumsum(n_cand) - n_cand - lo, n_cand))
-    del lo, hi, n_cand
-    trig_c = trig_times[cand_trig]
-    part_c = part_times[cand_part]
-    # try every slot within slack of the spacing; all lie in the scan
-    reach = slack / (2.0 * delta)
-    n_try = min(int(2.0 * reach) + 1, slot_delays.size)
-    first = np.clip(
-        np.ceil(0.5 * ((n_pix - 1) - (part_c - trig_c) / delta) - reach),
-        -SLOT_PAD, n_pix + SLOT_PAD - n_try).astype(np.int64)
-    found = []
-    for k in range(n_try):
-        slot = first + k
-        t = trig_c + slot_delays[slot + SLOT_PAD]
-        hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
-                             & (part_c <= t + DEFAULT_TOLERANCE))
-        found.append((cand_trig[hit], cand_part[hit], slot[hit]))
-    # decode sets a run's memory peak: drop the sweep's arrays before the
-    # copies below
-    del cand_trig, cand_part, trig_c, part_c, first, slot, t, hit
+
+    def slack(abs_time):
+        # a pair passes a slot's test at most this far off the slot's exact
+        # spacing: the tolerance plus rounding at the pair's times, under
+        # four ulp of 2 * (|trigger| + far + tolerance) for any pair that
+        # passes; an ulp of x is at most 2**-52 * x, and this takes eight
+        return DEFAULT_TOLERANCE + 2.0**-48 * (abs_time
+                                               + (far + DEFAULT_TOLERANCE))
+
+    # searchsorted_sorted needs sorted keys: widen each window to the
+    # running bound, which only adds candidates that fail the test
+    width = far + slack(np.abs(trig_times))
+    lo = searchsorted_sorted(part_times, np.minimum.accumulate(
+        (trig_times - width)[::-1])[::-1], "left")
+    ends = np.cumsum(searchsorted_sorted(part_times, np.maximum.accumulate(
+        trig_times + width), "right") - lo)
+    # only lo and ends, one entry per trigger, live through the blocks
+    del width
+    found = [(np.empty(0, np.int64),) * 3]
+    start = 0
+    while start < trig_times.size:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, before + _BLOCK, "right")),
+                   start + 1)
+        n_cand = np.diff(ends[start:stop], prepend=before)
+        cand_trig = np.repeat(np.arange(start, stop), n_cand)
+        cand_part = (np.arange(before, ends[stop - 1])
+                     - np.repeat(ends[start:stop] - n_cand - lo[start:stop],
+                                 n_cand))
+        trig_c = trig_times[cand_trig]
+        part_c = part_times[cand_part]
+        # try every slot within slack of the spacing; all lie in the scan.
+        # The block's times are sorted, so its largest |time| is at an end
+        reach = slack(max(abs(trig_times[start]), abs(trig_times[stop - 1]))
+                      ) / (2.0 * delta)
+        n_try = min(int(2.0 * reach) + 1, slot_delays.size)
+        first = np.clip(
+            np.ceil(0.5 * ((n_pix - 1) - (part_c - trig_c) / delta) - reach),
+            -SLOT_PAD, n_pix + SLOT_PAD - n_try).astype(np.int64)
+        for k in range(n_try):
+            slot = first + k
+            t = trig_c + slot_delays[slot + SLOT_PAD]
+            hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
+                                 & (part_c <= t + DEFAULT_TOLERANCE))
+            found.append((cand_trig[hit], cand_part[hit], slot[hit]))
+        start = stop
     return tuple(np.concatenate(c) for c in zip(*found))
 
 

@@ -12,6 +12,7 @@ reproducible bit for bit.
 
 import numpy as np
 
+import reference_impl
 from qgalton.detector import DetectionRecords
 from qgalton.experiments import (
     config_from_dict,
@@ -27,6 +28,14 @@ def verdict(tag: str, ok: bool, detail: str) -> None:
     line = f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}"
     print("\n" + line, flush=True)
     assert ok, line
+
+
+def same_rows(a, b):
+    """Every DecodedEvents field equal, dtype included (nan equals nan)."""
+    return all(
+        x.dtype == y.dtype
+        and np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+        for x, y in zip(vars(a).values(), vars(b).values()))
 
 
 def test_1_oracle_equivalence():
@@ -82,7 +91,8 @@ def test_3_transmission_closure():
 
 def test_4_readout_round_trip():
     """Encode then decode returns every event, and the pixel-to-pixel
-    arrival-time step is the designed 1.8 ns."""
+    arrival-time step is the designed 1.8 ns.  Every decode also returns
+    the slot-by-slot reference loop's rows."""
     line = LineConfig()
     sigma = 50e-12  # detector timing jitter the decoder must stay within
 
@@ -93,6 +103,7 @@ def test_4_readout_round_trip():
                            is_dark=np.zeros(16, dtype=bool))
     trace = encode(rec, line)
     dec = decode(trace, line)
+    same = int(same_rows(dec, reference_impl.decode(trace, line)))
     ok_pixels = bool(dec.ok.all()) and np.array_equal(
         np.sort(dec.pixels), pixels)
     order = np.argsort(dec.origin_times)
@@ -114,7 +125,9 @@ def test_4_readout_round_trip():
         px = rng.integers(0, 16, n).astype(np.int64)
         r = DetectionRecords(pixels=px, times=t,
                              is_dark=np.zeros(n, dtype=bool))
-        d = decode(encode(r, line), line)
+        trace = encode(r, line)
+        d = decode(trace, line)
+        same += same_rows(d, reference_impl.decode(trace, line))
         if not d.ok.all():
             continue
         got = sorted(zip(d.origin_times, d.pixels))
@@ -123,11 +136,12 @@ def test_4_readout_round_trip():
                for (gt, gp), (wt, wp) in zip(got, want)):
             sets_ok += 1
     ok = (ok_pixels and max_err <= 2 * sigma and step_err < 1e-15
-          and sets_ok == n_sets)
+          and sets_ok == n_sets and same == n_sets + 1)
     verdict("4/9 readout round trip", ok,
             f"16/16 pixels exact, origin error {max_err:.1e} s "
             f"(<= {2 * sigma:.1e}), pixel step within {step_err:.1e} s of "
-            f"1.8 ns, {sets_ok}/{n_sets} random sparse sets exact")
+            f"1.8 ns, {sets_ok}/{n_sets} random sparse sets exact, "
+            f"{same}/{n_sets + 1} decodes equal the slot loop's")
 
 
 def test_5_poisson_counting():

@@ -1,10 +1,13 @@
 """Tests for the delay-line readout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impl
+from qgalton import readout
 from qgalton.detector import DetectionRecords
 from qgalton.errors import InvalidArgumentError, ResourceLimitError
 from qgalton.experiments import config_from_dict, simulate_stream
@@ -325,8 +328,13 @@ class TestDecodeParity:
     @given(grid_traces())
     def test_matches_reference_loop(self, case):
         trace, config = case
-        assert_same_decode(decode(trace, config),
-                           reference_impl.decode(trace, config))
+        want = reference_impl.decode(trace, config)
+        assert_same_decode(decode(trace, config), want)
+        # blocks of a few candidates: triggers split across blocks, and
+        # single triggers with more candidates than a block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(readout, "_BLOCK", 3)
+            assert_same_decode(decode(trace, config), want)
 
     def test_saturated_run(self):
         # 30 photons per window: clicks overlap on the line, and about 0.6%
@@ -337,21 +345,25 @@ class TestDecodeParity:
         assert_same_decode(stream.decoded, reference_impl.decode(
             stream.trace, config.line_config()))
 
-    def test_readout_round_trip_sets(self):
-        # the event sets of the readout round-trip acceptance gate: one
-        # click per pixel, then the random sparse sets
-        line = LineConfig()
-        trace = encode(records_for(np.arange(16), np.arange(16) * 1e-6), line)
-        assert_same_decode(decode(trace, line),
-                           reference_impl.decode(trace, line))
-        rng = np.random.default_rng(99)
-        for _ in range(10_000):
-            n = int(rng.integers(1, 9))
-            t = np.sort(rng.uniform(0.0, 5e-5, n))
-            px = rng.integers(0, 16, n).astype(np.int64)
-            trace = encode(records_for(px, t), line)
-            assert_same_decode(decode(trace, line),
-                               reference_impl.decode(trace, line))
+    def test_dense_trace_memory_within_loop(self):
+        # 124 pixels at 0.1 pulses/ns: each trigger has about a dozen
+        # counter pulses within the line span, so the (trigger, partner)
+        # candidates outnumber the pulses; the sweep takes them in blocks
+        # and its peak stays under the slot loop's
+        rng = np.random.default_rng(5)
+        n = 100_000
+        trace = TraceEvents(np.sort(rng.uniform(0.0, n * 10e-9, n)),
+                            rng.choice([-1.0, 1.0], n))
+        config = LineConfig(pixel_count=124)
+        peaks, outs = [], []
+        for run in (decode, reference_impl.decode):
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            outs.append(run(trace, config))
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            tracemalloc.stop()
+        assert_same_decode(*outs)
+        assert peaks[0] <= peaks[1], peaks
 
 
 class TestPersistence:
