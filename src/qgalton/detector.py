@@ -7,7 +7,9 @@ ignores further photons and the blocked photons do not extend the recovery
 each pixel also fires spontaneously at a low dark rate.
 
 The random draws are made window by window (`draw_window`), each window on
-its own stream; `detect` then runs the whole run at once.
+its own stream; `detect` then runs the whole run at once, on one absolute
+timeline, so a pixel still recovering at the end of a window stays blind
+into the next.
 """
 
 from __future__ import annotations
@@ -137,12 +139,13 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
            window: float) -> DetectionRecords:
     """Run the photons of a run through the detector array.
 
-    Each photon has a time from the start of its window, an output bin (bins
-    map one-to-one onto pixels) and a window index, as `sample_arrivals` and
-    `assign_bins` give them.  Every window starts with the detector
-    recovered, as if it ran alone: the dead time acts within a pixel and a
-    window.  Window w's clicks are placed on the run's timeline at
-    w * window, in window order and sorted by time within each window.
+    Each photon has an absolute time on the run's timeline, an output bin
+    (bins map one-to-one onto pixels) and a window index, as
+    `sample_arrivals` and `assign_bins` give them; window w's dark counts
+    land on the same timeline at w * window.  The array watches the whole
+    record without a break: a pixel's dead time carries across window
+    edges.  Jitter is added on the absolute timeline and the clicks come
+    back sorted by recorded time, a photon before a dark count on a tie.
     """
     if not times.shape == bins.shape == windows.shape:
         raise InvalidArgumentError(
@@ -162,40 +165,53 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
 
     # efficiency thinning: each photon independently survives with prob eta
     if config.efficiency < 1.0:
-        survive = draws.keep < config.efficiency
+        survive = np.flatnonzero(draws.keep < config.efficiency)
         times, bins, windows = times[survive], bins[survive], windows[survive]
     is_dark = np.zeros(times.size, dtype=bool)
 
     if config.dark_count_rate > 0.0:
-        times = np.concatenate([times, draws.dark_times])
+        dark_windows = np.repeat(np.arange(n_windows, dtype=np.int64),
+                                 draws.dark_counts)
+        times = np.concatenate(
+            [times, draws.dark_times + dark_windows * window])
         bins = np.concatenate([bins, draws.dark_pixels])
-        windows = np.concatenate([windows, np.repeat(
-            np.arange(n_windows, dtype=np.int64), draws.dark_counts)])
+        windows = np.concatenate([windows, dark_windows])
         is_dark = np.concatenate(
             [is_dark, np.ones(draws.dark_times.size, dtype=bool)])
+        del dark_windows
 
-    # stable: on a tie the photon comes before the dark count
-    order = np.lexsort((times, windows))
+    # stable: on a tie the photon comes before the dark count.  Each stage
+    # frees its index arrays as it goes, which keeps a run's peak RSS down
+    order = np.argsort(times, kind="stable")
     times, bins, windows, is_dark = (times[order], bins[order],
                                      windows[order], is_dark[order])
+    del order
 
     if config.dead_time > 0.0 and times.size:
-        # one pixel of one window is one group: each window starts recovered
-        alive = dead_time_filter(windows * config.pixel_count + bins, times,
-                                 config.dead_time)
+        # one group per pixel over the whole record; labels this narrow
+        # let the filter's stable sort take numpy's radix path
+        labels = bins.astype(np.min_scalar_type(config.pixel_count - 1))
+        alive = np.flatnonzero(
+            dead_time_filter(labels, times, config.dead_time))
+        del labels
         times, bins, windows, is_dark = (times[alive], bins[alive],
                                          windows[alive], is_dark[alive])
+        del alive
 
     if config.jitter_sigma > 0.0 and times.size:
-        # the k-th click of window w takes that window's k-th jitter draw
-        first_draw = np.cumsum(draws.jitter_counts) - draws.jitter_counts
-        first_click = np.searchsorted(windows, windows, side="left")
-        k = np.arange(windows.size) - first_click
-        times = times + draws.jitter[first_draw[windows] + k]
-        order = np.lexsort((times, windows))
-        times, bins, windows, is_dark = (times[order], bins[order],
-                                         windows[order], is_dark[order])
+        # the k-th click of window w takes that window's k-th jitter draw.
+        # Rounding can put a click of window w + 1 before one of window w,
+        # so k counts along a stable sort by window, not along the record.
+        spare = draws.jitter_counts - np.bincount(windows, minlength=n_windows)
+        shift = np.cumsum(spare) - spare
+        by_window = np.argsort(windows, kind="stable")
+        jitter = np.empty(times.size)
+        jitter[by_window] = draws.jitter[
+            np.arange(times.size) + shift[windows[by_window]]]
+        del windows, by_window
+        times = times + jitter
+        del jitter
+        order = np.argsort(times, kind="stable")
+        times, bins, is_dark = times[order], bins[order], is_dark[order]
 
-    return DetectionRecords(pixels=bins, times=times + windows * window,
-                            is_dark=is_dark)
-
+    return DetectionRecords(pixels=bins, times=times, is_dark=is_dark)

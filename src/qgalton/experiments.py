@@ -340,7 +340,7 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     line = config.line_config()
 
     arrivals, bin_uniforms, draws = _draw_windows(config, det)
-    times, windows = sample_arrivals(arrivals)
+    times, windows = sample_arrivals(arrivals, config.window)
     bins = assign_bins(probs, bin_uniforms)
     del arrivals, bin_uniforms
     records = detect(times, bins, windows, det, draws, config.window)
@@ -349,7 +349,7 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     decoded = decode(trace, line)
     return SimulatedStream(
         truth_pixels=bins,
-        truth_times=times + windows * config.window,
+        truth_times=times,
         truth_windows=windows,
         records=records,
         trace=trace,
@@ -371,7 +371,7 @@ class ExperimentOutput:
 
 def _decoded_ok(stream: SimulatedStream):
     dec = stream.decoded
-    ok = dec.ok
+    ok = np.flatnonzero(dec.ok)
     return dec.pixels[ok], dec.origin_times[ok]
 
 

@@ -455,9 +455,10 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     if bin_width <= 0.0:
         raise InvalidArgumentError(f"bin_width must be positive, got {bin_width}")
     order, times, is_trig = _time_order(trace, config)
-    trig_times = times[is_trig]
-    part_times = times[~is_trig]
-    part_amps = trace.amplitudes[order][~is_trig]
+    trig_times = times[np.flatnonzero(is_trig)]
+    part_at = np.flatnonzero(~is_trig)
+    part_times = times[part_at]
+    part_amps = trace.amplitudes[order[part_at]]
 
     reach = config.span + 2.0 * config.segment_delay
     n_trig = trig_times.size

@@ -87,20 +87,24 @@ def draw_window(rng: np.random.Generator, mean_photon_number: float,
     return u[:n] * window, u[n:].copy()
 
 
-def sample_arrivals(arrivals: Sequence[np.ndarray]):
+def sample_arrivals(arrivals: Sequence[np.ndarray], window: float):
     """The photons of a run from each window's arrival-time draws.
 
-    ``arrivals[w]`` holds window w's times from `draw_window`.  Conditioned
-    on its Poisson count, a window's times are independent uniforms, which
-    is exactly a homogeneous Poisson process restricted to the window; here
-    they are sorted within each window, one stable sort for the whole run.
-    Returns (times, windows): each photon's time in seconds from the start
-    of its window, and its window index, which never decreases.
+    ``arrivals[w]`` holds window w's times from `draw_window`, in seconds
+    from the start of the window.  Conditioned on its Poisson count, a
+    window's times are independent uniforms, which is exactly a homogeneous
+    Poisson process restricted to the window.  Window w starts at
+    ``w * window`` on the run's timeline.  Returns (times, windows): each
+    photon's absolute time in seconds and its window index, which never
+    decreases; within a window the times are sorted, ties in draw order.
     """
     counts = [a.size for a in arrivals]
-    times = np.concatenate(arrivals)
     windows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    order = np.lexsort((times, windows))
+    times = np.concatenate(arrivals) + windows * window
+    order = np.argsort(times, kind="stable")
+    # the rounding of w * window can carry a time of window w past the
+    # first of window w + 1; a stable sort by window puts it back
+    order = order[np.argsort(windows[order], kind="stable")]
     return times[order], windows
 
 

@@ -1,9 +1,11 @@
 """Reference implementations that the vectorized code must reproduce exactly.
 
 These are the original forms: the walk on complex amplitudes, the
-dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, the
-window-by-window simulation and the row-by-row CSV tables.  The package replaced them with real-valued
-or vectorized forms; the parity tests compare the two element for element.
+dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
+plain loop that runs the whole record through the detector one event at a
+time, and the row-by-row CSV tables.  The package replaced them with
+real-valued or vectorized forms; the parity tests compare the two element
+for element.
 """
 
 from types import SimpleNamespace
@@ -92,80 +94,98 @@ def assign_bins(n, probabilities, rng):
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def detect(times, bins, config, rng, duration):
-    """One window of photons through the detector array, fresh state."""
+def detector_draws(n_photons, config, rng, duration):
+    """One window's detector draws, after its photons': which photons
+    survive the efficiency, the dark counts over [0, duration) as
+    (time, pixel) pairs, and one jitter value per click that could
+    register."""
+    survive = np.ones(n_photons, dtype=bool)
     if config.efficiency < 1.0:
-        keep = rng.random(times.size) < config.efficiency
-        times, bins = times[keep], bins[keep]
-    is_dark = np.zeros(times.size, dtype=bool)
-
+        survive = rng.random(n_photons) < config.efficiency
+    darks = []
     if config.dark_count_rate > 0.0:
         mean_darks = config.dark_count_rate * duration * config.pixel_count
         n_dark = int(rng.poisson(mean_darks))
         dark_times = rng.uniform(0.0, duration, size=n_dark)
         dark_pixels = rng.integers(0, config.pixel_count, size=n_dark)
-        times = np.concatenate([times, dark_times])
-        bins = np.concatenate([bins, dark_pixels])
-        is_dark = np.concatenate([is_dark, np.ones(n_dark, dtype=bool)])
+        darks = list(zip(dark_times.tolist(), dark_pixels.tolist()))
+    n_clicks = int(survive.sum()) + len(darks)
+    jitter = []
+    if config.jitter_sigma > 0.0 and n_clicks:
+        jitter = rng.normal(0.0, config.jitter_sigma, size=n_clicks).tolist()
+    return survive, darks, jitter
 
-    order = np.argsort(times, kind="stable")
-    times, bins, is_dark = times[order], bins[order], is_dark[order]
 
-    if config.dead_time > 0.0 and times.size:
-        alive = dead_time_filter(bins, times, config.pixel_count, config.dead_time)
-        times, bins, is_dark = times[alive], bins[alive], is_dark[alive]
+def detect(events, jitter, config):
+    """Registered clicks of a run's photons and dark counts, in one pass.
 
-    if config.jitter_sigma > 0.0 and times.size:
-        times = times + rng.normal(0.0, config.jitter_sigma, size=times.size)
-        order = np.argsort(times, kind="stable")
-        times, bins, is_dark = times[order], bins[order], is_dark[order]
-
-    return bins, times, is_dark
+    ``events`` holds one (absolute time, is_dark, window, index, pixel)
+    tuple per photon that survived the efficiency and per dark count, with
+    ``index`` its place among its window's photons or dark counts;
+    ``jitter[w]`` holds window w's jitter draws.  The events are taken in
+    time order, a photon before a dark count on a tie, and each pixel
+    keeps its last registered time across window edges.  The k-th click
+    of window w takes ``jitter[w][k]``.  Returns (pixels, times, is_dark)
+    sorted by recorded time.
+    """
+    last = {}     # last registered time of each pixel, over the whole run
+    used = [0] * len(jitter)
+    clicks = []   # (recorded time, pixel, is_dark)
+    for t, is_dark, w, _, pixel in sorted(events):
+        if t - last.get(pixel, -np.inf) < config.dead_time:
+            continue
+        last[pixel] = t
+        recorded = t
+        if config.jitter_sigma > 0.0:
+            recorded = t + jitter[w][used[w]]
+            used[w] += 1
+        clicks.append((recorded, pixel, is_dark))
+    clicks.sort(key=lambda click: click[0])
+    return (np.array([p for _, p, _ in clicks], dtype=np.int64),
+            np.array([t for t, _, _ in clicks], dtype=float),
+            np.array([d for _, _, d in clicks], dtype=bool))
 
 
 def simulate_stream(config):
-    """Truth and detector records of a run, simulated window by window.
+    """Truth and detector records of a run, as one continuous record.
 
-    Returns a namespace with the ``truth_*`` arrays and ``records`` (pixels,
-    times, is_dark) of ``experiments.simulate_stream``, before the readout.
+    Each window draws from its own stream; window w sits at w * window on
+    one absolute timeline.  All photons and dark counts of the run are then
+    ordered by absolute time (a photon before a dark count on a tie) and
+    pass, one at a time, through pixels whose dead time runs on across
+    window edges.  The k-th registered click of window w takes that
+    window's k-th jitter draw.  Returns a namespace with the ``truth_*``
+    arrays and ``records`` (pixels, times, is_dark) of
+    ``experiments.simulate_stream``, before the readout.
     """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
     det = config.detector_config()
     window = config.window
 
-    t_pix, t_time, t_win = [], [], []
-    r_pix, r_time, r_dark = [], [], []
+    truth = []    # (time, pixel, window) of every emitted photon
+    events = []   # (time, is_dark, window, index, pixel) of every click
+    jitter = []   # jitter draws of each window
     for w in range(config.windows):
         rng = window_rng(config.seed, w)
         times = sample_arrivals(config.mean_photon_number, window, rng)
         bins = assign_bins(times.size, probs, rng)
+        survive, darks, draws = detector_draws(times.size, det, rng, window)
+        jitter.append(draws)
         offset = w * window
-        if times.size:
-            t_pix.append(bins.copy())
-            t_time.append(times + offset)
-            t_win.append(np.full(times.size, w, dtype=np.int64))
-        if times.size == 0 and det.dark_count_rate == 0.0:
-            # nothing to detect and no dark draw pending: skipping leaves
-            # this window's random stream exactly where detect would
-            continue
-        pixels, clicks, dark = detect(times, bins, det, rng, duration=window)
-        if clicks.size:
-            r_pix.append(pixels)
-            r_time.append(clicks + offset)
-            r_dark.append(dark)
-
-    def cat(parts, dtype):
-        return (np.concatenate(parts) if parts
-                else np.empty(0, dtype=dtype))
+        for i, (t, b) in enumerate(zip(times.tolist(), bins.tolist())):
+            truth.append((t + offset, b, w))
+            if survive[i]:
+                events.append((t + offset, False, w, i, b))
+        for i, (t, b) in enumerate(darks):
+            events.append((t + offset, True, w, i, b))
+    pixels, times, is_dark = detect(events, jitter, det)
 
     return SimpleNamespace(
-        truth_pixels=cat(t_pix, np.int64),
-        truth_times=cat(t_time, float),
-        truth_windows=cat(t_win, np.int64),
-        records=SimpleNamespace(pixels=cat(r_pix, np.int64),
-                                times=cat(r_time, float),
-                                is_dark=cat(r_dark, bool)),
+        truth_pixels=np.array([b for _, b, _ in truth], dtype=np.int64),
+        truth_times=np.array([t for t, _, _ in truth], dtype=float),
+        truth_windows=np.array([w for _, _, w in truth], dtype=np.int64),
+        records=SimpleNamespace(pixels=pixels, times=times, is_dark=is_dark),
     )
 
 

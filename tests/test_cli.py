@@ -271,11 +271,11 @@ class TestRun:
     # full 10,000 windows include orphan and out-of-range rows
     EXPORT_CSV_SHA256 = {
         300: {
-            "events.csv": "533134a7f618f753ee7cd1fc3302b928e96df214e47a24ea35b45d2fbf46e5a8",
+            "events.csv": "1c138cf280f2d7b3d18efd45a03382c797cb9b99cb4128afcf582eb32fc23dd2",
             "gap_histogram.csv": "64f3db694050d154c85511e80cea758979e8ad12c30db62d37fc188ff1f76076",
         },
         10_000: {
-            "events.csv": "477f0208cf5bd952211e3d2d7c4c8c25361b7ed85685efcec1f0da3e6612a6e6",
+            "events.csv": "825472d886eb64212f0f84d6e10bd2ea123243c0ed00e6dc261bfd15f5d318cb",
             "gap_histogram.csv": "3e6a143e618a168b8fbc4444e19498b55361a7d7985a3599192b98588df041e6",
         },
     }

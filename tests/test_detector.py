@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_impl
 from qgalton.detector import (
     DetectionRecords,
     DetectorConfig,
@@ -15,7 +17,8 @@ from qgalton.source import window_rng
 
 
 def make_events(times, bins, windows=None):
-    """Photon times, bins and window indices (default all 0), as arrays."""
+    """Photon absolute times, bins and window indices (default all 0), as
+    arrays."""
     times = np.asarray(times, float)
     windows = np.zeros(times.size) if windows is None else windows
     return times, np.asarray(bins, np.int64), np.asarray(windows, np.int64)
@@ -26,6 +29,35 @@ def detect_window(events, config, rng, duration=1.0):
     draws = DetectorDraws.stack(
         [draw_window(config, rng, events[0].size, duration)])
     return detect(*events, config, draws, window=duration)
+
+
+def detect_run(events, config, seed, window):
+    """A run's photons through the detector, each window drawing from its
+    own stream; returns the records and the per-window draws."""
+    counts = np.bincount(events[2], minlength=1)
+    draws = [draw_window(config, window_rng(seed, w), int(n), window)
+             for w, n in enumerate(counts)]
+    return detect(*events, config, DetectorDraws.stack(draws), window), draws
+
+
+def assert_reference(records, events, draws, config, window):
+    """The records equal the plain loop of reference_impl over the same
+    photons and draws, bit for bit."""
+    times, bins, windows = events
+    photons, jitter = [], []
+    for w, (keep, dark_times, dark_pixels, jit) in enumerate(draws):
+        at = np.flatnonzero(windows == w)
+        survive = (keep < config.efficiency if config.efficiency < 1.0
+                   else np.ones(at.size, dtype=bool))
+        photons += [(times[j], False, w, i, bins[j])
+                    for i, j in enumerate(at.tolist()) if survive[i]]
+        photons += [(t + w * window, True, w, i, p) for i, (t, p) in
+                    enumerate(zip(dark_times.tolist(), dark_pixels.tolist()))]
+        jitter.append(jit.tolist())
+    pixels, clicks, is_dark = reference_impl.detect(photons, jitter, config)
+    np.testing.assert_array_equal(records.pixels, pixels)
+    np.testing.assert_array_equal(records.times, clicks)
+    np.testing.assert_array_equal(records.is_dark, is_dark)
 
 
 class TestDetectorConfig:
@@ -189,50 +221,56 @@ class TestWholeRun:
         base.update(kw)
         return DetectorConfig(**base)
 
-    def windows(self, config, seed, n_windows, window=2e-6):
-        """Per-window photons and their detector draws, each on its stream."""
+    def photons(self, seed, n_windows, window=2e-6):
+        """Poisson(30) photons per window on 4 pixels, absolute times."""
         parts = []
         for w in range(n_windows):
             rng = window_rng(seed, w)
             n = int(rng.poisson(30.0))
-            ev = make_events(np.sort(rng.uniform(0, window, n)),
-                             rng.integers(0, 4, n), np.full(n, w))
-            parts.append((ev, draw_window(config, rng, n, window)))
-        return parts
+            parts.append(make_events(
+                np.sort(rng.uniform(0, window, n)) + w * window,
+                rng.integers(0, 4, n), np.full(n, w)))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     @pytest.mark.parametrize("kw", [{}, {"dead_time": 0.0},
                                     {"jitter_sigma": 0.0},
                                     {"efficiency": 1.0},
-                                    {"dark_count_rate": 0.0}])
-    def test_equals_window_by_window(self, kw):
-        # one call over the run gives each window's one-window result,
-        # shifted to its place on the timeline
+                                    {"dark_count_rate": 0.0},
+                                    {"dead_time": 300e-9}])
+    def test_equals_reference_loop(self, kw):
+        # one call over the run gives the plain loop's clicks, bit for bit
         config, window = self.cfg(**kw), 2e-6
-        parts = self.windows(config, 31, 25)
-        times, bins, windows = (np.concatenate(column)
-                                for column in zip(*(ev for ev, _ in parts)))
-        run = detect(times, bins, windows, config,
-                     DetectorDraws.stack([d for _, d in parts]), window)
-        one = [detect(*make_events(ev[0], ev[1]), config,
-                      DetectorDraws.stack([d]), window) for ev, d in parts]
-        np.testing.assert_array_equal(
-            run.pixels, np.concatenate([r.pixels for r in one]))
-        np.testing.assert_array_equal(
-            run.is_dark, np.concatenate([r.is_dark for r in one]))
-        np.testing.assert_array_equal(run.times, np.concatenate(
-            [r.times + w * window for w, r in enumerate(one)]))
+        events = self.photons(31, 25)
+        run, draws = detect_run(events, config, 31, window)
+        assert_reference(run, events, draws, config, window)
         assert run.is_dark.any() == (config.dark_count_rate > 0.0)
 
-    def test_each_window_starts_recovered(self):
-        # the same pixel fires at the end of window 0 and the start of
-        # window 1: each window runs on a recovered detector
+    def test_dead_time_carries_across_window_edge(self):
+        # the same pixel fires 5 ns before the end of window 0 and at the
+        # start of window 1: it is still dead there, and has recovered
+        # 30 ns after its click
         config = self.cfg(efficiency=1.0, jitter_sigma=0.0,
                           dark_count_rate=0.0)
-        ev = make_events([1.995e-6, 0.0], [3, 3], [0, 1])
-        draws = DetectorDraws.stack(
-            [draw_window(config, window_rng(0, w), 1, 2e-6) for w in range(2)])
-        rec = detect(*ev, config, draws, 2e-6)
-        np.testing.assert_allclose(rec.times, [1.995e-6, 2e-6])
+        ev = make_events([1.995e-6, 2e-6, 2.025e-6], [3, 3, 3], [0, 1, 1])
+        rec, _ = detect_run(ev, config, 0, 2e-6)
+        np.testing.assert_array_equal(rec.times, [1.995e-6, 2.025e-6])
+
+    def test_jitter_follows_window_across_edge_rounding(self):
+        # 12 * 2e-6 rounds so that the last photon of window 12 lands after
+        # the first of window 13; each window's k-th click still takes
+        # that window's k-th jitter draw
+        window = 2e-6
+        last = np.nextafter(window, 0.0) + 12 * window
+        assert last > 13 * window
+        ev = make_events([12 * window + 1.5e-6, last, 13 * window,
+                          13 * window + 1e-9], [0, 1, 2, 3], [12, 12, 13, 13])
+        config = self.cfg(efficiency=1.0, dark_count_rate=0.0)
+        rec, draws = detect_run(ev, config, 7, window)
+        jitter = {0: draws[12][3][0], 1: draws[12][3][1],
+                  2: draws[13][3][0], 3: draws[13][3][1]}
+        for pixel, time in zip(rec.pixels.tolist(), rec.times.tolist()):
+            assert time == ev[0][pixel] + jitter[pixel]
+        assert_reference(rec, ev, draws, config, window)
 
     def test_windows_must_not_decrease(self):
         config = self.cfg(dark_count_rate=0.0)
@@ -249,3 +287,52 @@ class TestWholeRun:
         assert keep.size == 40
         assert jitter.size == (keep < 0.8).sum() + dark_times.size
 
+
+@st.composite
+def edge_runs(draw, spread):
+    """Photons of up to 20 windows, each within `spread` of a window edge
+    (the exact edge and the last double before it included), on 3 pixels;
+    returns (events, window, seed)."""
+    window = draw(st.sampled_from([2e-6, 1e-7, 0.3]))
+    rel = st.one_of(
+        st.floats(0.0, spread),
+        st.floats(window - spread, window, exclude_max=True),
+        st.sampled_from([0.0, float(np.nextafter(window, 0.0))]))
+    times, bins, windows = [], [], []
+    for w in range(draw(st.integers(1, 20))):
+        ts = sorted(draw(st.lists(rel, max_size=4)))
+        times += [t + w * window for t in ts]
+        bins += draw(st.lists(st.integers(0, 2), min_size=len(ts),
+                              max_size=len(ts)))
+        windows += [w] * len(ts)
+    return (make_events(times, bins, windows), window,
+            draw(st.integers(0, 2**64 - 1)))
+
+
+class TestContinuousRecord:
+    """Properties of one detector record that runs across window edges."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(edge_runs(spread=40e-9), st.sampled_from([1.0, 0.7]),
+           st.sampled_from([0.0, 2.0]))
+    def test_no_registered_gap_under_dead_time(self, run, efficiency,
+                                               darks_per_window):
+        events, window, seed = run
+        config = DetectorConfig(
+            pixel_count=3, efficiency=efficiency, dead_time=20e-9,
+            jitter_sigma=0.0,
+            dark_count_rate=darks_per_window / (3 * window))
+        rec, draws = detect_run(events, config, seed, window)
+        for pixel in range(3):
+            assert np.all(np.diff(rec.times[rec.pixels == pixel]) >= 20e-9)
+        assert_reference(rec, events, draws, config, window)
+
+    @settings(deadline=None, max_examples=150)
+    @given(edge_runs(spread=150e-12), st.sampled_from([0.0, 20e-9]))
+    def test_recorded_times_never_decrease(self, run, dead_time):
+        events, window, seed = run
+        config = DetectorConfig(pixel_count=3, dead_time=dead_time,
+                                jitter_sigma=50e-12)
+        rec, draws = detect_run(events, config, seed, window)
+        assert np.all(np.diff(rec.times) >= 0)
+        assert_reference(rec, events, draws, config, window)

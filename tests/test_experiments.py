@@ -238,19 +238,19 @@ def assert_same_stream(got, want):
 
 
 class TestStreamParity:
-    """The whole-run simulation equals the window-by-window loop."""
+    """The whole-run simulation equals the one-record reference loop."""
 
     # counting runs of 300 windows: (overrides, seed, sha256 of the truth
-    # and record arrays as the window-by-window loop produced them)
+    # and record arrays as the one-record reference loop produced them)
     CASES = [
         ({"efficiency": 0.7}, 3,
-         "aee2cc7df85dd23e8e13ac41374ec5b225e45a3c9c2d8267a67693f70fe855de"),
+         "82c131babc77c923c433814e4c84fbf1f12c882a3a2c9754cc390f2cc1d563f1"),
         ({"dark_count_rate_hz": 1e5}, 4,
-         "e97c86ccaffb900710dd9fbecfee66966cc72e2caa11b74abffc12698a5677d0"),
+         "5e4672daee1ab0cca796996c56f4f67988cb5c8eeb21a0bec04d927d5b9fea72"),
         ({"efficiency": 0.5, "dark_count_rate_hz": 1e5}, 5,
-         "92e12750bc2120699c6f1b7f486cab16d1d91c3b0087586f16b4b969ad670e54"),
+         "636572b34a526249df77cd7f1b5189456d6eef3f02ada7a8a41d624cfad00a03"),
         ({"dead_time_ns": 0.0}, 6,
-         "1e52260a4bbb695ad3583d8769529a36d65b5468a4e5cec79e01659953c3c35c"),
+         "c21f278f7bd8e5bb032b9b51d0dc4e549ca32491e1464242348c63e6ac7269dc"),
         ({"jitter_sigma_ns": 0.0}, 7,
          "929855f957292b960818c55cfa919bf6751daaa77de3abd4d6a594b9cf9cadeb"),
         ({"dead_time_ns": 0.0, "jitter_sigma_ns": 0.0,
@@ -259,14 +259,14 @@ class TestStreamParity:
         ({"mean_photon_number": 0.0}, 8,
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ({"mean_photon_number": 0.0, "dark_count_rate_hz": 2e5}, 8,
-         "c1719a09103f27db5699baef47394df0574afc8f7ece5824b1d967ce11014c99"),
+         "c18dc59aa671c199cee2cb7f5caed5c21be82fefbf3d813232f2d5765cccabe8"),
         ({"windows": 1, "mean_photon_number": 30.0}, 9,
          "2099ea32757915289c0f07f57aee515aa0fab92841624a79c06236c6f7baea90"),
         ({"mean_photon_number": 30.0}, 2**64 - 1,
-         "35c29bdd54acdb8741d2fe0a1657f0f8b8d4509e6d0aceb5112f3178a3065def"),
+         "47e37bcf009b9485625759a515292b7d9c0951ce65d004fb51b96049d3b5e319"),
         ({"mean_photon_number": 4.0, "dead_time_ns": 200.0,
           "efficiency": 0.9}, 2**63 + 5,
-         "04ab10a3274c51df4cdcdc96fd0ffc12e7cdad6345284ba62ca174db837d1e0b"),
+         "2617030d998a96ac5371f19d0baea3738504bd9ea0d7f709a0eb437f24ef2ff1"),
     ]
 
     @pytest.mark.parametrize("overrides, seed, sha256", CASES)
@@ -296,13 +296,13 @@ class TestStreamParity:
 
     def test_export_report_pinned(self):
         # efficiency and dark counts in every window, as the export
-        # benchmark runs them; pinned from the window-by-window loop
+        # benchmark runs them; pinned from the one-record reference loop
         cfg = config_from_dict(
             "intervals", {"efficiency": 0.8, "dark_count_rate_hz": 2e4},
             seed=0)
         text = render_report(run_experiment(cfg).report)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "5d337132fbf356e4d5cba8e2b716f87a10be88231b4cda89cbd53c4b9fe3a7ba")
+            "a6584904197d18eecfb1741eeecac4bb12a44b99a4e819eb57ed452374484761")
 
     # the other parity reports: (experiment, overrides, seed, sha256 of
     # render_report); with the export case above these are all eleven
@@ -313,11 +313,11 @@ class TestStreamParity:
         ("interference", {}, 1,
          "5d9c4ee2571e1b9853c53ee66e79cedfe1195d39cb109d84f02a58d41c12154d"),
         ("counting", {}, 0,
-         "7f483877eadb403bcde1112da62bb394e97be24b134e0ae6147c7affd95018c0"),
+         "deb20b5a435616db371e4fb61cda9927a751a2ff1f76099c9ceee54b8800445a"),
         ("counting", {}, 1,
          "8db71f48a06d56f4d45ed0e51db2aa36e5b644565b1b8c57d75ba4741495f926"),
         ("intervals", {}, 0,
-         "8fc93600e0d1371867e21120fda88ced84e910d6657a34dd22216655624c9563"),
+         "12c02a6e8425f25cdb566076ac5556fb74b8896355f5a94e0a23a689eee07531"),
         ("intervals", {}, 1,
          "8913c55f65fd130dc80092becb87736a72b7798ff0dcf55ab315755acd5847fd"),
         ("persistence", {}, 0,
@@ -325,7 +325,7 @@ class TestStreamParity:
         ("persistence", {}, 1,
          "5e25fb13fccb44ab757a86379c21d5b797ab2ab6a36c2fab62eff07df94cfe4b"),
         ("counting", {"mean_photon_number": 30.0}, 0,
-         "a9a7e03f8637b79eb31551a34bc39bff61214816ecefdc4c32dd742c2976687f"),
+         "72247a05b4700d8d9c7b84da8a9e9233d4715bac7efb5425d2f43e75ed87d2e9"),
         ("intervals", EXPORT, 1,
          "da0f0fa1a71df65e1a98660d64ccb553e0fc6e97a6ff9355cd2e4b0f4c857d6e"),
     ]
@@ -551,23 +551,23 @@ class TestTableParity:
     # change of the simulated numbers
     CSV_SHA256 = {
         "interference": {
-            "events.csv": "ee4d2fbcf4de32339ae118aee86805a030e50d7cf80b0e0108fa3073077d50d4",
+            "events.csv": "007d46e25d30fcd06684dccfc645cb85deda4dbe66c295ff4667a7315f9a9c4d",
             "histogram.csv": "8d66dd7401eb9fe3c2680d7d2199c5ca0b0ef7095beb3f5d470885518f65ad79",
             "truth_events.csv": "423b388d863906f14cf1b22a3b2c769b642f39d082a833c0a252f220e8bcad89",
         },
         "counting": {
             "count_histogram.csv": "7f7617526765aa46561274269cd7c93edee96a53ca1a4c5ff9cdfa3029a84cdf",
-            "events.csv": "cb3e7523851bbb88339158725254a9bb42a10837d5edf647fc204326a2f1bdc2",
+            "events.csv": "a7d2b58f0b340c7fa0cc53879f07cfb8a5ab4d57da8ff03fde78e8c38a169b05",
             "window_counts.csv": "e6de12a57dc600d363aec78a217cfe03aab692dd8f6da519bf2a93b8765e6f2e",
         },
         "intervals": {
-            "events.csv": "cb3e7523851bbb88339158725254a9bb42a10837d5edf647fc204326a2f1bdc2",
+            "events.csv": "a7d2b58f0b340c7fa0cc53879f07cfb8a5ab4d57da8ff03fde78e8c38a169b05",
             "gap_histogram.csv": "fc26604c7fcef8ae5265b9285f7717a9fd48bd35e2742b41a718cd6ef35ea4d5",
         },
         "persistence": {
             "peaks.csv": "681b06fb73f7931a4879c2d8817dd9572bbfb14859471d3246361998106c201a",
             "persistence.csv": "0bc39961f7e2370883c3393135730bb4e4822e5fdb5f28b1931df1bcc7f9683f",
-            "trace.csv": "920b0f1817517884cbb16516c817c7aeb9df89260da00ea68a48702f10ed0709",
+            "trace.csv": "adda5d40a9bb3ab024774b91ba6c5d2b5fd880217a571a98b8137b14fdcbe666",
         },
     }
 

@@ -109,12 +109,16 @@ class TestDeadTimeFilterParity:
                                                dead_time)
         assert got.dtype == want.dtype == bool
         np.testing.assert_array_equal(got, want)
+        # the detector passes uint8 labels, which numpy sorts by radix
+        np.testing.assert_array_equal(
+            kernels.dead_time_filter(pixels.astype(np.uint8), times,
+                                     dead_time), want)
 
     @settings(deadline=None)
     @given(st.lists(click_streams(), min_size=1, max_size=5), small_span)
     def test_groups_sorted_only_within(self, streams, dead_time):
-        # the detector's call: one group per (window, pixel), times sorted
-        # within each window only; it equals one loop call per window
+        # any integer labels a group: one group per (window, pixel), times
+        # sorted within each window only, equals one loop call per window
         n_pixels = 4
         groups = np.concatenate([w * n_pixels + p
                                  for w, (p, _, _) in enumerate(streams)])

@@ -193,7 +193,7 @@ def draw_run(mean, seed, windows, window=2e-6):
 class TestSampleArrivals:
     def test_times_sorted_and_in_window(self):
         times, _ = draw_window(window_rng(3, 0), 30.0, 2e-6)
-        sorted_times, windows = sample_arrivals([times])
+        sorted_times, windows = sample_arrivals([times], 2e-6)
         assert np.all(np.diff(sorted_times) >= 0)
         assert np.all(sorted_times >= 0.0)
         assert np.all(sorted_times < 2e-6)
@@ -201,7 +201,8 @@ class TestSampleArrivals:
 
     def test_poisson_mean_and_variance(self):
         arrivals, _ = draw_run(4.0, 11, 4000)
-        counts = np.bincount(sample_arrivals(arrivals)[1], minlength=4000)
+        counts = np.bincount(sample_arrivals(arrivals, 2e-6)[1],
+                             minlength=4000)
         # Poisson(4): mean 4, variance 4; with 4000 windows the sample mean
         # has sd 0.032 and the sample variance sd ~0.14
         assert counts.mean() == pytest.approx(4.0, abs=0.15)
@@ -209,29 +210,46 @@ class TestSampleArrivals:
 
     def test_uniform_conditional_times(self):
         arrivals, _ = draw_run(10.0, 5, 500, window=1e-6)
-        all_times, _ = sample_arrivals(arrivals)
+        all_times, windows = sample_arrivals(arrivals, 1e-6)
+        in_window = all_times - windows * 1e-6
         # mean of U(0, W) is W/2, variance W^2/12
-        assert all_times.mean() == pytest.approx(1e-6 / 2, rel=0.02)
-        assert all_times.var() == pytest.approx(1e-6**2 / 12, rel=0.06)
+        assert in_window.mean() == pytest.approx(1e-6 / 2, rel=0.02)
+        assert in_window.var() == pytest.approx(1e-6**2 / 12, rel=0.06)
 
     def test_window_index_recorded(self):
         times, _ = draw_window(window_rng(0, 12), 5.0, 2e-6)
-        sorted_times, windows = sample_arrivals([np.empty(0)] * 12 + [times])
+        sorted_times, windows = sample_arrivals(
+            [np.empty(0)] * 12 + [times], 2e-6)
         assert sorted_times.size == windows.size == times.size > 0
         assert np.all(windows == 12)
+        np.testing.assert_array_equal(sorted_times,
+                                      np.sort(times) + 12 * 2e-6)
 
     def test_sorted_within_each_window(self):
         times, windows = sample_arrivals([np.array([3e-7, 1e-7]), np.empty(0),
-                                          np.array([2e-7, 0.0, 2e-7])])
+                                          np.array([2e-7, 0.0, 2e-7])], 1.0)
         np.testing.assert_array_equal(windows, [0, 0, 2, 2, 2])
-        np.testing.assert_array_equal(times, [1e-7, 3e-7, 0.0, 2e-7, 2e-7])
+        np.testing.assert_array_equal(
+            times, [1e-7, 3e-7, 2.0, 2.0 + 2e-7, 2.0 + 2e-7])
 
     def test_one_window_per_entry(self):
         arrivals, _ = draw_run(3.0, 2, 50)
-        all_times, windows = sample_arrivals(arrivals)
+        all_times, windows = sample_arrivals(arrivals, 2e-6)
         for w, times in enumerate(arrivals):
             np.testing.assert_array_equal(all_times[windows == w],
-                                          np.sort(times))
+                                          np.sort(times) + w * 2e-6)
+
+    def test_window_order_survives_edge_rounding(self):
+        # 12 * 2e-6 rounds so that the last time of window 12 lands after
+        # 13 * 2e-6, the start of window 13; the photons stay in window order
+        last = np.nextafter(2e-6, 0.0)
+        assert last + 12 * 2e-6 > 13 * 2e-6
+        times, windows = sample_arrivals(
+            [np.empty(0)] * 12 + [np.array([last, 1e-7]), np.array([0.0])],
+            2e-6)
+        np.testing.assert_array_equal(windows, [12, 12, 13])
+        np.testing.assert_array_equal(
+            times, [1e-7 + 12 * 2e-6, last + 12 * 2e-6, 13 * 2e-6])
 
 
 class TestAssignBins:
@@ -266,7 +284,7 @@ class TestAssignBins:
 
     def test_one_uniform_per_photon(self):
         # one uniform gives one bin; detect refuses it for two photons
-        times, windows = sample_arrivals([np.array([1e-7, 2e-7])])
+        times, windows = sample_arrivals([np.array([1e-7, 2e-7])], 2e-6)
         bins = assign_bins(np.full(16, 1.0 / 16), np.array([0.5]))
         config = DetectorConfig()
         draws = DetectorDraws.stack(
@@ -279,7 +297,7 @@ class TestAssignBins:
 
         p = bin_probabilities(8, 0.763)
         arrivals, uniforms = draw_run(4.0, 23, 40)
-        _, windows = sample_arrivals(arrivals)
+        _, windows = sample_arrivals(arrivals, 2e-6)
         run = assign_bins(p, uniforms)
         for w in range(40):
             _, u = draw_window(window_rng(23, w), 4.0, 2e-6)
