@@ -178,7 +178,6 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
         windows = np.concatenate([windows, dark_windows])
         is_dark = np.concatenate(
             [is_dark, np.ones(draws.dark_times.size, dtype=bool)])
-        del dark_windows
 
     # stable: on a tie the photon comes before the dark count.  Each stage
     # frees its index arrays as it goes, which keeps a run's peak RSS down
@@ -193,7 +192,6 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
         labels = bins.astype(np.min_scalar_type(config.pixel_count - 1))
         alive = np.flatnonzero(
             dead_time_filter(labels, times, config.dead_time))
-        del labels
         times, bins, windows, is_dark = (times[alive], bins[alive],
                                          windows[alive], is_dark[alive])
         del alive
@@ -205,12 +203,9 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
         spare = draws.jitter_counts - np.bincount(windows, minlength=n_windows)
         shift = np.cumsum(spare) - spare
         by_window = np.argsort(windows, kind="stable")
-        jitter = np.empty(times.size)
-        jitter[by_window] = draws.jitter[
+        times[by_window] += draws.jitter[
             np.arange(times.size) + shift[windows[by_window]]]
         del windows, by_window
-        times = times + jitter
-        del jitter
         order = np.argsort(times, kind="stable")
         times, bins, is_dark = times[order], bins[order], is_dark[order]
 

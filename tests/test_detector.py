@@ -44,17 +44,17 @@ def assert_reference(records, events, draws, config, window):
     """The records equal the plain loop of reference_impl over the same
     photons and draws, bit for bit."""
     times, bins, windows = events
-    photons, jitter = [], []
+    record, jitter = [], []
     for w, (keep, dark_times, dark_pixels, jit) in enumerate(draws):
         at = np.flatnonzero(windows == w)
         survive = (keep < config.efficiency if config.efficiency < 1.0
                    else np.ones(at.size, dtype=bool))
-        photons += [(times[j], False, w, i, bins[j])
+        record += [(times[j], False, w, i, bins[j])
                     for i, j in enumerate(at.tolist()) if survive[i]]
-        photons += [(t + w * window, True, w, i, p) for i, (t, p) in
+        record += [(t + w * window, True, w, i, p) for i, (t, p) in
                     enumerate(zip(dark_times.tolist(), dark_pixels.tolist()))]
         jitter.append(jit.tolist())
-    pixels, clicks, is_dark = reference_impl.detect(photons, jitter, config)
+    pixels, clicks, is_dark = reference_impl.detect(record, jitter, config)
     np.testing.assert_array_equal(records.pixels, pixels)
     np.testing.assert_array_equal(records.times, clicks)
     np.testing.assert_array_equal(records.is_dark, is_dark)
@@ -241,7 +241,7 @@ class TestWholeRun:
         # one call over the run gives the plain loop's clicks, bit for bit
         config, window = self.cfg(**kw), 2e-6
         events = self.photons(31, 25)
-        run, draws = detect_run(events, config, 31, window)
+        run, draws = detect_run(events, config, 32, window)
         assert_reference(run, events, draws, config, window)
         assert run.is_dark.any() == (config.dark_count_rate > 0.0)
 
