@@ -200,6 +200,7 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
         # the k-th click of window w takes that window's k-th jitter draw.
         # Rounding can put a click of window w + 1 before one of window w,
         # so k counts along a stable sort by window, not along the record.
+        # shift[w]: window w's first jitter draw less its first click
         spare = draws.jitter_counts - np.bincount(windows, minlength=n_windows)
         shift = np.cumsum(spare) - spare
         by_window = np.argsort(windows, kind="stable")
