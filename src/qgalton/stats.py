@@ -3,14 +3,15 @@
 Three fits share one recipe, `_least_squares_fit`: least squares between
 an observed histogram and the model's bin masses for the headline estimate,
 the analytic MLE alongside where one exists, and a bootstrap percentile
-interval.  The bootstrap refits run as one vectorized golden-section
-minimization over all resamples at once rather than a Python loop.  Each
-public fit only checks its input, bins it and names its model.
+interval.  One bounded minimizer serves every search: a vectorized golden
+section that solves many brackets at once, one row each.  The estimate is
+a one-row search (fit_t2 stacks its MLE as a second row) and the bootstrap
+refits all resamples in one search rather than a Python loop.  Each public
+fit only checks its input, bins it and names its model.
 
 Only `scipy.special` is used at run time: the distributions are written
-out from its functions and the bounded minimizer is Brent's method in
-plain Python, so importing this module does not load scipy's stats and
-optimize subpackages, which take most of a process's start-up.
+out from its functions, so importing this module does not load scipy's
+stats and optimize subpackages, which take most of a process's start-up.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ T2_GRID_POINTS = 513
 MAX_BOOTSTRAP_CELLS = 2**23
 _GOLDEN_ITERATIONS = 48
 _MIN_EXPECTED = 5.0
-# fit_exponential searches a bracket about 20 mean gaps wide.  Brent's
-# parabolic step in _fminbound multiplies two bracket-wide differences by
-# at most 8 objective units (a squared-mass residual is at most 2), so a
-# mean gap above this would overflow it
-_MAX_MEAN_GAP = float(np.sqrt(np.finfo(float).max / 8.0) / 20.0)
+# fit_exponential searches mean/20 .. 20*mean; golden section needs only
+# both ends finite and normal
+_MIN_MEAN_GAP = 20.0 * float(np.finfo(float).tiny)
+_MAX_MEAN_GAP = float(np.finfo(float).max) / 20.0
 
 
 def check_bootstrap_size(n_bootstrap: int, columns: int) -> None:
@@ -129,103 +129,6 @@ def _golden_minimize(objective: Callable[[np.ndarray], np.ndarray],
     return 0.5 * (a + b)
 
 
-def _fminbound(func: Callable[[float], float], x1: float, x2: float,
-               xtol: float, maxiter: int = 500) -> float:
-    """Bounded scalar minimum by Brent's golden/parabolic search.
-
-    A step-for-step copy of scipy's `fminbound` (R. P. Brent, Algorithms
-    for Minimization without Derivatives, 1973), so it returns the same
-    bits for the same func; the tests hold it to scipy.  It never prints:
-    after maxiter function evaluations it returns the best point so far.
-    """
-    if not all(np.size(x) == 1 and np.isfinite(x) for x in (x1, x2)):
-        raise InvalidArgumentError(
-            "optimization bounds must be finite scalars")
-    if x1 > x2:
-        raise InvalidArgumentError("the lower bound exceeds the upper bound")
-
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xtol / 3.0
-    tol2 = 2.0 * tol1
-
-    while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
-        # parabolic step through the three best points, if acceptable
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-
-        if golden:
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean*e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xtol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            break
-
-    return xf
-
-
 def _percentile_ci(samples: np.ndarray) -> tuple[float, float]:
     tail = 100.0 * (1.0 - _CI_LEVEL) / 2.0
     return (float(np.percentile(samples, tail)),
@@ -246,7 +149,7 @@ def _grid_degeneracy(objective_on_grid: np.ndarray) -> None:
 
 def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
                        freq: np.ndarray, n_samples: int,
-                       bracket: tuple[float, float], xtol: float,
+                       bracket: tuple[float, float],
                        n_bootstrap: int, seed: int,
                        resample_p: Optional[Callable[[float], np.ndarray]] = None,
                        boot_bracket: Optional[Callable[[np.ndarray], tuple]] = None,
@@ -257,8 +160,8 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
 
     model_rows maps a vector of parameter values to model rows aligned with
     freq; the objective is their summed squared difference.  Unless an
-    estimate is given, fminbound finds it inside bracket.  The bootstrap
-    draws n_bootstrap multinomial samples of n_samples from
+    estimate is given, a one-row golden section finds it inside bracket.
+    The bootstrap draws n_bootstrap multinomial samples of n_samples from
     resample_p(estimate) (default: freq itself), zero-padded to the width of
     freq, and refits them all at once by golden section inside
     boot_bracket(resamples) (default: bracket for every resample).
@@ -269,9 +172,8 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
         return ((freq[None, :] - model_rows(x_rows)) ** 2).sum(axis=1)
 
     if estimate is None:
-        estimate = float(_fminbound(
-            lambda x: float(objective_rows(np.array([x]))[0]),
-            bracket[0], bracket[1], xtol=xtol))
+        lo, hi = np.array([bracket], dtype=float).T
+        estimate = float(_golden_minimize(objective_rows, lo, hi)[0])
     residual = float(objective_rows(np.array([estimate]))[0])
 
     rng = np.random.default_rng(seed)
@@ -348,28 +250,30 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     _grid_degeneracy(grid_obj)
     flat = float(grid_obj.max() - grid_obj.min()) < 1e-15
 
-    # multinomial MLE of t^2 on the same model, for reference
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_model = np.where(model_grid > 0.0, np.log(model_grid), -np.inf)
-        nll_grid = -(log_model * counts[None, :]).sum(axis=1)
-    nll_grid = np.where(np.isfinite(nll_grid), nll_grid, np.inf)
+    # multinomial MLE of t^2 on the same model, for reference; a bin with
+    # counts but no model mass makes it inf
     mask = counts > 0
 
-    def nll(x: float) -> float:
-        p = model_rows(np.array([x]))[0]
-        if np.any(p[mask] <= 0.0):
-            return np.inf
-        return -float(np.dot(counts[mask], np.log(p[mask])))
+    def nll_rows(model: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return -(counts[mask] * np.log(model[:, mask])).sum(axis=1)
 
-    mle = float(_fminbound(nll, *around(int(np.argmin(nll_grid))),
-                           xtol=1e-8))
+    def ls_and_nll(x: np.ndarray) -> np.ndarray:
+        # x is [estimate probe, MLE probe] per golden step, twice over
+        model = model_rows(x)
+        ls = ((freq[None, :] - model[0::2]) ** 2).sum(axis=1)
+        return np.column_stack([ls, nll_rows(model[1::2])]).ravel()
+
+    # the least-squares estimate and the MLE are two rows of one search
+    estimate, mle = _golden_minimize(
+        ls_and_nll, *around(np.array([grid_obj.argmin(),
+                                      nll_rows(model_grid).argmin()])))
 
     return _least_squares_fit(
-        model_rows, freq, total, around(int(np.argmin(grid_obj))), 1e-8,
-        n_bootstrap, seed,
+        model_rows, freq, total, (0.0, 1.0), n_bootstrap, seed,
         resample_p=lambda est: model_rows(np.array([est]))[0],
         boot_bracket=grid_brackets,
-        estimate=0.5 if flat else None, mle=mle,
+        estimate=0.5 if flat else float(estimate), mle=float(mle),
         flags=("flat-objective",) if flat else ())
 
 
@@ -416,12 +320,14 @@ def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
             n_bootstrap=n_bootstrap, seed=seed, mle=0.0, flags=("all-zero",),
         )
 
+    # kmax + 2 columns: one per count and the tail; sized before bincount
+    check_bootstrap_size(n_bootstrap, kmax + 2)
     hist = np.bincount(counts, minlength=kmax + 1)
     freq = np.concatenate([hist / n_windows, [0.0]])  # tail is empty by design
     observed = freq[:-1] / freq[:-1].sum()
     return _least_squares_fit(
         lambda lam_rows: _poisson_pmf_matrix(lam_rows, kmax), freq,
-        n_windows, (0.0, float(kmax + 1)), 1e-8, n_bootstrap, seed,
+        n_windows, (0.0, float(kmax + 1)), n_bootstrap, seed,
         resample_p=lambda est: observed, mle=float(counts.mean()))
 
 
@@ -462,21 +368,22 @@ def fit_exponential(intervals, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
         raise InvalidArgumentError("gaps must be finite and nonnegative")
     n = gaps.size
-    mean_gap = float(gaps.mean())
+    # a sum past the float range makes the mean inf, refused below
+    with np.errstate(over="ignore"):
+        mean_gap = float(gaps.mean())
     if mean_gap <= 0.0:
         raise DegenerateFitError("all gaps are zero; no timescale to fit")
-    if mean_gap > _MAX_MEAN_GAP:
+    if not _MIN_MEAN_GAP <= mean_gap <= _MAX_MEAN_GAP:
         raise InvalidArgumentError(
-            f"gaps: mean gap {mean_gap:g} exceeds {_MAX_MEAN_GAP:.3g}, "
-            "past which the fit's bracket search overflows")
+            f"gaps: mean gap {mean_gap:g} lies outside [{_MIN_MEAN_GAP:.3g}, "
+            f"{_MAX_MEAN_GAP:.3g}], where the fit's bracket, mean / 20 to "
+            "20 * mean, stays finite and normal")
 
     edges, counts = _gap_bins(gaps)
     freq = counts / n
-    lo, hi = mean_gap / 20.0, mean_gap * 20.0
     return _least_squares_fit(
         lambda tau_rows: _exp_mass_matrix(tau_rows, edges), freq, n,
-        (lo, hi), 1e-8 * mean_gap,  # relative tolerance keeps the fit scale-free
-        n_bootstrap, seed, mle=mean_gap)
+        (mean_gap / 20.0, mean_gap * 20.0), n_bootstrap, seed, mle=mean_gap)
 
 
 def mean_consistency(count_fit: FitResult, interval_fit: FitResult,

@@ -272,11 +272,11 @@ class TestRun:
     EXPORT_CSV_SHA256 = {
         300: {
             "events.csv": "1c138cf280f2d7b3d18efd45a03382c797cb9b99cb4128afcf582eb32fc23dd2",
-            "gap_histogram.csv": "64f3db694050d154c85511e80cea758979e8ad12c30db62d37fc188ff1f76076",
+            "gap_histogram.csv": "2ffd5cef0e6a0e95e91ec5630c01d4e28c13fe171f60f3a6779f256151f514c4",
         },
         10_000: {
             "events.csv": "825472d886eb64212f0f84d6e10bd2ea123243c0ed00e6dc261bfd15f5d318cb",
-            "gap_histogram.csv": "3e6a143e618a168b8fbc4444e19498b55361a7d7985a3599192b98588df041e6",
+            "gap_histogram.csv": "344d650a03ebc0bc7c28805ca9ce81f28707ae35dd71babec6fe558534e451a0",
         },
     }
 
@@ -378,26 +378,63 @@ class TestFitCommands:
         assert code == EXIT_OK
         assert rep["fit"]["estimate"] == pytest.approx(500.0, rel=0.05)
 
-    def test_fit_exponential_huge_gaps_exit_config(self, tmp_path):
-        # refused before the bracket search, whose products would overflow;
-        # a fresh interpreter shows any numpy warning on its stderr
-        p = tmp_path / "gaps.json"
-        p.write_text("[1e300, 2e300]")
+    @staticmethod
+    def fresh_cli(tmp_path, *argv):
+        """Run the CLI in a fresh interpreter, whose stderr shows any numpy
+        warning."""
         src = str(Path(qgalton.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qgalton.cli", "fit-exponential",
-             "--input", str(p)],
+        return subprocess.run(
+            [sys.executable, "-m", "qgalton.cli", *argv],
             capture_output=True, text=True, check=False, cwd=tmp_path,
             env=env, timeout=120,
         )
+
+    def test_fit_exponential_huge_gaps_exit_config(self, tmp_path):
+        # the sum of the gaps overflows; refused without a numpy warning
+        p = tmp_path / "gaps.json"
+        p.write_text("[1e308, 1e308]")
+        proc = self.fresh_cli(tmp_path, "fit-exponential", "--input", str(p))
         assert proc.returncode == EXIT_CONFIG
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: gaps: mean gap 1.5e+300")
+        assert proc.stderr.startswith("error: gaps: mean gap inf")
         assert "Warning" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("gaps, code", [
+        ("[5e-324, 1e-323]", EXIT_CONFIG),  # subnormal: mean / 20 is not normal
+        ("[9e306, 9e306]", EXIT_CONFIG),  # 20 * mean overflows
+        ("[1e-306, 2e-306]", EXIT_OK),
+        ("[1e306, 3e306]", EXIT_OK),
+    ])
+    def test_fit_exponential_gap_edges(self, tmp_path, gaps, code):
+        p = tmp_path / "gaps.json"
+        p.write_text(gaps)
+        proc = self.fresh_cli(tmp_path, "fit-exponential", "--input", str(p),
+                              "--bootstrap", "20")
+        assert proc.returncode == code
+        if code == EXIT_CONFIG:
+            assert proc.stderr.startswith("error: gaps: mean gap")
+        else:
+            assert proc.stderr == ""
+            fit = json.loads(proc.stdout)["fit"]
+            assert fit["ci_low"] <= fit["estimate"] <= fit["ci_high"]
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("count", [2**40, 2**62])
+    def test_fit_poisson_huge_count_exit_resource(self, tmp_path, capsys,
+                                                  count):
+        # the kmax + 2 column table is sized before the count histogram
+        p = tmp_path / "counts.json"
+        p.write_text(json.dumps([count, 3, 4]))
+        code, rep, err = run_cli(capsys, "fit-poisson", "--input", str(p))
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert err.startswith(f"error: n_bootstrap=500 with {count + 2} "
+                              "columns")
 
     @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson"])
     @pytest.mark.parametrize("value", ["1e400", "NaN", "-Infinity", "1e19"])
@@ -595,8 +632,8 @@ class TestConsoleScript:
 
 
 class TestStartup:
-    """scipy.stats and scipy.optimize are test oracles, never loaded at run
-    time: importing them would triple the start-up of every command."""
+    """scipy.stats, a test oracle, and scipy.optimize are never loaded at
+    run time: importing them would triple the start-up of every command."""
 
     PROBE = textwrap.dedent("""\
         import contextlib, io, json, sys

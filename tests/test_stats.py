@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import optimize, special, stats as sps
+from scipy import special, stats as sps
 
 from qgalton.errors import (
     DegenerateFitError,
@@ -27,7 +27,8 @@ from qgalton.stats import (
     mean_consistency,
     poisson_pmf,
     _MAX_MEAN_GAP,
-    _fminbound,
+    _MIN_MEAN_GAP,
+    _golden_minimize,
     _grid_degeneracy,
 )
 from qgalton.walk import bin_probabilities
@@ -151,17 +152,43 @@ class TestFitExponential:
             fit_exponential(np.array([0.5, -0.1]))
         with pytest.raises(DegenerateFitError):
             fit_exponential(np.zeros(10))
+        # past the edges: the sum overflows, or the mean is subnormal
+        for gaps in ([1e308, 1e308], [5e-324, 1e-323]):
+            with pytest.raises(InvalidArgumentError, match="gaps: mean gap"):
+                fit_exponential(np.array(gaps))
 
-    def test_largest_mean_gap_fits_without_overflow(self):
-        gaps = np.random.default_rng(8).exponential(1.0, 50)
-        gaps *= 0.999 * _MAX_MEAN_GAP / gaps.mean()
-        with np.errstate(all="raise"):
+    @staticmethod
+    def fits_inside_edge(edge, inside, past):
+        # the edges are where the bracket mean / 20 .. 20 * mean stops being
+        # finite and normal; inside them the fit is the unit-scale fit scaled.
+        # 20 gaps keep their sum finite at the top edge
+        gaps = np.random.default_rng(8).exponential(1.0, 20)
+        gaps *= inside * edge / gaps.mean()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             r = fit_exponential(gaps, n_bootstrap=10, seed=0)
         assert r.estimate == pytest.approx(
-            fit_exponential(gaps / _MAX_MEAN_GAP, n_bootstrap=10,
-                            seed=0).estimate * _MAX_MEAN_GAP, rel=1e-5)
-        with pytest.raises(InvalidArgumentError, match="mean gap"):
-            fit_exponential(gaps * 1.01)
+            fit_exponential(gaps / edge, n_bootstrap=10,
+                            seed=0).estimate * edge, rel=1e-5)
+        with pytest.raises(InvalidArgumentError, match="gaps: mean gap"):
+            fit_exponential(gaps / inside * past)
+
+    def test_largest_mean_gap_fits_without_overflow(self):
+        self.fits_inside_edge(_MAX_MEAN_GAP, 0.999, 1.01)
+
+    def test_smallest_mean_gap_fits(self):
+        self.fits_inside_edge(_MIN_MEAN_GAP, 1.001, 0.99)
+
+    @pytest.mark.parametrize("gaps", [[1e300, 2e300], [1e306, 3e306]])
+    def test_huge_gaps_scale_exactly(self, gaps):
+        # a power of two scales every step of the fit without rounding
+        gaps = np.array(gaps)
+        scale = 2.0 ** 1000
+        with np.errstate(all="raise"):
+            big = fit_exponential(gaps, n_bootstrap=20, seed=3)
+        small = fit_exponential(gaps / scale, n_bootstrap=20, seed=3)
+        for field in ("estimate", "ci_low", "ci_high", "mle"):
+            assert getattr(big, field) == getattr(small, field) * scale
+        assert big.residual == small.residual
 
 
 class TestChiSquare:
@@ -296,15 +323,15 @@ class TestFitRecipe:
         "fit_t2": (
             lambda rng: fit_t2(rng.multinomial(5000, bin_probabilities(8, 0.763)),
                                n_bootstrap=60, seed=4),
-            "c8d8a61ded0db7c0aaeccbb1f13de70c84b4d7f48f7073f13a590b06b737001b"),
+            "38e4fdb1b331ea439f5aa6a218106eb95ea0f9f53b1ba41dff114d62789aec3e"),
         "fit_poisson": (
             lambda rng: fit_poisson(rng.poisson(4.0, 2000), n_bootstrap=60,
                                     seed=4),
-            "a2e8d84c3062c3bc560893cea5ed3981651c4797fcf277c254aeab3fba9f0047"),
+            "8c3686627d2d0d110f6bae9f3ca6fcb9f18d540dd880a44d90514574a3233c60"),
         "fit_exponential": (
             lambda rng: fit_exponential(rng.exponential(5e-7, 3000),
                                         n_bootstrap=60, seed=4),
-            "bc94a3c2325202dbeb9592b1620b4a94e74304611a7e27567b3e7c57e23c5483"),
+            "0ddc8769edc4aa53ca0c9ed6da91d0e52272d977ce12e17fbda2d0142939cf90"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -322,49 +349,105 @@ def same_bits(a, b) -> bool:
 
 
 def objective(kind: str, c: float, a: float, w: float):
-    """Scalar objectives of the shapes the fits hand to the minimizer."""
+    """Objectives of the shapes the fits hand to the minimizer, vectorized
+    over points."""
     if kind == "smooth":
         return lambda x: (x - c) ** 2 + a * np.cos(w * x)
     if kind == "inf-left":  # fit_t2's nll is inf where a bin has no mass
-        return lambda x: np.inf if x < c else (x - c - a) ** 2
+        return lambda x: np.where(x < c, np.inf, (x - c - a) ** 2)
     if kind == "inf-right":
-        return lambda x: np.inf if x > c else (x - c + a) ** 2
+        return lambda x: np.where(x > c, np.inf, (x - c + a) ** 2)
     if kind == "flat":
-        return lambda x: a
+        return lambda x: np.full_like(x, a)
     if kind == "steps":  # plateaus make the minimizer's ties happen
-        return lambda x: np.floor(abs(x - c) * w)
+        return lambda x: np.floor(np.abs(x - c) * w)
     # monotone: the minimum sits on one bracket edge
     return lambda x: (w - 5.0) * x
 
 
-class TestFminbound:
-    """scipy's fminbound is the oracle: same func, same bits."""
+def true_minimizer(kind, c, a, w, lo, hi):
+    """The minimizer of a shape that is unimodal on [lo, hi], else None."""
+    if kind == "smooth" and a == 0.0:
+        return min(max(c, lo), hi)
+    if kind == "inf-left":  # inf plateau on the left: ties move right
+        return min(max(c + a, lo), hi)
+    if kind == "inf-right" and c >= hi:  # no inf inside the bracket
+        return min(max(c - a, lo), hi)
+    if kind == "edge" and w != 5.0:
+        return lo if w > 5.0 else hi
+    return None
 
-    @settings(max_examples=400, deadline=None)
-    @given(kind=st.sampled_from(["smooth", "inf-left", "inf-right", "flat",
-                                 "steps", "edge"]),
-           x1=st.floats(-10.0, 10.0),
-           width=st.one_of(st.just(0.0), st.floats(1e-9, 30.0)),
-           c=st.floats(-15.0, 15.0), a=st.floats(0.0, 3.0),
-           w=st.floats(0.0, 10.0),
-           xtol=st.sampled_from([1e-10, 1e-8, 1e-5, 1e-2]),
-           maxiter=st.sampled_from([1, 2, 3, 7, 500]))
-    def test_matches_scipy(self, kind, x1, width, c, a, w, xtol, maxiter):
-        func = objective(kind, c, a, w)
-        x2 = x1 + width
-        with np.errstate(invalid="ignore"):
-            want = optimize.fminbound(func, x1, x2, xtol=xtol, maxfun=maxiter,
-                                      disp=0)
-            got = _fminbound(func, x1, x2, xtol=xtol, maxiter=maxiter)
-        assert same_bits(got, want)
 
-    @pytest.mark.parametrize("x1, x2", [
-        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0),
-        (1.0, 0.0), (np.zeros(2), 1.0),
-    ])
-    def test_bad_bounds_rejected(self, x1, x2):
-        with pytest.raises(InvalidArgumentError, match="bound"):
-            _fminbound(lambda x: x * x, x1, x2, xtol=1e-8)
+def stacked(funcs):
+    """One objective over rows: row i owns points i and i + n."""
+    n = len(funcs)
+
+    def f(x):
+        out = np.empty_like(x)
+        for i, fn in enumerate(funcs):
+            out[i::n] = fn(x[i::n])
+        return out
+    return f
+
+
+ROW = st.tuples(
+    st.sampled_from(["smooth", "inf-left", "inf-right", "flat", "steps",
+                     "edge"]),
+    st.floats(-10.0, 10.0),
+    st.one_of(st.just(0.0), st.floats(1e-9, 30.0)),
+    st.floats(-15.0, 15.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.floats(0.0, 10.0),
+)
+
+
+class TestGoldenMinimize:
+    """The one bounded minimizer: every estimate, MLE and bootstrap refit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(ROW, min_size=1, max_size=5))
+    def test_rows_in_bracket_accurate_and_independent(self, rows):
+        funcs = [objective(kind, c, a, w) for kind, _, _, c, a, w in rows]
+        lo = np.array([x1 for _, x1, *_ in rows])
+        hi = lo + np.array([width for _, _, width, *_ in rows])
+        together = _golden_minimize(stacked(funcs), lo, hi)
+        for i, (kind, _, _, c, a, w) in enumerate(rows):
+            alone = _golden_minimize(funcs[i], lo[i:i + 1], hi[i:i + 1])
+            assert same_bits(alone, together[i:i + 1])
+            assert lo[i] <= together[i] <= hi[i]
+            want = true_minimizer(kind, c, a, w, lo[i], hi[i])
+            if want is not None:
+                # a few ulps of slack where the bracket is only ulps wide
+                ulps = 4.0 * np.spacing(max(abs(lo[i]), abs(hi[i])))
+                assert (abs(together[i] - want)
+                        <= 1e-9 * (hi[i] - lo[i]) + ulps)
+
+    @pytest.mark.parametrize("stages, t2", [(8, 0.763), (8, 0.3), (5, 0.9)])
+    def test_fit_t2_rows_solve_alone(self, stages, t2):
+        # fit_t2 searches its estimate and MLE as two rows of one call;
+        # each equals its own one-row search over the same grid bracket
+        counts = np.random.default_rng(3).multinomial(
+            4000, bin_probabilities(stages, t2))
+        fit = fit_t2(counts, n_bootstrap=10, seed=0)
+        freq = counts / counts.sum()
+        mask = counts > 0
+        grid = np.linspace(0.0, 1.0, T2_GRID_POINTS)
+
+        def ls(x):
+            return ((freq - bin_probabilities(stages, x)) ** 2).sum(axis=1)
+
+        def nll(x):
+            with np.errstate(divide="ignore"):
+                return -(counts[mask] * np.log(
+                    bin_probabilities(stages, x)[:, mask])).sum(axis=1)
+
+        def alone(f):
+            k = int(np.argmin(f(grid)))
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+            return _golden_minimize(f, np.array([lo]), np.array([hi]))
+
+        assert same_bits(alone(ls), [fit.estimate])
+        assert same_bits(alone(nll), [fit.mle])
 
 
 class TestSpecialForms:
