@@ -6,10 +6,10 @@ ignores further photons and the blocked photons do not extend the recovery
 (non-paralyzable response).  Recorded timestamps carry Gaussian jitter, and
 each pixel also fires spontaneously at a low dark rate.
 
-The random draws are made window by window (`draw_window`), each window on
-its own stream; `detect` then runs the whole run at once, on one absolute
-timeline, so a pixel still recovering at the end of a window stays blind
-into the next.
+The random draws are made window by window, each window on its own stream
+(`DetectorDraws`); `detect` then runs the whole run at once, on one
+absolute timeline, so a pixel still recovering at the end of a window stays
+blind into the next.
 """
 
 from __future__ import annotations
@@ -70,45 +70,18 @@ class DetectionRecords:
         return self.times.size
 
 
-_NONE = np.empty(0)
-_NO_PIXELS = np.empty(0, dtype=np.int64)
-
-
-def draw_window(config: DetectorConfig, rng: np.random.Generator,
-                n_photons: int, duration: float):
-    """One window's detector draws, in stream order after its photons'.
-
-    Returns (keep, dark_times, dark_pixels, jitter): one efficiency uniform
-    per photon (none at efficiency 1); the dark counts over [0, duration),
-    whose count is Poisson; and the timing jitter.  Jitter is the last draw,
-    and the dead time decides later how many clicks need it, so one normal
-    is drawn for every click that could register: each surviving photon
-    and each dark count.  A window left with k clicks uses the first k,
-    which are exactly the values a size-k draw would give.
-    """
-    keep = rng.random(n_photons) if config.efficiency < 1.0 else _NONE
-    clicks = (n_photons if config.efficiency >= 1.0
-              else int(np.count_nonzero(keep < config.efficiency)))
-    dark_times, dark_pixels = _NONE, _NO_PIXELS
-    if config.dark_count_rate > 0.0:
-        mean_darks = config.dark_count_rate * duration * config.pixel_count
-        n_dark = int(rng.poisson(mean_darks))
-        # uniform(0, duration) would be 0 + duration * u on the same doubles
-        dark_times = rng.random(n_dark) * duration
-        dark_pixels = rng.integers(0, config.pixel_count, size=n_dark)
-        clicks += n_dark
-    jitter = (rng.normal(0.0, config.jitter_sigma, size=clicks)
-              if config.jitter_sigma > 0.0 and clicks else _NONE)
-    return keep, dark_times, dark_pixels, jitter
-
-
 @dataclass
 class DetectorDraws:
-    """The detector draws of a run, each window's `draw_window` in turn.
+    """The detector draws of a run, window 0's first, then window 1's, ...
 
     keep is one efficiency uniform per photon of the run (empty at
-    efficiency 1); the dark and jitter draws of all windows are
-    concatenated, with their counts per window.
+    efficiency 1).  dark_times (seconds from the start of their window)
+    and dark_pixels are the dark counts, ``dark_counts[w]`` of them in
+    window w.  jitter holds the timing jitter in seconds,
+    ``jitter_counts[w]`` values for window w, at least one for each of its
+    clicks that could register (a run draws one per photon and per dark
+    count): the dead time decides later how many register, and a window
+    left with k clicks uses its first k.
     """
 
     keep: np.ndarray
@@ -117,21 +90,6 @@ class DetectorDraws:
     dark_pixels: np.ndarray
     jitter_counts: np.ndarray
     jitter: np.ndarray
-
-    @classmethod
-    def stack(cls, windows: list) -> "DetectorDraws":
-        """Concatenate the `draw_window` results of windows 0, 1, ..."""
-        keep, dark_times, dark_pixels, jitter = (
-            np.concatenate(column) for column in zip(*windows))
-        return cls(
-            keep=keep,
-            dark_counts=np.array([w[1].size for w in windows], dtype=np.int64),
-            dark_times=dark_times,
-            dark_pixels=dark_pixels.astype(np.int64, copy=False),
-            jitter_counts=np.array([w[3].size for w in windows],
-                                   dtype=np.int64),
-            jitter=jitter,
-        )
 
 
 def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,

@@ -26,7 +26,6 @@ from .detector import (
     DetectorDraws,
     detect,
 )
-from .detector import draw_window as draw_detector_window
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -50,7 +49,6 @@ from .source import (
     t2_of_wavelength,
     window_rng,
 )
-from .source import draw_window as draw_source_window
 from .stats import (
     T2_GRID_POINTS,
     check_bootstrap_size,
@@ -310,22 +308,73 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     """Every random draw of a run, window by window.
 
     Each window has its own stream and draws from it, in this order: its
-    photon count, arrival times and bin uniforms, then its efficiency,
-    dark-count and jitter draws.  One generator serves the whole run,
-    re-keyed to each window's stream in turn.
+    photon count n; n arrival times, n bin uniforms and, below unit
+    efficiency, n efficiency uniforms, as one draw of consecutive doubles;
+    at a dark rate above 0, its dark count d, then d dark times and d dark
+    pixels; last, with jitter on, one standard normal per photon and per
+    dark count.  A draw of size 0 takes nothing from the stream, so it is
+    not made.  One generator serves the whole run, re-keyed to each
+    window's stream in turn.
+
+    The blocks are split apart and scaled once over the run:
+    ``uniform(0, window)`` is ``0 + window * u`` and ``normal(0, sigma)``
+    is ``0 + sigma * z`` on the same doubles.  Returns the photons'
+    in-window arrival times, the photon count of each window, the bin
+    uniforms and the detector draws.
     """
-    arrivals, bin_uniforms, detector_draws = [], [], []
     mean, window, seed = config.mean_photon_number, config.window, config.seed
+    thin = det.efficiency < 1.0
+    parts = 3 if thin else 2
+    darks = det.dark_count_rate > 0.0
+    mean_darks = det.dark_count_rate * window * det.pixel_count
+    jitter = det.jitter_sigma > 0.0
+    photons, dark_counts, blocks, dark_pixels = [], [], [], []
     rng = None
     for w in range(config.windows):
         rng = window_rng(seed, w, rng)
-        times, uniforms = draw_source_window(rng, mean, window)
-        arrivals.append(times)
-        bin_uniforms.append(uniforms)
-        detector_draws.append(
-            draw_detector_window(det, rng, times.size, window))
-    return (arrivals, np.concatenate(bin_uniforms),
-            DetectorDraws.stack(detector_draws))
+        n = int(rng.poisson(mean))
+        if n:
+            blocks.append(rng.random(parts * n))
+        d = 0
+        if darks:
+            d = int(rng.poisson(mean_darks))
+            if d:
+                blocks.append(rng.random(d))
+                # d scalar draws give the values of one size-d draw, and
+                # for one or two skip its size handling, which costs more
+                dark_pixels.extend(
+                    [int(rng.integers(0, det.pixel_count)) for _ in range(d)]
+                    if d < 3 else
+                    rng.integers(0, det.pixel_count, size=d).tolist())
+        if jitter and n + d:
+            blocks.append(rng.standard_normal(n + d))
+        photons.append(n)
+        dark_counts.append(d)
+
+    photons = np.array(photons, dtype=np.int64)
+    dark_counts = np.array(dark_counts, dtype=np.int64)
+    zero = np.zeros_like(photons)
+    # every window's blocks in stream order: arrival times, bin uniforms,
+    # efficiency uniforms, dark times and jitter normals; a stable sort of
+    # their labels gathers each part of the run in window order
+    sizes = np.stack([photons, photons, photons if thin else zero,
+                      dark_counts, photons + dark_counts if jitter else zero],
+                     axis=1)
+    labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), photons.size),
+                       sizes.ravel())
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    del blocks
+    values = values[np.argsort(labels, kind="stable")]
+    arrivals, bin_uniforms, keep, dark_times, normals = np.split(
+        values, np.cumsum(sizes.sum(axis=0))[:-1])
+    arrivals *= window
+    dark_times *= window
+    normals *= det.jitter_sigma
+    draws = DetectorDraws(
+        keep=keep, dark_counts=dark_counts, dark_times=dark_times,
+        dark_pixels=np.array(dark_pixels, dtype=np.int64),
+        jitter_counts=sizes[:, 4], jitter=normals)
+    return arrivals, photons, bin_uniforms, draws
 
 
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
@@ -339,8 +388,8 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     det = config.detector_config()
     line = config.line_config()
 
-    arrivals, bin_uniforms, draws = _draw_windows(config, det)
-    times, windows = sample_arrivals(arrivals, config.window)
+    arrivals, counts, bin_uniforms, draws = _draw_windows(config, det)
+    times, windows = sample_arrivals(arrivals, counts, config.window)
     bins = assign_bins(probs, bin_uniforms)
     del arrivals, bin_uniforms
     records = detect(times, bins, windows, det, draws, config.window)

@@ -13,8 +13,6 @@ straight-line fit through calibration points with clamping at the physical
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDistributionError
@@ -69,38 +67,21 @@ def window_rng(master_seed: int, window_index: int,
     return rng
 
 
-def draw_window(rng: np.random.Generator, mean_photon_number: float,
-                window: float):
-    """One window's source draws, in stream order.
+def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):
+    """The photons of a run on one absolute timeline.
 
-    Returns the photon arrival times, unsorted, and one uniform per photon
-    for its output bin: a Poisson(mean_photon_number) count, then that
-    many uniform times over the window (seconds), then the bin uniforms.
-    Both come from one draw of 2n uniforms: ``uniform(0, window, n)``
-    would be ``0 + window * u`` on the same first n doubles.  Each half is
-    returned as its own array, not a view: a run keeps every window's
-    draws, and two views plus their base cost one array object more per
-    window than two arrays.
+    ``times`` holds each photon's arrival time in seconds from the start of
+    its window, window 0's photons first, then window 1's, and so on;
+    ``counts[w]`` is the number of photons of window w.  Conditioned on its
+    Poisson count, a window's times are independent uniforms, which is
+    exactly a homogeneous Poisson process restricted to the window.  Window
+    w starts at ``w * window`` on the run's timeline.  Returns (times,
+    windows): each photon's absolute time in seconds and its window index,
+    which never decreases; within a window the times are sorted, ties in
+    draw order.
     """
-    n = int(rng.poisson(mean_photon_number))
-    u = rng.random(2 * n)
-    return u[:n] * window, u[n:].copy()
-
-
-def sample_arrivals(arrivals: Sequence[np.ndarray], window: float):
-    """The photons of a run from each window's arrival-time draws.
-
-    ``arrivals[w]`` holds window w's times from `draw_window`, in seconds
-    from the start of the window.  Conditioned on its Poisson count, a
-    window's times are independent uniforms, which is exactly a homogeneous
-    Poisson process restricted to the window.  Window w starts at
-    ``w * window`` on the run's timeline.  Returns (times, windows): each
-    photon's absolute time in seconds and its window index, which never
-    decreases; within a window the times are sorted, ties in draw order.
-    """
-    counts = [a.size for a in arrivals]
-    windows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    times = np.concatenate(arrivals) + windows * window
+    windows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    times = times + windows * window
     order = np.argsort(times, kind="stable")
     # the rounding of w * window can carry a time of window w past the
     # first of window w + 1; a stable sort by window puts it back

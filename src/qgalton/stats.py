@@ -337,10 +337,20 @@ def _exp_mass_matrix(tau_rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.concatenate([z[:, :-1] - z[:, 1:], z[:, -1:]], axis=1)
 
 
+def _mean_gap(gaps: np.ndarray) -> float:
+    """The mean of finite gaps whose sum may pass the float maximum: then
+    it is taken on the gaps scaled by a power of two, which is exact."""
+    with np.errstate(over="ignore"):
+        mean = float(gaps.mean())
+    if mean == np.inf:
+        mean = float((gaps * 2.0**-64).mean()) * 2.0**64
+    return mean
+
+
 def _gap_bins(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The binning of fit_exponential: edges every tenth of the mean gap
     out to five means, and the count per bin with the open tail last."""
-    edges = np.linspace(0.0, 5.0 * float(gaps.mean()), 51)
+    edges = np.linspace(0.0, 5.0 * _mean_gap(gaps), 51)
     hist, _ = np.histogram(gaps, bins=edges)
     return edges, np.append(hist, gaps.size - hist.sum())
 
@@ -368,9 +378,7 @@ def fit_exponential(intervals, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
         raise InvalidArgumentError("gaps must be finite and nonnegative")
     n = gaps.size
-    # a sum past the float range makes the mean inf, refused below
-    with np.errstate(over="ignore"):
-        mean_gap = float(gaps.mean())
+    mean_gap = _mean_gap(gaps)
     if mean_gap <= 0.0:
         raise DegenerateFitError("all gaps are zero; no timescale to fit")
     if not _MIN_MEAN_GAP <= mean_gap <= _MAX_MEAN_GAP:

@@ -393,15 +393,30 @@ class TestFitCommands:
         )
 
     def test_fit_exponential_huge_gaps_exit_config(self, tmp_path):
-        # the sum of the gaps overflows; refused without a numpy warning
+        # the sum of the gaps overflows but their mean, 1e308, does not; it
+        # is refused as past the fit's top edge, without a numpy warning
         p = tmp_path / "gaps.json"
         p.write_text("[1e308, 1e308]")
         proc = self.fresh_cli(tmp_path, "fit-exponential", "--input", str(p))
         assert proc.returncode == EXIT_CONFIG
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: gaps: mean gap inf")
+        assert proc.stderr.startswith("error: gaps: mean gap 1e+308 lies")
         assert "Warning" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_fit_exponential_sum_past_float_max(self, tmp_path):
+        # 50 gaps of mean 0.999 * 8.99e306 sum past the float maximum, but
+        # their mean lies inside the fitting range, as it does for 20
+        mean = 0.999 * float(np.finfo(float).max) / 20.0
+        p = tmp_path / "gaps.json"
+        p.write_text(json.dumps([0.5 * mean, 1.5 * mean] * 25))
+        proc = self.fresh_cli(tmp_path, "fit-exponential", "--input", str(p),
+                              "--bootstrap", "20")
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        fit = json.loads(proc.stdout)["fit"]
+        assert fit["mle"] == pytest.approx(mean, rel=1e-12)
+        assert fit["ci_low"] <= fit["estimate"] <= fit["ci_high"]
 
     @pytest.mark.parametrize("gaps, code", [
         ("[5e-324, 1e-323]", EXIT_CONFIG),  # subnormal: mean / 20 is not normal

@@ -10,9 +10,9 @@ from qgalton.detector import (
     DetectorConfig,
     DetectorDraws,
     detect,
-    draw_window,
 )
 from qgalton.errors import InvalidArgumentError
+from qgalton.experiments import _draw_windows, config_from_dict
 from qgalton.source import window_rng
 
 
@@ -24,10 +24,34 @@ def make_events(times, bins, windows=None):
     return times, np.asarray(bins, np.int64), np.asarray(windows, np.int64)
 
 
+def window_draws(config, rng, n_photons, duration):
+    """One window's detector draws from ``rng``: an efficiency uniform per
+    photon (none at efficiency 1), the dark counts over [0, duration) as
+    times and pixels, and one jitter value per photon and per dark count
+    (none without jitter)."""
+    keep = rng.random(n_photons) if config.efficiency < 1.0 else np.empty(0)
+    n_dark = int(rng.poisson(
+        config.dark_count_rate * duration * config.pixel_count))
+    dark_times = rng.uniform(0.0, duration, n_dark)
+    dark_pixels = rng.integers(0, config.pixel_count, n_dark)
+    jitter = (rng.normal(0.0, config.jitter_sigma, n_photons + n_dark)
+              if config.jitter_sigma > 0.0 else np.empty(0))
+    return keep, dark_times, dark_pixels, jitter
+
+
+def stack(windows):
+    """The DetectorDraws of windows 0, 1, ... from their `window_draws`."""
+    keep, dark_times, dark_pixels, jitter = (
+        np.concatenate(column) for column in zip(*windows))
+    return DetectorDraws(
+        keep=keep, dark_counts=np.array([w[1].size for w in windows]),
+        dark_times=dark_times, dark_pixels=dark_pixels,
+        jitter_counts=np.array([w[3].size for w in windows]), jitter=jitter)
+
+
 def detect_window(events, config, rng, duration=1.0):
     """One window through the detector: its draws, then the whole-run code."""
-    draws = DetectorDraws.stack(
-        [draw_window(config, rng, events[0].size, duration)])
+    draws = stack([window_draws(config, rng, events[0].size, duration)])
     return detect(*events, config, draws, window=duration)
 
 
@@ -35,9 +59,9 @@ def detect_run(events, config, seed, window):
     """A run's photons through the detector, each window drawing from its
     own stream; returns the records and the per-window draws."""
     counts = np.bincount(events[2], minlength=1)
-    draws = [draw_window(config, window_rng(seed, w), int(n), window)
+    draws = [window_draws(config, window_rng(seed, w), int(n), window)
              for w, n in enumerate(counts)]
-    return detect(*events, config, DetectorDraws.stack(draws), window), draws
+    return detect(*events, config, stack(draws), window), draws
 
 
 def assert_reference(records, events, draws, config, window):
@@ -275,17 +299,38 @@ class TestWholeRun:
     def test_windows_must_not_decrease(self):
         config = self.cfg(dark_count_rate=0.0)
         ev = make_events([0.0, 0.0], [3, 3], [1, 0])
-        draws = DetectorDraws.stack(
-            [draw_window(config, window_rng(0, w), 1, 2e-6) for w in range(2)])
+        draws = stack(
+            [window_draws(config, window_rng(0, w), 1, 2e-6) for w in range(2)])
         with pytest.raises(InvalidArgumentError):
             detect(*ev, config, draws, 2e-6)
 
     def test_jitter_draws_cover_every_possible_click(self):
-        config = self.cfg()
-        rng = window_rng(5, 0)
-        keep, dark_times, _, jitter = draw_window(config, rng, 40, 2e-6)
-        assert keep.size == 40
-        assert jitter.size == (keep < 0.8).sum() + dark_times.size
+        # a run draws one normal per photon and per dark count, each window
+        # last on its stream, and scales it by sigma: normal(0, sigma)
+        overrides = {"windows": 60, "efficiency": 0.8,
+                     "dark_count_rate_hz": 2e5}
+        cfg = config_from_dict("counting", overrides, seed=5)
+        det = cfg.detector_config()
+        _, counts, _, draws = _draw_windows(cfg, det)
+        assert draws.keep.size == counts.sum()
+        assert draws.dark_times.size == draws.dark_counts.sum() > 0
+        np.testing.assert_array_equal(draws.jitter_counts,
+                                      counts + draws.dark_counts)
+        jitter = np.split(draws.jitter, np.cumsum(draws.jitter_counts)[:-1])
+        for w, (n, d) in enumerate(zip(counts, draws.dark_counts)):
+            rng = reference_impl.window_rng(5, w)
+            assert rng.poisson(cfg.mean_photon_number) == n
+            rng.random(3 * n)
+            assert rng.poisson(2e5 * cfg.window * 16) == d
+            rng.random(d)
+            rng.integers(0, 16, d)
+            np.testing.assert_array_equal(
+                jitter[w], rng.normal(0.0, det.jitter_sigma, n + d))
+        # without jitter, none is drawn
+        cfg = config_from_dict(
+            "counting", {**overrides, "jitter_sigma_ns": 0.0}, seed=5)
+        draws = _draw_windows(cfg, cfg.detector_config())[3]
+        assert draws.jitter.size == draws.jitter_counts.sum() == 0
 
 
 @st.composite

@@ -277,20 +277,26 @@ class TestStreamParity:
         assert_same_stream(stream, reference_impl.simulate_stream(cfg))
         assert stream_digest(stream) == sha256
 
-    @settings(deadline=None, max_examples=40)
+    # dark rates from none through windows with and without dark counts
+    # (2e4 Hz is about 0.04 per pixel and window) to about 6 per pixel; a
+    # stage count other than 1, 2, 4 or 8 gives a pixel count that is no
+    # power of two, whose dark pixels take the rejection path of integers
+    @settings(deadline=None, max_examples=60)
     @given(windows=st.integers(1, 12),
+           stages=st.integers(1, 12),
            mean=st.sampled_from([0.0, 0.5, 4.0, 40.0]),
            efficiency=st.sampled_from([1.0, 0.6, 0.0]),
-           dark=st.sampled_from([0.0, 3e6]),
+           dark=st.sampled_from([0.0, 2e4, 1e5, 3e6]),
            dead_time=st.sampled_from([0.0, 20.0, 500.0]),
            jitter=st.sampled_from([0.0, 0.05, 30.0]),
            seed=st.integers(0, 2**64 - 1))
-    def test_random_configs(self, windows, mean, efficiency, dark,
+    def test_random_configs(self, windows, stages, mean, efficiency, dark,
                             dead_time, jitter, seed):
         cfg = config_from_dict("counting", {
-            "windows": windows, "mean_photon_number": mean,
-            "efficiency": efficiency, "dark_count_rate_hz": dark,
-            "dead_time_ns": dead_time, "jitter_sigma_ns": jitter}, seed=seed)
+            "windows": windows, "stages": stages, "pixel_count": 2 * stages,
+            "mean_photon_number": mean, "efficiency": efficiency,
+            "dark_count_rate_hz": dark, "dead_time_ns": dead_time,
+            "jitter_sigma_ns": jitter}, seed=seed)
         assert_same_stream(simulate_stream(cfg),
                            reference_impl.simulate_stream(cfg))
 

@@ -6,17 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impl
 from qgalton.detector import DetectorConfig, DetectorDraws, detect
-from qgalton.detector import draw_window as draw_detector_window
 from qgalton.errors import (
     ConfigError,
     InvalidArgumentError,
     InvalidDistributionError,
 )
-from qgalton.experiments import config_from_dict
+from qgalton.experiments import _draw_windows, config_from_dict
 from qgalton.source import (
     DEFAULT_CALIBRATION,
     assign_bins,
-    draw_window,
     sample_arrivals,
     t2_of_wavelength,
     window_rng,
@@ -184,24 +182,32 @@ class TestWindowRngRekey:
 
 
 def draw_run(mean, seed, windows, window=2e-6):
-    """Arrival and bin draws of `windows` windows, each on its own stream."""
-    draws = [draw_window(window_rng(seed, w), mean, window)
-             for w in range(windows)]
-    return [t for t, _ in draws], np.concatenate([u for _, u in draws])
+    """In-window arrival times, photon counts and bin uniforms of `windows`
+    windows, each drawn on its own stream: a Poisson count, that many
+    uniform times, then a bin uniform per photon."""
+    times, counts, uniforms = [], [], []
+    for w in range(windows):
+        rng = window_rng(seed, w)
+        n = int(rng.poisson(mean))
+        times.append(rng.uniform(0.0, window, n))
+        uniforms.append(rng.random(n))
+        counts.append(n)
+    return (np.concatenate(times), np.array(counts, dtype=np.int64),
+            np.concatenate(uniforms))
 
 
 class TestSampleArrivals:
     def test_times_sorted_and_in_window(self):
-        times, _ = draw_window(window_rng(3, 0), 30.0, 2e-6)
-        sorted_times, windows = sample_arrivals([times], 2e-6)
+        times = window_rng(3, 0).uniform(0.0, 2e-6, 30)
+        sorted_times, windows = sample_arrivals(times, np.array([30]), 2e-6)
         assert np.all(np.diff(sorted_times) >= 0)
         assert np.all(sorted_times >= 0.0)
         assert np.all(sorted_times < 2e-6)
         assert np.all(windows == 0)
 
     def test_poisson_mean_and_variance(self):
-        arrivals, _ = draw_run(4.0, 11, 4000)
-        counts = np.bincount(sample_arrivals(arrivals, 2e-6)[1],
+        times, counts, _ = draw_run(4.0, 11, 4000)
+        counts = np.bincount(sample_arrivals(times, counts, 2e-6)[1],
                              minlength=4000)
         # Poisson(4): mean 4, variance 4; with 4000 windows the sample mean
         # has sd 0.032 and the sample variance sd ~0.14
@@ -209,35 +215,35 @@ class TestSampleArrivals:
         assert counts.var() == pytest.approx(4.0, abs=0.6)
 
     def test_uniform_conditional_times(self):
-        arrivals, _ = draw_run(10.0, 5, 500, window=1e-6)
-        all_times, windows = sample_arrivals(arrivals, 1e-6)
+        times, counts, _ = draw_run(10.0, 5, 500, window=1e-6)
+        all_times, windows = sample_arrivals(times, counts, 1e-6)
         in_window = all_times - windows * 1e-6
         # mean of U(0, W) is W/2, variance W^2/12
         assert in_window.mean() == pytest.approx(1e-6 / 2, rel=0.02)
         assert in_window.var() == pytest.approx(1e-6**2 / 12, rel=0.06)
 
     def test_window_index_recorded(self):
-        times, _ = draw_window(window_rng(0, 12), 5.0, 2e-6)
+        times = window_rng(0, 12).uniform(0.0, 2e-6, 5)
         sorted_times, windows = sample_arrivals(
-            [np.empty(0)] * 12 + [times], 2e-6)
-        assert sorted_times.size == windows.size == times.size > 0
+            times, np.array([0] * 12 + [5]), 2e-6)
+        assert sorted_times.size == windows.size == 5
         assert np.all(windows == 12)
         np.testing.assert_array_equal(sorted_times,
                                       np.sort(times) + 12 * 2e-6)
 
     def test_sorted_within_each_window(self):
-        times, windows = sample_arrivals([np.array([3e-7, 1e-7]), np.empty(0),
-                                          np.array([2e-7, 0.0, 2e-7])], 1.0)
+        times, windows = sample_arrivals(
+            np.array([3e-7, 1e-7, 2e-7, 0.0, 2e-7]), np.array([2, 0, 3]), 1.0)
         np.testing.assert_array_equal(windows, [0, 0, 2, 2, 2])
         np.testing.assert_array_equal(
             times, [1e-7, 3e-7, 2.0, 2.0 + 2e-7, 2.0 + 2e-7])
 
     def test_one_window_per_entry(self):
-        arrivals, _ = draw_run(3.0, 2, 50)
-        all_times, windows = sample_arrivals(arrivals, 2e-6)
-        for w, times in enumerate(arrivals):
+        times, counts, _ = draw_run(3.0, 2, 50)
+        all_times, windows = sample_arrivals(times, counts, 2e-6)
+        for w, own in enumerate(np.split(times, np.cumsum(counts)[:-1])):
             np.testing.assert_array_equal(all_times[windows == w],
-                                          np.sort(times) + w * 2e-6)
+                                          np.sort(own) + w * 2e-6)
 
     def test_window_order_survives_edge_rounding(self):
         # 12 * 2e-6 rounds so that the last time of window 12 lands after
@@ -245,8 +251,7 @@ class TestSampleArrivals:
         last = np.nextafter(2e-6, 0.0)
         assert last + 12 * 2e-6 > 13 * 2e-6
         times, windows = sample_arrivals(
-            [np.empty(0)] * 12 + [np.array([last, 1e-7]), np.array([0.0])],
-            2e-6)
+            np.array([last, 1e-7, 0.0]), np.array([0] * 12 + [2, 1]), 2e-6)
         np.testing.assert_array_equal(windows, [12, 12, 13])
         np.testing.assert_array_equal(
             times, [1e-7 + 12 * 2e-6, last + 12 * 2e-6, 13 * 2e-6])
@@ -284,21 +289,29 @@ class TestAssignBins:
 
     def test_one_uniform_per_photon(self):
         # one uniform gives one bin; detect refuses it for two photons
-        times, windows = sample_arrivals([np.array([1e-7, 2e-7])], 2e-6)
+        times, windows = sample_arrivals(np.array([1e-7, 2e-7]),
+                                         np.array([2]), 2e-6)
         bins = assign_bins(np.full(16, 1.0 / 16), np.array([0.5]))
-        config = DetectorConfig()
-        draws = DetectorDraws.stack(
-            [draw_detector_window(config, window_rng(0, 0), 2, 2e-6)])
+        draws = DetectorDraws(
+            keep=np.empty(0), dark_counts=np.zeros(1, dtype=np.int64),
+            dark_times=np.empty(0), dark_pixels=np.empty(0, dtype=np.int64),
+            jitter_counts=np.array([2]), jitter=np.zeros(2))
         with pytest.raises(InvalidArgumentError):
-            detect(times, bins, windows, config, draws, 2e-6)
+            detect(times, bins, windows, DetectorConfig(), draws, 2e-6)
 
     def test_whole_run_equals_window_by_window(self):
+        # the run's bins are each window's bins as the reference draws them
+        # on that window's stream, window after window
         from qgalton.walk import bin_probabilities
 
         p = bin_probabilities(8, 0.763)
-        arrivals, uniforms = draw_run(4.0, 23, 40)
-        _, windows = sample_arrivals(arrivals, 2e-6)
+        cfg = config_from_dict("counting", {"windows": 40}, seed=23)
+        arrivals, counts, uniforms, _ = _draw_windows(
+            cfg, cfg.detector_config())
+        _, windows = sample_arrivals(arrivals, counts, cfg.window)
         run = assign_bins(p, uniforms)
         for w in range(40):
-            _, u = draw_window(window_rng(23, w), 4.0, 2e-6)
-            np.testing.assert_array_equal(run[windows == w], assign_bins(p, u))
+            rng = reference_impl.window_rng(23, w)
+            n = reference_impl.sample_arrivals(4.0, cfg.window, rng).size
+            np.testing.assert_array_equal(
+                run[windows == w], reference_impl.assign_bins(n, p, rng))

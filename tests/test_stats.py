@@ -152,7 +152,7 @@ class TestFitExponential:
             fit_exponential(np.array([0.5, -0.1]))
         with pytest.raises(DegenerateFitError):
             fit_exponential(np.zeros(10))
-        # past the edges: the sum overflows, or the mean is subnormal
+        # past the edges: 20 * mean overflows, or the mean is subnormal
         for gaps in ([1e308, 1e308], [5e-324, 1e-323]):
             with pytest.raises(InvalidArgumentError, match="gaps: mean gap"):
                 fit_exponential(np.array(gaps))
@@ -177,6 +177,22 @@ class TestFitExponential:
 
     def test_smallest_mean_gap_fits(self):
         self.fits_inside_edge(_MIN_MEAN_GAP, 1.001, 0.99)
+
+    def test_mean_fits_where_the_sum_overflows(self):
+        # 50 gaps at the top edge sum past the float maximum; their mean,
+        # taken on the gaps scaled by a power of two, still fits, and the
+        # whole fit is the scaled gaps' fit scaled back
+        gaps = np.random.default_rng(8).exponential(1.0, 50)
+        gaps *= 0.999 * _MAX_MEAN_GAP / gaps.mean()
+        with np.errstate(over="ignore"):
+            assert np.sum(gaps) == np.inf
+        with np.errstate(all="raise"):
+            big = fit_exponential(gaps, n_bootstrap=10, seed=0)
+        scale = 2.0 ** 64
+        small = fit_exponential(gaps / scale, n_bootstrap=10, seed=0)
+        for field in ("estimate", "ci_low", "ci_high", "mle"):
+            assert getattr(big, field) == getattr(small, field) * scale
+        assert big.mle <= _MAX_MEAN_GAP
 
     @pytest.mark.parametrize("gaps", [[1e300, 2e300], [1e306, 3e306]])
     def test_huge_gaps_scale_exactly(self, gaps):
@@ -417,8 +433,12 @@ class TestGoldenMinimize:
             assert lo[i] <= together[i] <= hi[i]
             want = true_minimizer(kind, c, a, w, lo[i], hi[i])
             if want is not None:
-                # a few ulps of slack where the bracket is only ulps wide
-                ulps = 4.0 * np.spacing(max(abs(lo[i]), abs(hi[i])))
+                # ulps of slack where the bracket narrows to ulps: the
+                # objective, computed from the point, c and a, cannot tell
+                # apart points a few ulps of their magnitudes from each
+                # other (random rows of every kind stay within 5)
+                ulps = 16.0 * np.spacing(
+                    abs(lo[i]) + abs(hi[i]) + abs(c) + abs(a))
                 assert (abs(together[i] - want)
                         <= 1e-9 * (hi[i] - lo[i]) + ulps)
 
