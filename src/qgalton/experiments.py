@@ -353,13 +353,11 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
 
     photons = np.array(photons, dtype=np.int64)
     dark_counts = np.array(dark_counts, dtype=np.int64)
-    zero = np.zeros_like(photons)
     # every window's blocks in stream order: arrival times, bin uniforms,
     # efficiency uniforms, dark times and jitter normals; a stable sort of
     # their labels gathers each part of the run in window order
-    sizes = np.stack([photons, photons, photons if thin else zero,
-                      dark_counts, photons + dark_counts if jitter else zero],
-                     axis=1)
+    sizes = np.stack([photons, photons, photons * thin, dark_counts,
+                      (photons + dark_counts) * jitter], axis=1)
     labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), photons.size),
                        sizes.ravel())
     values = np.concatenate(blocks) if blocks else np.empty(0)
@@ -391,9 +389,9 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     arrivals, counts, bin_uniforms, draws = _draw_windows(config, det)
     times, windows = sample_arrivals(arrivals, counts, config.window)
     bins = assign_bins(probs, bin_uniforms)
-    del arrivals, bin_uniforms
     records = detect(times, bins, windows, det, draws, config.window)
-    del draws
+    # the draws are views of one buffer, freed only with the last of them
+    del arrivals, bin_uniforms, draws
     trace = encode(records, line)
     decoded = decode(trace, line)
     return SimulatedStream(

@@ -80,6 +80,10 @@ def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):
     which never decreases; within a window the times are sorted, ties in
     draw order.
     """
+    if (times.ndim != 1 or counts.ndim != 1 or np.any(counts < 0)
+            or counts.sum() != times.size):
+        raise InvalidArgumentError(
+            f"counts must be 1-d, non-negative and sum to {times.size}")
     windows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     times = times + windows * window
     order = np.argsort(times, kind="stable")

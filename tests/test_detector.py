@@ -24,34 +24,28 @@ def make_events(times, bins, windows=None):
     return times, np.asarray(bins, np.int64), np.asarray(windows, np.int64)
 
 
-def window_draws(config, rng, n_photons, duration):
-    """One window's detector draws from ``rng``: an efficiency uniform per
-    photon (none at efficiency 1), the dark counts over [0, duration) as
-    times and pixels, and one jitter value per photon and per dark count
-    (none without jitter)."""
-    keep = rng.random(n_photons) if config.efficiency < 1.0 else np.empty(0)
-    n_dark = int(rng.poisson(
-        config.dark_count_rate * duration * config.pixel_count))
-    dark_times = rng.uniform(0.0, duration, n_dark)
-    dark_pixels = rng.integers(0, config.pixel_count, n_dark)
-    jitter = (rng.normal(0.0, config.jitter_sigma, n_photons + n_dark)
-              if config.jitter_sigma > 0.0 else np.empty(0))
-    return keep, dark_times, dark_pixels, jitter
-
-
-def stack(windows):
-    """The DetectorDraws of windows 0, 1, ... from their `window_draws`."""
-    keep, dark_times, dark_pixels, jitter = (
-        np.concatenate(column) for column in zip(*windows))
-    return DetectorDraws(
-        keep=keep, dark_counts=np.array([w[1].size for w in windows]),
-        dark_times=dark_times, dark_pixels=dark_pixels,
-        jitter_counts=np.array([w[3].size for w in windows]), jitter=jitter)
+def reference_draws(config, rngs, counts, duration):
+    """Each window's draws by reference_impl.detector_draws, window w
+    drawing for ``counts[w]`` photons from ``rngs[w]``, and the
+    DetectorDraws that hold them: a surviving photon's efficiency value is
+    0, a lost one's 1."""
+    per_window = [reference_impl.detector_draws(int(n), config, rng, duration)
+                  for n, rng in zip(counts, rngs)]
+    survive, darks, jitter = zip(*per_window)
+    dark = [d for window in darks for d in window]
+    draws = DetectorDraws(
+        keep=np.where(np.concatenate(survive), 0.0, 1.0),
+        dark_counts=np.array([len(d) for d in darks]),
+        dark_times=np.array([t for t, _ in dark], dtype=float),
+        dark_pixels=np.array([p for _, p in dark], dtype=np.int64),
+        jitter_counts=np.array([len(j) for j in jitter]),
+        jitter=np.array([x for j in jitter for x in j], dtype=float))
+    return draws, per_window
 
 
 def detect_window(events, config, rng, duration=1.0):
     """One window through the detector: its draws, then the whole-run code."""
-    draws = stack([window_draws(config, rng, events[0].size, duration)])
+    draws, _ = reference_draws(config, [rng], [events[0].size], duration)
     return detect(*events, config, draws, window=duration)
 
 
@@ -59,26 +53,25 @@ def detect_run(events, config, seed, window):
     """A run's photons through the detector, each window drawing from its
     own stream; returns the records and the per-window draws."""
     counts = np.bincount(events[2], minlength=1)
-    draws = [window_draws(config, window_rng(seed, w), int(n), window)
-             for w, n in enumerate(counts)]
-    return detect(*events, config, stack(draws), window), draws
+    draws, per_window = reference_draws(
+        config, [window_rng(seed, w) for w in range(counts.size)], counts,
+        window)
+    return detect(*events, config, draws, window), per_window
 
 
 def assert_reference(records, events, draws, config, window):
     """The records equal the plain loop of reference_impl over the same
-    photons and draws, bit for bit."""
+    photons and per-window draws, bit for bit."""
     times, bins, windows = events
-    record, jitter = [], []
-    for w, (keep, dark_times, dark_pixels, jit) in enumerate(draws):
+    record = []
+    for w, (survive, darks, _) in enumerate(draws):
         at = np.flatnonzero(windows == w)
-        survive = (keep < config.efficiency if config.efficiency < 1.0
-                   else np.ones(at.size, dtype=bool))
         record += [(times[j], False, w, i, bins[j])
                     for i, j in enumerate(at.tolist()) if survive[i]]
-        record += [(t + w * window, True, w, i, p) for i, (t, p) in
-                    enumerate(zip(dark_times.tolist(), dark_pixels.tolist()))]
-        jitter.append(jit.tolist())
-    pixels, clicks, is_dark = reference_impl.detect(record, jitter, config)
+        record += [(t + w * window, True, w, i, p)
+                    for i, (t, p) in enumerate(darks)]
+    pixels, clicks, is_dark = reference_impl.detect(
+        record, [jitter for _, _, jitter in draws], config)
     np.testing.assert_array_equal(records.pixels, pixels)
     np.testing.assert_array_equal(records.times, clicks)
     np.testing.assert_array_equal(records.is_dark, is_dark)
@@ -290,8 +283,8 @@ class TestWholeRun:
                           13 * window + 1e-9], [0, 1, 2, 3], [12, 12, 13, 13])
         config = self.cfg(efficiency=1.0, dark_count_rate=0.0)
         rec, draws = detect_run(ev, config, 7, window)
-        jitter = {0: draws[12][3][0], 1: draws[12][3][1],
-                  2: draws[13][3][0], 3: draws[13][3][1]}
+        jitter = {0: draws[12][2][0], 1: draws[12][2][1],
+                  2: draws[13][2][0], 3: draws[13][2][1]}
         for pixel, time in zip(rec.pixels.tolist(), rec.times.tolist()):
             assert time == ev[0][pixel] + jitter[pixel]
         assert_reference(rec, ev, draws, config, window)
@@ -299,8 +292,8 @@ class TestWholeRun:
     def test_windows_must_not_decrease(self):
         config = self.cfg(dark_count_rate=0.0)
         ev = make_events([0.0, 0.0], [3, 3], [1, 0])
-        draws = stack(
-            [window_draws(config, window_rng(0, w), 1, 2e-6) for w in range(2)])
+        draws, _ = reference_draws(
+            config, [window_rng(0, w) for w in range(2)], [1, 1], 2e-6)
         with pytest.raises(InvalidArgumentError):
             detect(*ev, config, draws, 2e-6)
 

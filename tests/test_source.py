@@ -245,6 +245,17 @@ class TestSampleArrivals:
             np.testing.assert_array_equal(all_times[windows == w],
                                           np.sort(own) + w * 2e-6)
 
+    @pytest.mark.parametrize("times, counts", [
+        ([1e-7], [3]),            # would broadcast one time to 3 photons
+        ([1e-7, 2e-7], [1]),
+        ([1e-7, 2e-7], [3, -1]),
+        ([1e-7], [[1]]),
+        ([[1e-7]], [1]),
+    ])
+    def test_counts_must_match_times(self, times, counts):
+        with pytest.raises(InvalidArgumentError, match="counts must"):
+            sample_arrivals(np.array(times), np.array(counts), 2e-6)
+
     def test_window_order_survives_edge_rounding(self):
         # 12 * 2e-6 rounds so that the last time of window 12 lands after
         # 13 * 2e-6, the start of window 13; the photons stay in window order

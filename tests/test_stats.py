@@ -433,12 +433,8 @@ class TestGoldenMinimize:
             assert lo[i] <= together[i] <= hi[i]
             want = true_minimizer(kind, c, a, w, lo[i], hi[i])
             if want is not None:
-                # ulps of slack where the bracket narrows to ulps: the
-                # objective, computed from the point, c and a, cannot tell
-                # apart points a few ulps of their magnitudes from each
-                # other (random rows of every kind stay within 5)
-                ulps = 16.0 * np.spacing(
-                    abs(lo[i]) + abs(hi[i]) + abs(c) + abs(a))
+                # a few ulps of slack where the bracket is only ulps wide
+                ulps = 4.0 * np.spacing(max(abs(lo[i]), abs(hi[i])))
                 assert (abs(together[i] - want)
                         <= 1e-9 * (hi[i] - lo[i]) + ulps)
 
