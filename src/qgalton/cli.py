@@ -21,12 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, QGaltonError, ResourceLimitError
+from .errors import QGaltonError, ResourceLimitError
 from .experiments import (
     EXPERIMENTS,
-    MIN_BOOTSTRAP,
-    SEED_MAX,
     ExperimentOutput,
+    check_value,
     config_from_dict,
     load_config,
     render_report,
@@ -54,7 +53,11 @@ def _read_numbers(path: str) -> np.ndarray:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("["):
-        return np.asarray(json.loads(text), dtype=float)
+        # an integer past the float range reads as inf, which is refused
+        values = json.loads(text, parse_int=float)
+        if not all(type(v) is float for v in values):
+            raise QGaltonError(f"{path}: expected a flat array of numbers")
+        return np.asarray(values, dtype=float)
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     return np.asarray([float(t) for t in tokens], dtype=float)
 
@@ -99,12 +102,10 @@ def _emit(report: dict, tables: dict, args) -> None:
 def cmd_simulate_walk(args) -> int:
     if args.t_squared is not None and args.wavelength_nm is not None:
         raise QGaltonError("give --t-squared or --wavelength-nm, not both")
-    if args.t_squared is not None:
-        t2 = args.t_squared
-    elif args.wavelength_nm is not None:
-        t2 = t2_of_wavelength(args.wavelength_nm)
-    else:
-        t2 = t2_of_wavelength(1550.0)
+    t2 = args.t_squared
+    if t2 is None:
+        t2 = t2_of_wavelength(
+            1550.0 if args.wavelength_nm is None else args.wavelength_nm)
     probs = bin_probabilities(args.stages, t2, args.input_port)
     report = {
         "stages": args.stages,
@@ -133,14 +134,9 @@ def cmd_run(args) -> int:
 
 
 def _check_fit_options(args) -> None:
-    """Hold --seed and --bootstrap to the bounds a run config has."""
-    if not 0 <= args.seed <= SEED_MAX:
-        raise ConfigError(
-            f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
-    if args.bootstrap < MIN_BOOTSTRAP:
-        raise ConfigError(
-            f"--bootstrap must be at least {MIN_BOOTSTRAP}, "
-            f"got {args.bootstrap}")
+    """Hold --seed and --bootstrap to a run config's bounds."""
+    check_value("seed", args.seed, "--seed")
+    check_value("n_bootstrap", args.bootstrap, "--bootstrap")
 
 
 def _read_counts(path: str, what: str) -> np.ndarray:
@@ -182,6 +178,8 @@ def cmd_fit_exponential(args) -> int:
 
 
 def cmd_decode_trace(args) -> int:
+    check_value("segment_delay_ns", args.segment_delay_ns, "--segment-delay-ns")
+    check_value("pixel_count", args.pixel_count, "--pixel-count")
     line = LineConfig(
         segment_delay=args.segment_delay_ns * 1e-9,
         pixel_count=args.pixel_count,

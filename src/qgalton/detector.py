@@ -24,26 +24,14 @@ from .kernels import dead_time_filter
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Per-pixel detector parameters, times in seconds, rate in Hz."""
+    """Per-pixel detector parameters, times in seconds, rate in Hz, taken
+    as given: a run's config has checked them."""
 
     pixel_count: int = 16
     efficiency: float = 1.0
     dead_time: float = 20e-9
     jitter_sigma: float = 50e-12
     dark_count_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.pixel_count < 1:
-            raise InvalidArgumentError(f"pixel_count must be >= 1, got {self.pixel_count}")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise InvalidArgumentError(
-                f"efficiency must lie in [0, 1], got {self.efficiency}"
-            )
-        for name in ("dead_time", "jitter_sigma", "dark_count_rate"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise InvalidArgumentError(
-                    f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

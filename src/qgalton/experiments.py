@@ -44,12 +44,14 @@ from .readout import (
     persistence_trace,
 )
 from .source import (
+    SEED_MAX,
     assign_bins,
     sample_arrivals,
     t2_of_wavelength,
     window_rng,
 )
 from .stats import (
+    MAX_BOOTSTRAP_CELLS,
     T2_GRID_POINTS,
     check_bootstrap_size,
     chi_square_gof,
@@ -60,7 +62,13 @@ from .stats import (
     mean_consistency,
     poisson_pmf,
 )
-from .walk import bin_probabilities
+from .walk import (
+    MAX_STAGES,
+    bin_probabilities,
+    check_input_port,
+    check_stages,
+    check_t_squared,
+)
 
 EXPERIMENTS = ("interference", "counting", "intervals", "persistence")
 
@@ -73,14 +81,74 @@ _EXPERIMENT_DEFAULTS = {
     # carries enough probability to light up its peak
     "persistence": {"t_squared": 0.5},
 }
-# the seed is one 64-bit word of every window's Philox key (window_rng)
-SEED_MAX = 2**64 - 1
 MIN_BOOTSTRAP = 10
 # hard bounds on the size of a run, checked before anything is simulated:
 # the draw loop is one Python step per window, and every expected photon or
-# dark count is a row of the run's event arrays
+# dark count (or persistence histogram bin) is a row of the run's arrays
 MAX_WINDOWS = 1_000_000
 MAX_EXPECTED_COUNTS = 8_000_000
+# decode pairs pulses within DEFAULT_TOLERANCE (seconds), which must stay
+# under half a segment delay to tell neighbouring pixels apart
+_MIN_SEGMENT_DELAY_NS = 2.0 * DEFAULT_TOLERANCE * 1e9
+# the largest window, jitter, segment delay (ns) and amplitude: a run's
+# times in ns, the interval fit's 20-fold range above them and its sums of
+# amplitudes stay finite; the smallest window is still above 0 in seconds
+_LARGEST = 1e300
+# The bound of every run-config key, written once, and checked where input
+# enters: by a run config for each key and by decode-trace and fit-* for
+# their options, so the components take what they are given.  An entry is
+# (test, what it allows), or a walk or source check that their API callers
+# reach directly, whose message names the key.  Numbers must be finite.
+_BOUNDS = {
+    "stages": check_stages,
+    "windows": (lambda v: v >= 1, ">= 1"),
+    "mean_photon_number": (lambda v: v >= 0.0, ">= 0"),
+    "window_ns": (lambda v: 1e-300 <= v <= _LARGEST, "in [1e-300, 1e300]"),
+    "input_port": check_input_port,
+    "seed": (lambda v: 0 <= v <= SEED_MAX, "an unsigned 64-bit integer"),
+    "pixel_count": (lambda v: v >= 1, ">= 1"),
+    "efficiency": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "dead_time_ns": (lambda v: v >= 0.0, ">= 0"),
+    "jitter_sigma_ns": (lambda v: 0.0 <= v <= _LARGEST, "in [0, 1e300]"),
+    "dark_count_rate_hz": (lambda v: v >= 0.0, ">= 0"),
+    "segment_delay_ns": (lambda v: _MIN_SEGMENT_DELAY_NS < v <= _LARGEST,
+                         f"in ({_MIN_SEGMENT_DELAY_NS:g}, 1e300], over twice "
+                         "the decode tolerance"),
+    "attenuation_per_segment": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "base_amplitude": (lambda v: 0.0 < v <= _LARGEST, "in (0, 1e300]"),
+    "trigger_polarity": (lambda v: v in ("negative", "positive"),
+                         "negative or positive"),
+    "n_bootstrap": (lambda v: v >= MIN_BOOTSTRAP, f">= {MIN_BOOTSTRAP}"),
+    "bin_width_ns": (lambda v: v > 0.0, "positive"),
+    "min_cluster": (lambda v: v >= 1, ">= 1 or null"),
+    "wavelength_nm": t2_of_wavelength,
+    "t_squared": check_t_squared,
+}
+# past these a request is too large to serve (stages has its own): no fit's
+# bootstrap table has under one column, and a run's has fit_t2's 513
+_LIMITS = {"windows": MAX_WINDOWS, "pixel_count": 2 * MAX_STAGES,
+           "n_bootstrap": MAX_BOOTSTRAP_CELLS}
+
+
+def check_value(key: str, value, option: Optional[str]) -> None:
+    """Refuse, with ConfigError or past a size limit ResourceLimitError, a
+    ``value`` out of ``key``'s bound, naming it and ``option`` if given."""
+    name = key if option is None else f"{option} ({key})"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    bound = _BOUNDS[key]
+    if callable(bound):
+        try:
+            bound(value)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
+        return
+    test, allowed = bound
+    if not test(value):
+        raise ConfigError(f"{name} must be {allowed}, got {value!r}")
+    limit = _LIMITS.get(key)
+    if limit is not None and value > limit:
+        raise ResourceLimitError(f"{name} is {value}: the limit is {limit}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +185,6 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of "
                 f"{', '.join(EXPERIMENTS)}"
             )
-        if self.stages < 1:
-            raise ConfigError(f"stages must be >= 1, got {self.stages}")
-        if self.windows < 1:
-            raise ConfigError(f"windows must be >= 1, got {self.windows}")
         if self.pixel_count != 2 * self.stages:
             raise ConfigError(
                 f"pixel_count ({self.pixel_count}) must equal twice the "
@@ -130,45 +194,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "exactly one of wavelength_nm and t_squared must be set"
             )
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.t_squared is not None and not 0.0 <= self.t_squared <= 1.0:
-            raise ConfigError(
-                f"t_squared must lie in [0, 1], got {self.t_squared}")
-        if not self.window_ns > 0.0:
-            raise ConfigError(f"window_ns must be positive, got {self.window_ns}")
-        for name in ("mean_photon_number", "dead_time_ns", "jitter_sigma_ns",
-                     "dark_count_rate_hz"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ConfigError(
-                    f"{name} must be finite and >= 0, got {value}")
-        if self.n_bootstrap < MIN_BOOTSTRAP:
-            raise ConfigError(
-                f"n_bootstrap must be at least {MIN_BOOTSTRAP}, "
-                f"got {self.n_bootstrap}"
-            )
-        if not 0 <= self.seed <= SEED_MAX:
-            raise ConfigError(
-                f"seed must lie in [0, 2**64 - 1], got {self.seed}"
-            )
-        if self.min_cluster is not None and self.min_cluster < 1:
-            raise ConfigError(
-                f"min_cluster must be >= 1 or null, got {self.min_cluster}"
-            )
-        # decode pairs pulses within DEFAULT_TOLERANCE (seconds), which must
-        # stay under half a segment delay to tell neighbouring pixels apart
-        min_delay_ns = 2e9 * DEFAULT_TOLERANCE
-        if not min_delay_ns < self.segment_delay_ns:
-            raise ConfigError(
-                f"segment_delay_ns must be finite and above twice the decode "
-                f"tolerance, {min_delay_ns:g} ns, got {self.segment_delay_ns}")
-        if not self.bin_width_ns > 0.0:
-            raise ConfigError(
-                f"bin_width_ns must be positive, got {self.bin_width_ns}"
-            )
+        for key in _KNOWN_KEYS:
+            value = getattr(self, key)
+            if value is not None:
+                check_value(key, value, None)
         # the far-end pulse is the weakest; decode refuses a zero amplitude
         if self.base_amplitude * self.attenuation_per_segment ** (
                 self.pixel_count - 1) == 0.0:
@@ -180,9 +209,6 @@ class ExperimentConfig:
 
     def _check_size(self) -> None:
         """Refuse, with ResourceLimitError, runs too large to serve."""
-        if self.windows > MAX_WINDOWS:
-            raise ResourceLimitError(
-                f"windows={self.windows}: limit is windows <= {MAX_WINDOWS}")
         photons = self.windows * self.mean_photon_number
         if photons > MAX_EXPECTED_COUNTS:
             raise ResourceLimitError(
@@ -195,6 +221,13 @@ class ExperimentConfig:
                 f"dark_count_rate_hz={self.dark_count_rate_hz:g} gives "
                 f"{darks:g} expected dark counts: limit is "
                 f"{MAX_EXPECTED_COUNTS}")
+        # the persistence histogram spans the line's reach either side
+        bins = 2 * (self.pixel_count + 1) * (self.segment_delay_ns
+                                             / self.bin_width_ns)
+        if self.experiment == "persistence" and bins > MAX_EXPECTED_COUNTS:
+            raise ResourceLimitError(
+                f"segment_delay_ns and bin_width_ns give {bins:g} persistence"
+                f" bins: limit is {MAX_EXPECTED_COUNTS}")
         # each fit checks its own table again; fit_t2's grid scan is the
         # widest any run builds short of hundreds of counts per window
         check_bootstrap_size(self.n_bootstrap, T2_GRID_POINTS)
@@ -228,9 +261,7 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
-_KNOWN_KEYS = set(_FIELD_TYPES) - {"experiment"}
-_FLOAT_FIELDS = [key for key, hint in _FIELD_TYPES.items()
-                 if float in (hint, *get_args(hint))]
+_KNOWN_KEYS = [key for key in _FIELD_TYPES if key != "experiment"]
 # bool is an int subclass, so it is refused explicitly below
 _ACCEPTED = {int: (numbers.Integral, "an integer"),
              float: (numbers.Real, "a number"),
@@ -259,7 +290,7 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
                      seed: Optional[int] = None) -> ExperimentConfig:
     """Merge a user config over the experiment's defaults and validate."""
     data = dict(data or {})
-    unknown = set(data) - _KNOWN_KEYS
+    unknown = set(data).difference(_KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, value in data.items():
@@ -276,6 +307,8 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
     elif user_t2 is not None:
         merged["wavelength_nm"], merged["t_squared"] = None, float(user_t2)
     if seed is not None:
+        if "seed" in data:  # overridden, but still refused out of bound
+            check_value("seed", data["seed"], None)
         merged["seed"] = int(seed)
     return ExperimentConfig(experiment=experiment, **merged)
 

@@ -32,7 +32,6 @@ import numpy as np
 from .detector import DetectionRecords
 from .errors import InvalidArgumentError, ResourceLimitError
 from .kernels import pair_pulses, searchsorted_sorted
-from .walk import MAX_STAGES
 
 FLAG_OK = 0
 FLAG_ORPHAN_NEGATIVE = 1
@@ -62,6 +61,7 @@ class LineConfig:
     segment_delay is the per-tap delay in seconds; attenuation_per_segment
     multiplies the amplitude once per segment traversed.  trigger_polarity
     names the polarity of the pulse that leaves through the near end.
+    The values are taken as given, checked by `experiments.check_value`.
     """
 
     segment_delay: float = 0.9e-9
@@ -69,38 +69,6 @@ class LineConfig:
     attenuation_per_segment: float = 0.97
     base_amplitude: float = 1.0
     trigger_polarity: str = "negative"
-
-    def __post_init__(self):
-        # decode pairs pulses within DEFAULT_TOLERANCE, which must stay
-        # under half a segment delay to tell neighbouring pixels apart
-        if not 2.0 * DEFAULT_TOLERANCE < self.segment_delay < np.inf:
-            raise InvalidArgumentError(
-                f"segment_delay ({self.segment_delay:g} s) must be finite and "
-                f"exceed twice the {DEFAULT_TOLERANCE:g} s decode tolerance "
-                "to separate pixels")
-        if self.pixel_count < 1:
-            raise InvalidArgumentError(
-                f"pixel_count must be >= 1, got {self.pixel_count}"
-            )
-        # one pixel per output bin of the largest mesh a run may build
-        if self.pixel_count > 2 * MAX_STAGES:
-            raise ResourceLimitError(
-                f"pixel_count={self.pixel_count}: limit is pixel_count <= "
-                f"{2 * MAX_STAGES}")
-        if not 0.0 < self.attenuation_per_segment <= 1.0:
-            raise InvalidArgumentError(
-                "attenuation_per_segment must lie in (0, 1], got "
-                f"{self.attenuation_per_segment}"
-            )
-        if not self.base_amplitude > 0.0:
-            raise InvalidArgumentError(
-                f"base_amplitude must be positive, got {self.base_amplitude}"
-            )
-        if self.trigger_polarity not in ("negative", "positive"):
-            raise InvalidArgumentError(
-                f"trigger_polarity must be negative or positive, got "
-                f"{self.trigger_polarity!r}"
-            )
 
     @property
     def span(self) -> float:
@@ -307,7 +275,8 @@ def _pair(trig_times, part_times, config: LineConfig, scan: np.ndarray):
     trig_degree = np.bincount(cand_trig, minlength=trig_times.size)
     part_degree = np.bincount(cand_part, minlength=part_times.size)
     alone = (trig_degree[cand_trig] == 1) & (part_degree[cand_part] == 1)
-    # scan ranks fit uint8: LineConfig allows at most 124 + 2 * SLOT_PAD slots
+    # scan ranks fit uint8: experiments.check_value bounds pixel_count at
+    # 124, so a line has at most 124 + 2 * SLOT_PAD slots
     rank_of_slot = np.empty(scan.size, dtype=np.uint8)  # at slot + SLOT_PAD
     rank_of_slot[scan + SLOT_PAD] = np.arange(scan.size)
     match = np.full(trig_times.size, -1, dtype=np.int64)
@@ -419,6 +388,11 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     )
 
 
+# pairs persistence_trace overlays at once, each about 72 bytes at its peak;
+# pairs per trigger grow with the click rate, so memory grows with its square
+MAX_OVERLAY_PAIRS = 2**23
+
+
 @dataclass
 class PersistenceResult:
     """Trigger-aligned overlay of counter pulses.
@@ -451,9 +425,9 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     their delay from the trigger.  True pairs pile up at the slot delays
     while unrelated clicks leave a thin haze, so clusters below
     min_cluster members (default max(5, 0.1% of sweeps)) are discarded.
+    More than MAX_OVERLAY_PAIRS pairs are refused, with ResourceLimitError,
+    before any is built; a run's config has checked bin_width.
     """
-    if bin_width <= 0.0:
-        raise InvalidArgumentError(f"bin_width must be positive, got {bin_width}")
     order, times, is_trig = _time_order(trace, config)
     trig_times = times[np.flatnonzero(is_trig)]
     part_at = np.flatnonzero(~is_trig)
@@ -469,6 +443,10 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     hi = np.searchsorted(part_times, trig_times + reach, side="right")
     counts = hi - lo
     total = int(counts.sum())
+    if total > MAX_OVERLAY_PAIRS:
+        raise ResourceLimitError(
+            f"{total} (trigger, counter pulse) pairs to overlay: limit is "
+            f"{MAX_OVERLAY_PAIRS}; lower mean_photon_number or windows")
     # flat indices of every (trigger, counter) overlay pair
     starts = np.repeat(lo, counts)
     within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)

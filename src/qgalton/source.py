@@ -26,11 +26,14 @@ _SLOPE, _INTERCEPT = map(float, np.polyfit(*np.array(DEFAULT_CALIBRATION).T, 1))
 def t2_of_wavelength(wavelength: float) -> float:
     """Coupler transmission t^2 at `wavelength` nm, clamped to [0, 1]."""
     if not np.isfinite(wavelength) or wavelength <= 0.0:
-        raise InvalidArgumentError(f"wavelength must be positive, got {wavelength}")
+        raise InvalidArgumentError(
+            f"wavelength_nm must be positive, got {wavelength}")
     return min(1.0, max(0.0, _SLOPE * wavelength + _INTERCEPT))
 
 
 _ZEROS = (0, 0, 0, 0)
+# the seed is the low 64-bit word of every window's Philox key
+SEED_MAX = 2**64 - 1
 
 
 def window_rng(master_seed: int, window_index: int,
@@ -47,13 +50,8 @@ def window_rng(master_seed: int, window_index: int,
     returned, is reused, otherwise one is built.  Either way its Philox
     state is set to key (master_seed, window_index), a zero counter and an
     empty buffer, so whatever was drawn from it before, it gives exactly
-    the stream of a fresh generator.
-    """
-    if window_index < 0:
-        raise InvalidArgumentError(f"window index must be >= 0, got {window_index}")
-    if not 0 <= master_seed < 2**64:
-        raise InvalidArgumentError(
-            f"master seed must lie in [0, 2**64), got {master_seed}")
+    the stream of a fresh generator.  A seed in [0, SEED_MAX] and an
+    index >= 0 are taken as given: a run's config checks its seed."""
     if rng is None:
         rng = np.random.Generator(np.random.Philox(0))
     # two key words, low the seed and high the window; buffer_pos 4 marks

@@ -51,7 +51,7 @@ MAX_STAGES = 62
 MAX_ORACLE_STAGES = 20
 
 
-def _check_stages(stages) -> None:
+def check_stages(stages) -> None:
     if not isinstance(stages, (int, np.integer)) or isinstance(stages, bool):
         raise InvalidArgumentError(f"stages must be an integer, got {stages!r}")
     if stages < 1:
@@ -61,10 +61,18 @@ def _check_stages(stages) -> None:
             f"stages={stages}: limit is stages <= {MAX_STAGES}")
 
 
-def _check_input_port(input_port: str) -> str:
+def check_input_port(input_port: str) -> None:
     if input_port not in ("left", "right"):
         raise InvalidArgumentError(f"input_port must be 'left' or 'right', got {input_port!r}")
-    return input_port
+
+
+def check_t_squared(t_squared) -> np.ndarray:
+    """``t_squared`` as a float array, refused unless it lies in [0, 1]."""
+    x = np.asarray(t_squared, dtype=np.float64)
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
+        raise InvalidArgumentError(
+            f"t_squared must lie in [0, 1], got {t_squared}")
+    return x
 
 
 def bin_probabilities(stages: int, t_squared, input_port: str = "left") -> np.ndarray:
@@ -85,13 +93,11 @@ def bin_probabilities(stages: int, t_squared, input_port: str = "left") -> np.nd
         Shape (2*stages,) for scalar input, else (len(t_squared), 2*stages),
         ordered left to right as [L1, R1, ..., LS, RS] of the last row.
     """
-    _check_stages(stages)
-    _check_input_port(input_port)
-    x = np.asarray(t_squared, dtype=np.float64)
+    check_stages(stages)
+    check_input_port(input_port)
+    x = check_t_squared(t_squared)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
-        raise InvalidArgumentError("t_squared values must lie in [0, 1]")
     t = np.sqrt(x)
     r = np.sqrt(1.0 - x)
 
@@ -140,15 +146,13 @@ def path_sum_oracle(stages: int, t_squared: float, input_port: str = "left") -> 
     amplitudes per terminal bin.  Exponential in ``stages``; refuses more
     than MAX_ORACLE_STAGES rows.
     """
-    _check_input_port(input_port)
-    _check_stages(stages)
+    check_input_port(input_port)
+    check_stages(stages)
     if stages > MAX_ORACLE_STAGES:
         raise ResourceLimitError(
-            f"path enumeration needs 2**{stages} paths; limit is 2**{MAX_ORACLE_STAGES}"
-        )
-    if not 0.0 <= t_squared <= 1.0:
-        raise InvalidArgumentError(
-            f"transmission probability t^2 must be in [0, 1], got {t_squared}")
+            f"stages={stages}: path enumeration needs 2**{stages} paths; "
+            f"limit is stages <= {MAX_ORACLE_STAGES}")
+    check_t_squared(t_squared)
     t = math.sqrt(t_squared)
     ir = 1j * math.sqrt(1.0 - t_squared)
     start_side = "L" if input_port == "left" else "R"

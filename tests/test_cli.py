@@ -1,16 +1,20 @@
 """Command line interface tests: exit codes, output files, round trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgalton
 from qgalton.cli import (
@@ -21,7 +25,9 @@ from qgalton.cli import (
     main,
 )
 from qgalton.detector import DetectionRecords
+from qgalton.experiments import EXPERIMENTS, MAX_WINDOWS
 from qgalton.readout import LineConfig, encode
+from qgalton.stats import MAX_BOOTSTRAP_CELLS, T2_GRID_POINTS
 from qgalton.walk import bin_probabilities
 
 
@@ -465,6 +471,19 @@ class TestFitCommands:
         assert err.count("\n") == 1
         assert "finite integers" in err
 
+    @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson",
+                                         "fit-exponential"])
+    @pytest.mark.parametrize("value", ['"2"', "true", "[2]"])
+    def test_non_number_entry_exit_config(self, tmp_path, capsys, command,
+                                          value):
+        # a string or a boolean once read as a number, a list as a row
+        p = tmp_path / "values.json"
+        p.write_text(f"[{value}, 3, 4, 5]")
+        code, rep, err = run_cli(capsys, command, "--input", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: expected a flat array of numbers" in err
+
     def test_fit_input_missing_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "fit-poisson", "--input", "/no/file")
         assert code == EXIT_CONFIG
@@ -678,3 +697,184 @@ class TestStartup:
         assert after_import == []
         assert code == EXIT_OK
         assert after_run == []
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which strict JSON forbids")
+
+
+HUGE = 10**400  # too large for a float
+MAX = float(np.finfo(float).max)
+# values no bound admits, drawn for every key and option: non-finite,
+# negative, of the wrong type, and too large for any number field
+WRONG = [float("nan"), float("inf"), float("-inf"), -1, "x", True, [1], None,
+         HUGE]
+# run-config keys: (values inside the declared bound, edges among them;
+# values outside it).  windows stays small so valid runs stay cheap.
+RUN_KEYS = {
+    "stages": ([1, 8, 62], [0, 63]),
+    "windows": ([1, 20, 200], [0, MAX_WINDOWS + 1]),
+    "mean_photon_number": ([0.0, 0.5, 4.0, 30.0], [1e12]),
+    "window_ns": ([1e-300, 1.0, 2000.0, 1e300], [0.0, 5e-324, MAX]),
+    "input_port": (["left", "right"], ["mid"]),
+    "seed": ([0, 2**64 - 1], [2**64]),
+    "efficiency": ([0.0, 0.5, 1.0], [1.5]),
+    "dead_time_ns": ([0.0, 20.0, MAX], []),
+    "jitter_sigma_ns": ([0.0, 0.05, 1e300], [MAX]),
+    "dark_count_rate_hz": ([0.0, 1e4], [1e300]),
+    "segment_delay_ns": ([0.021, 0.9, 1e3], [0.02, MAX]),
+    "attenuation_per_segment": ([1e-20, 0.97, 1.0], [0.0, 1.5]),
+    "base_amplitude": ([1e-300, 1.0, 1e300], [0.0, MAX]),
+    "trigger_polarity": (["negative", "positive"], ["up"]),
+    "n_bootstrap": ([10, 50], [9, MAX_BOOTSTRAP_CELLS // T2_GRID_POINTS + 1]),
+    "bin_width_ns": ([1e-3, 0.1, MAX], [0.0]),
+    "min_cluster": ([None, 1, 5, HUGE], [0]),
+    "wavelength_nm": ([None, 1520.0, MAX], [0.0]),
+    "t_squared": ([None, 0.0, 0.5, 1.0], [1.0 + 2**-52]),
+}
+
+
+def drawn(name, good, bad):
+    """(name, value, whether the bound admits it), good three times in
+    four; the wrong values a bound admits, None where a key is optional,
+    count as good."""
+    wrong = [v for v in WRONG if not any(v is g for g in good)]
+    bad = [(name, v, False) for v in bad + wrong]
+    return st.sampled_from([(name, v, True) for v in good]
+                           * (3 * len(bad) // len(good) + 1) + bad)
+
+
+def option(name, good, bad):
+    """A command-line option; a value of None leaves it out."""
+    return drawn(name, [None, *good], bad)
+
+
+def one_of_two(items, first, second):
+    """Flag giving both of two settings that exclude each other."""
+    present = {name for name, value, _ in items if value is not None}
+    return [(second, None, False)] if {first, second} <= present else []
+
+
+@st.composite
+def run_argv(draw, tmp):
+    keys = draw(st.lists(st.sampled_from(sorted(set(RUN_KEYS) - {"windows"})),
+                         max_size=4, unique=True))
+    items = [draw(drawn(key, *RUN_KEYS[key])) for key in ["windows", *keys]]
+    data = {key: value for key, value, _ in items}
+    stages = data.get("stages")
+    if isinstance(stages, int) and not isinstance(stages, bool):
+        data["pixel_count"] = 2 * stages
+    items += one_of_two(items, "wavelength_nm", "t_squared")
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    experiment = draw(drawn("experiment", list(EXPERIMENTS), ["diffraction"]))
+    seed = draw(option("--seed", [0, 2**64 - 1], [2**64]))
+    argv = ["run", str(experiment[1]), "--config", path]
+    if seed[1] is not None:
+        argv += ["--seed", str(seed[1])]
+    return argv, items + [experiment, seed]
+
+
+def options_argv(draw, command, options, argv=()):
+    items = [draw(opt) for opt in options]
+    argv = [command, *argv]
+    for name, value, _ in items:
+        if value is not None:
+            argv += [name, str(value)]
+    return argv, items
+
+
+@st.composite
+def simulate_walk_argv(draw, tmp):
+    oracle = draw(st.booleans())
+    # path enumeration is exponential: stages stay small when it runs
+    stages = ([1, 8, 12], [0, 21, 63]) if oracle else ([1, 8, 62], [0, 63])
+    argv, items = options_argv(draw, "simulate-walk", [
+        option("--stages", *stages),
+        option("--t-squared", [0.0, 0.5, 1.0], [1.5]),
+        option("--wavelength-nm", [1520.0, MAX], [0.0]),
+        option("--input-port", ["left", "right"], ["mid"])])
+    items += one_of_two(items, "--wavelength-nm", "--t-squared")
+    return argv + ["--check-oracle"] * oracle, items
+
+
+@st.composite
+def fit_argv(draw, tmp, command):
+    values = draw(st.lists(st.sampled_from(
+        [0, 1, 3, 17, 2.5, 1e300, -2, float("nan"), float("inf"), HUGE,
+         "x"]), max_size=20))
+    path = os.path.join(tmp, "values.json")
+    with open(path, "w") as fh:
+        if draw(st.booleans()):
+            json.dump(values, fh)
+        else:
+            fh.write(" ".join(map(str, values)))
+    return options_argv(draw, command, [
+        option("--seed", [0, 2**64 - 1], [2**64]),
+        # each fit bounds the bootstrap by its own table width
+        option("--bootstrap", [10, 60], [9])],
+        ["--input", path])
+
+
+@st.composite
+def decode_trace_argv(draw, tmp):
+    pixels = np.array(draw(st.lists(st.integers(0, 15), max_size=8)),
+                      dtype=np.int64)
+    trace = encode(DetectionRecords(pixels, np.arange(pixels.size) * 50e-9,
+                                    np.zeros(pixels.size, bool)),
+                   LineConfig())
+    lines = [f"{t * 1e9!r},{a!r}"
+             for t, a in zip(trace.times.tolist(), trace.amplitudes.tolist())]
+    lines += draw(st.lists(st.sampled_from(
+        ["nan,1.0", "5.0,inf", "1e300,-1.0", "x,y", "1,2,3", "3.0,0.0"]),
+        max_size=2))
+    path = os.path.join(tmp, "trace.csv")
+    with open(path, "w") as fh:
+        fh.write("time_ns,amplitude\n" + "\n".join(lines) + "\n")
+    return options_argv(draw, "decode-trace", [
+        option("--segment-delay-ns", [0.021, 0.9, 1e300], [0.02, MAX]),
+        option("--pixel-count", [1, 16, 124], [0, 125]),
+        option("--trigger-polarity", ["negative", "positive"], ["up"])],
+        ["--input", path])
+
+
+ARGV = {"run": run_argv, "simulate-walk": simulate_walk_argv,
+        "decode-trace": decode_trace_argv,
+        **{command: lambda tmp, command=command: fit_argv(tmp, command)
+           for command in ("fit-t2", "fit-poisson", "fit-exponential")}}
+
+
+def spellings(name):
+    """A key or option as a refusal may name it."""
+    key = name.lstrip("-").replace("-", "_")
+    return {name, key, "n_bootstrap" if key == "bootstrap" else key}
+
+
+class TestInputContract:
+    """Every subcommand, fed values from each declared bound, its edges and
+    values no bound admits, exits 0, 2, 3 or 4 and lets no exception out.
+    It refuses every value out of bound, naming a key or option it was
+    given, and prints only strict JSON."""
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_subcommand(self, command, data):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, items = data.draw(ARGV[command](tmp))
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refusing an option
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DECODE, EXIT_RESOURCE)
+        if not all(ok for *_, ok in items):
+            assert code in (EXIT_CONFIG, EXIT_RESOURCE), (argv, out)
+            named = set().union(*(spellings(name) for name, *_ in items))
+            assert any(name in err for name in named), (argv, err)
+        if out:
+            json.loads(out, parse_constant=_refuse_constant)

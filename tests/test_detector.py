@@ -11,7 +11,7 @@ from qgalton.detector import (
     DetectorDraws,
     detect,
 )
-from qgalton.errors import InvalidArgumentError
+from qgalton.errors import ConfigError, InvalidArgumentError
 from qgalton.experiments import _draw_windows, config_from_dict
 from qgalton.source import window_rng
 
@@ -100,8 +100,16 @@ class TestDetectorConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
-            DetectorConfig(**kwargs)
+        # DetectorConfig takes checked values: the run config refuses each
+        # of these, in its own units, before a detector is built
+        (field, value), = kwargs.items()
+        key, scale = {"pixel_count": ("pixel_count", 1),
+                      "efficiency": ("efficiency", 1),
+                      "dead_time": ("dead_time_ns", 1e9),
+                      "jitter_sigma": ("jitter_sigma_ns", 1e9),
+                      "dark_count_rate": ("dark_count_rate_hz", 1)}[field]
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict("counting", {key: value * scale})
 
 
 class TestDeadTime:

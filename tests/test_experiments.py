@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impl
+from qgalton import cli, experiments
 from qgalton.errors import ConfigError, ResourceLimitError
 from qgalton.experiments import (
     EXPERIMENTS,
@@ -29,6 +30,10 @@ from qgalton.experiments import (
 )
 from qgalton.readout import DecodedEvents, TraceEvents
 from qgalton.stats import MAX_BOOTSTRAP_CELLS, T2_GRID_POINTS
+
+
+def _no_run(config):
+    raise AssertionError("a refused config reached simulate_stream")
 
 
 def small(exp, extra=None, seed=0, windows=2000):
@@ -156,6 +161,47 @@ class TestConfig:
     def test_segment_delay_above_decode_tolerance_accepted(self):
         cfg = config_from_dict("counting", {"segment_delay_ns": 0.021})
         assert cfg.line_config().segment_delay == pytest.approx(0.021e-9)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("efficiency", 1.5, ConfigError),
+        ("attenuation_per_segment", 1.5, ConfigError),
+        ("base_amplitude", -1.0, ConfigError),
+        ("trigger_polarity", "up", ConfigError),
+        ("input_port", "mid", ConfigError),
+        ("wavelength_nm", -5.0, ConfigError),
+        ("stages", 63, ResourceLimitError),
+    ])
+    def test_refused_before_the_run(self, monkeypatch, capsys, tmp_path,
+                                    field, value, error):
+        # once refused only by the component that met them mid-run
+        data = {field: value, "windows": 50}
+        if field == "stages":
+            data["pixel_count"] = 2 * value
+        with pytest.raises(error, match=field):
+            config_from_dict("counting", data)
+        monkeypatch.setattr(experiments, "simulate_stream", _no_run)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["run", "counting", "--config", str(path)])
+        assert code == (cli.EXIT_RESOURCE if error is ResourceLimitError
+                        else cli.EXIT_CONFIG)
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("bin_width_ns", 1e-9), ("bin_width_ns", 1e-6),
+        ("segment_delay_ns", 1e7)])
+    def test_persistence_bins_bounded(self, field, value):
+        # the overlay histogram has 2 (pixel_count + 1) segment_delay_ns /
+        # bin_width_ns bins, 306 at the defaults
+        with pytest.raises(ResourceLimitError,
+                           match="segment_delay_ns.*bin_width_ns"):
+            config_from_dict("persistence", {field: value})
+        finest = 2 * 17 * 0.9 / MAX_EXPECTED_COUNTS
+        assert config_from_dict("persistence", {"bin_width_ns": 1.001 * finest})
+        with pytest.raises(ResourceLimitError):
+            config_from_dict("persistence", {"bin_width_ns": 0.999 * finest})
+        # only persistence builds the histogram
+        assert config_from_dict("counting", {field: value})
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         p = tmp_path / "c.json"

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 import reference_impl
 from qgalton import readout
 from qgalton.detector import DetectionRecords
-from qgalton.errors import InvalidArgumentError, ResourceLimitError
-from qgalton.experiments import config_from_dict, simulate_stream
+from qgalton.errors import (
+    ConfigError,
+    InvalidArgumentError,
+    ResourceLimitError,
+)
+from qgalton.experiments import check_value, config_from_dict, simulate_stream
 from qgalton.readout import (
     DEFAULT_TOLERANCE,
     FLAG_NAMES,
@@ -61,13 +65,19 @@ class TestLineConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
-            LineConfig(**kwargs)
+        # LineConfig takes checked values: the run config refuses each of
+        # these, in its own units, before a line is built
+        (field, value), = kwargs.items()
+        key = "segment_delay_ns" if field == "segment_delay" else field
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict("counting", {key: value})
 
     def test_pixel_count_bounded_by_largest_mesh(self):
-        assert LineConfig(pixel_count=124).pixel_count == 124
+        # one pixel per output bin of the largest mesh; decode-trace's
+        # --pixel-count is held to this bound
+        check_value("pixel_count", 124, "--pixel-count")
         with pytest.raises(ResourceLimitError, match="124"):
-            LineConfig(pixel_count=125)
+            check_value("pixel_count", 125, "--pixel-count")
 
 
 class TestEncode:
@@ -274,9 +284,9 @@ class TestDecodeValidation:
 
     def test_oversize_tolerance_rejected(self):
         # the 10 ps decode tolerance is not under half of a 15 ps segment;
-        # the line refuses such a geometry before any trace is decoded
-        with pytest.raises(InvalidArgumentError, match="decode tolerance"):
-            LineConfig(segment_delay=0.015e-9)
+        # such a line is refused before any trace is decoded
+        with pytest.raises(ConfigError, match="decode tolerance"):
+            check_value("segment_delay_ns", 0.015, "--segment-delay-ns")
 
     def test_empty_trace(self):
         dec = decode(TraceEvents(np.array([]), np.array([])), LineConfig())
@@ -420,6 +430,23 @@ class TestPersistence:
         np.testing.assert_allclose(weights, 1 / 16.0, atol=0.015)
 
     def test_bad_bin_width(self):
-        with pytest.raises(InvalidArgumentError):
-            persistence_trace(TraceEvents(np.array([]), np.array([])),
-                              LineConfig(), bin_width=0.0)
+        # persistence_trace takes a checked bin width
+        with pytest.raises(ConfigError, match="bin_width_ns"):
+            config_from_dict("persistence", {"bin_width_ns": 0.0})
+
+    def test_overlay_pairs_capped_before_allocation(self):
+        # 3000 triggers and 3000 counter pulses inside one reach would
+        # overlay 9e6 pairs, over 600 MB; the count alone is refused
+        n = 3000
+        times = np.linspace(0.0, 1e-9, 2 * n)
+        trace = TraceEvents(times, np.tile([-1.0, 1.0], n))
+        assert n * n > readout.MAX_OVERLAY_PAIRS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match="mean_photon_number.*windows"):
+                persistence_trace(trace, LineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
