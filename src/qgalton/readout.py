@@ -17,9 +17,10 @@ Decoding pairs pulses only at the expected spacings (nearest-match pairing
 at a tight tolerance around each pixel slot), which keeps accidental
 cross-pairings between clicks that overlap on the line to coincidences at
 the tolerance scale instead of coincidences at the line-span scale.  One
-sweep over the trace finds every pair whose spacing fits a slot; a pair
-that shares neither pulse with another candidate is taken at once, and
-only the contested pulses go through the slot-by-slot greedy passes.
+walk over (trigger, counter pulse) pairs, shared with the persistence
+overlay, finds every pair whose spacing fits a slot; a pair that shares no
+pulse with another candidate is taken at once, and only the contested
+pulses go through the slot-by-slot greedy passes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def flag_summary(flags: np.ndarray) -> dict:
 # pairing tolerance: pulse pairs from one click have spacing set by passive
 # line lengths, so the residual budget only covers arithmetic noise
 DEFAULT_TOLERANCE = 10e-12
+# the largest |time| a trace may hold, about 1,407 s: float64 seconds out to
+# here resolve the tolerance to 1/44, and pairing tests one slot per pair
+MAX_TRACE_TIME = 2**47 * DEFAULT_TOLERANCE
 # slots scanned beyond each end of the line, to flag pixel_out_of_range pairs
 SLOT_PAD = 2
 
@@ -169,9 +173,13 @@ def _trigger_sign(config: LineConfig) -> float:
 
 def _time_order(trace: TraceEvents, config: LineConfig):
     """The trace's stable time order, its times in that order, and which of
-    them are trigger-polarity pulses; zero-amplitude pulses are refused."""
+    them are trigger-polarity pulses; zero-amplitude pulses and times past
+    +/- MAX_TRACE_TIME are refused."""
     if np.any(trace.amplitudes == 0.0):
         raise InvalidArgumentError("trace contains zero-amplitude pulses")
+    if not np.all(np.abs(trace.times) <= MAX_TRACE_TIME):
+        raise InvalidArgumentError(
+            f"trace times must lie within +/-{MAX_TRACE_TIME:g} s")
     order = np.argsort(trace.times, kind="stable")
     is_trig = np.sign(trace.amplitudes[order]) == _trigger_sign(config)
     return order, trace.times[order], is_trig
@@ -187,12 +195,35 @@ def _scan_order(pixel_count: int) -> np.ndarray:
     return np.array(scan, dtype=np.int64)
 
 
-# candidates the sweep holds at once: at under 100 bytes each, this bounds
-# the sweep's own memory at about 1.5 MiB however dense the trace is (a
-# denser trace takes more blocks, not more memory), under the trace-sized
-# arrays around it; at 30 photons per window it also runs faster than one
-# block of every candidate
+# pairs a walk holds at once: at under 100 bytes each, a denser trace takes
+# more blocks, not more memory, and at 30 photons per window decode runs
+# faster than on one block of every pair
 _BLOCK = 1 << 14
+
+
+def _pairs_within(trig_times, part_times, reach):
+    """The number of (trigger, partner) pairs no more than reach apart, and
+    a generator of them: trigger and partner index arrays, in blocks of
+    about _BLOCK pairs, by trigger and then partner.  Both times must be
+    sorted; only two entries per trigger live through the blocks."""
+    lo = searchsorted_sorted(part_times, trig_times - reach, "left")
+    ends = np.cumsum(searchsorted_sorted(part_times, trig_times + reach,
+                                         "right") - lo)
+
+    def blocks():
+        start = 0
+        while start < trig_times.size:
+            before = int(ends[start - 1]) if start else 0
+            stop = max(int(np.searchsorted(ends, before + _BLOCK, "right")),
+                       start + 1)
+            n_pair = np.diff(ends[start:stop], prepend=before)
+            yield (np.repeat(np.arange(start, stop), n_pair),
+                   np.arange(before, ends[stop - 1])
+                   - np.repeat(ends[start:stop] - n_pair - lo[start:stop],
+                               n_pair))
+            start = stop
+
+    return int(ends[-1]) if ends.size else 0, blocks()
 
 
 def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
@@ -201,59 +232,31 @@ def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
 
     The test is pair_pulses' window test: t = trigger + slot delay, then
     t - DEFAULT_TOLERANCE <= partner <= t + DEFAULT_TOLERANCE in floating
-    point.  slot_delays holds the delay of slot s at s + SLOT_PAD.  The
-    sweep runs over blocks of triggers with about _BLOCK candidates each,
-    and keeps only the pairs that pass.
+    point.  slot_delays holds the delay of slot s at s + SLOT_PAD.
     """
     n_pix = config.pixel_count
     delta = config.segment_delay
     far = (n_pix - 1 + 2 * SLOT_PAD) * delta
-
-    def slack(abs_time):
-        # a pair passes a slot's test at most this far off the slot's exact
-        # spacing: the tolerance plus rounding at the pair's times, under
-        # four ulp of 2 * (|trigger| + far + tolerance) for any pair that
-        # passes; an ulp of x is at most 2**-52 * x, and this takes eight
-        return DEFAULT_TOLERANCE + 2.0**-48 * (abs_time
-                                               + (far + DEFAULT_TOLERANCE))
-
-    # searchsorted_sorted needs sorted keys: widen each window to the
-    # running bound, which only adds candidates that fail the test
-    width = far + slack(np.abs(trig_times))
-    lo = searchsorted_sorted(part_times, np.minimum.accumulate(
-        (trig_times - width)[::-1])[::-1], "left")
-    ends = np.cumsum(searchsorted_sorted(part_times, np.maximum.accumulate(
-        trig_times + width), "right") - lo)
-    # only lo and ends, one entry per trigger, live through the blocks
-    del width
+    # a pair passes a slot's test at most this far off the slot's exact
+    # spacing: the tolerance plus rounding at the pair's times, under four
+    # ulp of 2 * (|trigger| + far + tolerance); an ulp of x is at most
+    # 2**-52 * x, and this takes eight.  At |trigger| <= MAX_TRACE_TIME it
+    # is 1.5 tolerances + 2**-48 * (far + tolerance), under 0.38 of the
+    # 2 * delta between slots once delta is over twice the tolerance, so a
+    # pair passes at most the slot nearest its spacing
+    slack = DEFAULT_TOLERANCE + 2.0**-48 * (MAX_TRACE_TIME + far
+                                            + DEFAULT_TOLERANCE)
     found = [(np.empty(0, np.int64),) * 3]
-    start = 0
-    while start < trig_times.size:
-        before = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, before + _BLOCK, "right")),
-                   start + 1)
-        n_cand = np.diff(ends[start:stop], prepend=before)
-        cand_trig = np.repeat(np.arange(start, stop), n_cand)
-        cand_part = (np.arange(before, ends[stop - 1])
-                     - np.repeat(ends[start:stop] - n_cand - lo[start:stop],
-                                 n_cand))
+    for cand_trig, cand_part in _pairs_within(trig_times, part_times,
+                                              far + slack)[1]:
         trig_c = trig_times[cand_trig]
         part_c = part_times[cand_part]
-        # try every slot within slack of the spacing; all lie in the scan.
-        # The block's times are sorted, so its largest |time| is at an end
-        reach = slack(max(abs(trig_times[start]), abs(trig_times[stop - 1]))
-                      ) / (2.0 * delta)
-        n_try = min(int(2.0 * reach) + 1, slot_delays.size)
-        first = np.clip(
-            np.ceil(0.5 * ((n_pix - 1) - (part_c - trig_c) / delta) - reach),
-            -SLOT_PAD, n_pix + SLOT_PAD - n_try).astype(np.int64)
-        for k in range(n_try):
-            slot = first + k
-            t = trig_c + slot_delays[slot + SLOT_PAD]
-            hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
-                                 & (part_c <= t + DEFAULT_TOLERANCE))
-            found.append((cand_trig[hit], cand_part[hit], slot[hit]))
-        start = stop
+        slot = np.clip(np.rint(0.5 * ((n_pix - 1) - (part_c - trig_c) / delta)),
+                       -SLOT_PAD, n_pix - 1 + SLOT_PAD).astype(np.int64)
+        t = trig_c + slot_delays[slot + SLOT_PAD]
+        hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
+                             & (part_c <= t + DEFAULT_TOLERANCE))
+        found.append((cand_trig[hit], cand_part[hit], slot[hit]))
     return tuple(np.concatenate(c) for c in zip(*found))
 
 
@@ -311,14 +314,14 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     spacing lies within DEFAULT_TOLERANCE of that slot's expected spacing.
     Slots are visited in scan order, the legal slots first, then SLOT_PAD
     slots beyond each end of the line; in each, triggers take the nearest
-    unused counter pulse in trigger order.  One sweep over the trace finds
-    every candidate pair; a pair that shares neither pulse with another
-    candidate is taken at once, and only the contested rest go through
-    the slot-by-slot passes.  A pair in a padding slot is structurally
-    valid but names no physical pixel, so it is flagged pixel_out_of_range.
-    Unmatched pulses come back as orphans.  Rows are sorted by origin time
-    (a pulse time for orphans); rows of equal time keep pass order, then
-    trigger orphans, then counter orphans.
+    unused counter pulse in trigger order.  One walk tests each pair within
+    the line's reach against the slot nearest its spacing; a pair that
+    shares no pulse with another candidate is taken at once, and only the
+    contested rest go through the slot passes.  Times past MAX_TRACE_TIME
+    are refused.  A pair in a padding slot names no physical pixel, so it
+    is flagged pixel_out_of_range.  Unmatched pulses come back as orphans.
+    Rows are sorted by origin time (a pulse time for orphans); rows of
+    equal time keep pass order, then trigger orphans, then counter orphans.
     """
     order, times, is_trig = _time_order(trace, config)
     sign = _trigger_sign(config)
@@ -328,7 +331,7 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     part_pos_in_trace = order[part_at]
     trig_times = times[trig_at]
     part_times = times[part_at]
-    # the sweep below sets a run's memory peak; keep only what it needs
+    # the pair walk below sets a run's memory peak; keep only what it needs
     del order, times, is_trig, trig_at, part_at
 
     trig_flag = FLAG_ORPHAN_NEGATIVE if sign < 0 else FLAG_ORPHAN_POSITIVE
@@ -388,7 +391,7 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     )
 
 
-# pairs persistence_trace overlays at once, each about 72 bytes at its peak;
+# pairs persistence_trace overlays at once, each about 43 bytes at its peak;
 # pairs per trigger grow with the click rate, so memory grows with its square
 MAX_OVERLAY_PAIRS = 2**23
 
@@ -426,7 +429,8 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     while unrelated clicks leave a thin haze, so clusters below
     min_cluster members (default max(5, 0.1% of sweeps)) are discarded.
     More than MAX_OVERLAY_PAIRS pairs are refused, with ResourceLimitError,
-    before any is built; a run's config has checked bin_width.
+    before any is built, as are times past +/- MAX_TRACE_TIME; a run's
+    config has checked bin_width.
     """
     order, times, is_trig = _time_order(trace, config)
     trig_times = times[np.flatnonzero(is_trig)]
@@ -439,20 +443,15 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     if min_cluster is None:
         min_cluster = max(5, int(round(1e-3 * n_trig)))
 
-    lo = np.searchsorted(part_times, trig_times - reach, side="left")
-    hi = np.searchsorted(part_times, trig_times + reach, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
+    total, blocks = _pairs_within(trig_times, part_times, reach)
     if total > MAX_OVERLAY_PAIRS:
         raise ResourceLimitError(
             f"{total} (trigger, counter pulse) pairs to overlay: limit is "
             f"{MAX_OVERLAY_PAIRS}; lower mean_photon_number or windows")
-    # flat indices of every (trigger, counter) overlay pair
-    starts = np.repeat(lo, counts)
-    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    part_idx = starts + within
-    delays = part_times[part_idx] - np.repeat(trig_times, counts)
-    amplitudes = part_amps[part_idx]
+    overlay = [(np.empty(0), np.empty(0))] + [
+        (part_times[p] - trig_times[t], part_amps[p]) for t, p in blocks]
+    delays, amplitudes = map(np.concatenate, zip(*overlay))
+    del overlay
 
     edges = np.arange(-reach, reach + bin_width, bin_width)
     bin_counts, _ = np.histogram(delays, bins=edges)

@@ -598,6 +598,16 @@ class TestDecodeTrace:
         assert rep is None
         assert f"{path}:3:" in err and "finite" in err
 
+    def test_time_past_the_bound_exit_decode(self, tmp_path, capsys):
+        # 1.41e12 ns is past the 1,407 s decode holds trace times to
+        path = self.write_trace(tmp_path, [3], [10e-9])
+        with open(path, "a") as fh:
+            fh.write("1.41e12,-1.0\n")
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", path)
+        assert code == EXIT_DECODE
+        assert rep is None
+        assert "1407" in err
+
     @pytest.mark.parametrize("value", ["0.015", "nan", "inf"])
     def test_segment_delay_under_tolerance_exit_config(self, tmp_path, capsys,
                                                         value):
@@ -715,12 +725,16 @@ RUN_KEYS = {
     "stages": ([1, 8, 62], [0, 63]),
     "windows": ([1, 20, 200], [0, MAX_WINDOWS + 1]),
     "mean_photon_number": ([0.0, 0.5, 4.0, 30.0], [1e12]),
-    "window_ns": ([1e-300, 1.0, 2000.0, 1e300], [0.0, 5e-324, MAX]),
+    # 200 windows, 64 sigma of jitter and a line span stay inside the
+    # trace time bound, 1,407 s, at 7.0e9 ns and 1e8 ns; one window of
+    # 1.41e12 ns or jitter of 2.2e10 ns passes it
+    "window_ns": ([1e-300, 1.0, 2000.0, 7.0e9],
+                  [0.0, 5e-324, 1.41e12, 1e300, MAX]),
     "input_port": (["left", "right"], ["mid"]),
     "seed": ([0, 2**64 - 1], [2**64]),
     "efficiency": ([0.0, 0.5, 1.0], [1.5]),
     "dead_time_ns": ([0.0, 20.0, MAX], []),
-    "jitter_sigma_ns": ([0.0, 0.05, 1e300], [MAX]),
+    "jitter_sigma_ns": ([0.0, 0.05, 1e8], [2.2e10, 1e300, MAX]),
     "dark_count_rate_hz": ([0.0, 1e4], [1e300]),
     "segment_delay_ns": ([0.021, 0.9, 1e3], [0.02, MAX]),
     "attenuation_per_segment": ([1e-20, 0.97, 1.0], [0.0, 1.5]),
@@ -827,7 +841,8 @@ def decode_trace_argv(draw, tmp):
     lines = [f"{t * 1e9!r},{a!r}"
              for t, a in zip(trace.times.tolist(), trace.amplitudes.tolist())]
     lines += draw(st.lists(st.sampled_from(
-        ["nan,1.0", "5.0,inf", "1e300,-1.0", "x,y", "1,2,3", "3.0,0.0"]),
+        ["nan,1.0", "5.0,inf", "1e300,-1.0", "1.41e12,1.0", "x,y", "1,2,3",
+         "3.0,0.0"]),
         max_size=2))
     path = os.path.join(tmp, "trace.csv")
     with open(path, "w") as fh:

@@ -170,11 +170,13 @@ class TestConfig:
         ("input_port", "mid", ConfigError),
         ("wavelength_nm", -5.0, ConfigError),
         ("stages", 63, ResourceLimitError),
+        # 200 windows of 7.1e9 ns end past the 1,407 s trace time bound
+        ("window_ns", 7.1e9, ConfigError),
     ])
     def test_refused_before_the_run(self, monkeypatch, capsys, tmp_path,
                                     field, value, error):
         # once refused only by the component that met them mid-run
-        data = {field: value, "windows": 50}
+        data = {field: value, "windows": 200}
         if field == "stages":
             data["pixel_count"] = 2 * value
         with pytest.raises(error, match=field):
@@ -186,6 +188,27 @@ class TestConfig:
         assert code == (cli.EXIT_RESOURCE if error is ResourceLimitError
                         else cli.EXIT_CONFIG)
         assert field in capsys.readouterr().err
+
+    def test_timeline_up_to_the_trace_time_bound(self, capsys, tmp_path):
+        # 200 windows of 7.0e9 ns end at 1,400 s, inside the 1,407 s bound
+        # decode holds trace times to; 7.1e9 ns would pass it
+        data = {"windows": 200, "window_ns": 7.1e9}
+        with pytest.raises(ConfigError, match=r"windows \* window_ns"):
+            config_from_dict("interference", data)
+        data["window_ns"] = 7.0e9
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "interference", "--config", str(path)]) == 0
+        capsys.readouterr()
+        # every click decodes to its own pixel, with both its pulses
+        stream = simulate_stream(config_from_dict(
+            "interference", {**data, "mean_photon_number": 4.0}, seed=1))
+        dec, ids = stream.decoded, stream.trace.origin_ids
+        assert dec.ok.sum() == len(stream.records) > 500
+        clicks = ids[dec.trigger_index[dec.ok]]
+        assert np.array_equal(ids[dec.partner_index[dec.ok]], clicks)
+        assert np.array_equal(stream.records.pixels[clicks],
+                              dec.pixels[dec.ok])
 
     @pytest.mark.parametrize("field, value", [
         ("bin_width_ns", 1e-9), ("bin_width_ns", 1e-6),

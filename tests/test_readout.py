@@ -22,6 +22,7 @@ from qgalton.readout import (
     FLAG_ORPHAN_NEGATIVE,
     FLAG_ORPHAN_POSITIVE,
     FLAG_PIXEL_OUT_OF_RANGE,
+    MAX_TRACE_TIME,
     SLOT_PAD,
     LineConfig,
     TraceEvents,
@@ -292,6 +293,29 @@ class TestDecodeValidation:
         dec = decode(TraceEvents(np.array([]), np.array([])), LineConfig())
         assert len(dec) == 0
 
+    @pytest.mark.parametrize("edge", [-MAX_TRACE_TIME, MAX_TRACE_TIME])
+    def test_decodes_at_the_time_bound(self, edge):
+        # the outer pulse of each pair sits on the bound itself
+        cfg = LineConfig()
+        pixels = np.array([0, 3, 15])
+        spacing = cfg.slot_delay(pixels)  # counter minus trigger
+        trig = edge - (np.maximum if edge > 0 else np.minimum)(spacing, 0.0)
+        times = np.concatenate([trig, trig + spacing])
+        assert np.abs(times).max() == MAX_TRACE_TIME
+        trace = TraceEvents(times, np.repeat([-1.0, 1.0], 3))
+        dec = decode(trace, cfg)
+        assert dec.ok.all()
+        assert sorted(dec.pixels.tolist()) == [0, 3, 15]
+
+    @pytest.mark.parametrize("edge", [-MAX_TRACE_TIME, MAX_TRACE_TIME])
+    def test_time_past_the_bound_refused(self, edge):
+        cfg = LineConfig()
+        past = float(np.nextafter(edge, 2 * edge))
+        trace = TraceEvents(np.array([0.0, past]), np.array([-1.0, 1.0]))
+        for run in (decode, persistence_trace):
+            with pytest.raises(InvalidArgumentError, match="1407"):
+                run(trace, cfg)
+
 
 def assert_same_decode(got, want):
     for name in ("pixels", "origin_times", "flags", "trigger_index",
@@ -301,15 +325,21 @@ def assert_same_decode(got, want):
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
 
 
+# the smallest segment delay a config admits, just over twice the tolerance
+NARROWEST = float(np.nextafter(2.0 * DEFAULT_TOLERANCE, 1.0))
+
+
 @st.composite
 def grid_traces(draw):
     """Pulses on a grid of segment-delay multiples, each moved by at most
     the pairing tolerance: most triggers have candidates in several slots
     and share partners with their neighbours, and exact window edges are
-    common.  A large base time makes the slot tests round off."""
+    common.  A base at either edge of +/-MAX_TRACE_TIME makes the slot
+    tests round off, and a pulse may sit on the edge itself."""
     config = LineConfig(
         pixel_count=draw(st.sampled_from([1, 16, 124])),
-        segment_delay=draw(st.sampled_from([0.9e-9, 25e-12])),
+        segment_delay=draw(st.sampled_from(
+            [0.9e-9, 25e-12, 20.000001e-12, NARROWEST, 1.0])),
         trigger_polarity=draw(st.sampled_from(["negative", "positive"])))
     n = draw(st.integers(0, 40))
     reach = config.pixel_count + 2 * SLOT_PAD
@@ -324,9 +354,12 @@ def grid_traces(draw):
                                        min_size=n, max_size=n)))
     else:
         signs = np.full(n, only)
-    base = draw(st.sampled_from([0.0, 3e-6, 1e5, 1e9]))
-    times = (base + steps * config.segment_delay
-             + shifts * DEFAULT_TOLERANCE)
+    base = draw(st.sampled_from(
+        [0.0, 3e-6, -MAX_TRACE_TIME,
+         MAX_TRACE_TIME - 2 * reach * config.segment_delay]))
+    times = np.clip(base + steps * config.segment_delay
+                    + shifts * DEFAULT_TOLERANCE,
+                    -MAX_TRACE_TIME, MAX_TRACE_TIME)
     amplitudes = signs * draw(st.floats(0.1, 1.0))
     return TraceEvents(times, amplitudes), config
 
@@ -434,9 +467,44 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="bin_width_ns"):
             config_from_dict("persistence", {"bin_width_ns": 0.0})
 
+    def test_same_arrays_in_small_blocks(self):
+        # clicks every 5 ns on average overlap on the 13.5 ns line, so
+        # each trigger's pairs spread over several blocks of 3
+        rng = np.random.default_rng(8)
+        times = np.sort(rng.uniform(0.0, 15e-6, 3000))
+        trace = encode(records_for(rng.integers(0, 16, 3000), times),
+                       LineConfig())
+        want = persistence_trace(trace, LineConfig())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(readout, "_BLOCK", 3)
+            got = persistence_trace(trace, LineConfig())
+        assert want.n_overlaid > 4 * want.n_triggers
+        for name, value in vars(want).items():
+            assert np.array_equal(getattr(got, name), value,
+                                  equal_nan=name == "mean_amplitudes"), name
+
+    def test_dense_overlay_memory_per_pair(self):
+        # 124 pixels at 200 photons per window: about 22 counter pulses
+        # per trigger in reach.  The overlay keeps two doubles per pair
+        # and sorts them once; building every pair's indices at once as
+        # well takes 68 bytes
+        config = config_from_dict("persistence", {
+            "stages": 62, "pixel_count": 124, "mean_photon_number": 200.0,
+            "windows": 100}, seed=1)
+        trace = simulate_stream(config).trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = persistence_trace(trace, config.line_config())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert res.n_overlaid > 20 * res.n_triggers
+        assert peak < 52 * res.n_overlaid, peak / res.n_overlaid
+
     def test_overlay_pairs_capped_before_allocation(self):
         # 3000 triggers and 3000 counter pulses inside one reach would
-        # overlay 9e6 pairs, over 600 MB; the count alone is refused
+        # overlay 9e6 pairs, about 390 MB; the count alone is refused
         n = 3000
         times = np.linspace(0.0, 1e-9, 2 * n)
         trace = TraceEvents(times, np.tile([-1.0, 1.0], n))
