@@ -616,9 +616,7 @@ def run_persistence(config: ExperimentConfig,
     model = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
     # peaks are ordered by delay; pixel index runs opposite to delay
-    peak_pixels = np.round(
-        ((config.pixel_count - 1) * config.segment_delay_ns * 1e-9 - delays)
-        / (2.0 * config.segment_delay_ns * 1e-9)).astype(int)
+    peak_pixels = line.pixel_of(delays).astype(int)
 
     report = {
         "n_triggers": res.n_triggers,

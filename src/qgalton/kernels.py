@@ -3,13 +3,12 @@
 Both make sequential decisions over time-sorted NumPy arrays: a registered
 click opens a dead window, a used partner is gone for later triggers.
 
-`pair_pulses` is vectorized.  Most triggers see exactly one partner in
-their window that no other trigger window holds, and take it without a
-loop; only the few contested triggers run the greedy rule, in trigger
-order and over their own candidates.  The result is the greedy loop's,
-bit for bit.
+`pair_pulses` is the plain greedy loop over the triggers that have a
+partner in their window.  The decoder takes every uncontested pair itself
+and hands it only the contested pulses, about 1,600 triggers at 30
+photons per window, so it has no vectorized fast path of its own.
 
-`dead_time_filter` is vectorized too.  The detector makes one call over
+`dead_time_filter` is vectorized.  The detector makes one call over
 the whole record, and an event at least one dead time after the previous
 event of its pixel always registers; only events closer than that to their
 predecessor run the sequential rule, in a loop over those events alone.
@@ -79,33 +78,23 @@ def pair_pulses(trigger_times, partner_times, window):
     Both inputs must be sorted ascending.  Triggers are processed in time
     order; each takes the unused partner nearest in time within +/- window
     (earliest index on exact ties).  Returns an int64 array of partner
-    indices per trigger, -1 where no partner was available.
+    indices per trigger, -1 where no partner was available.  Every trigger
+    with a partner in its window runs the loop: `readout.decode` takes the
+    uncontested pairs itself and passes only contested pulses here.
     """
     trig = np.asarray(trigger_times)
     part = np.asarray(partner_times)
-    n_part = part.size
     match = np.full(trig.size, -1, dtype=np.int64)
-    if trig.size == 0 or n_part == 0:
+    if trig.size == 0 or part.size == 0:
         return match
     # candidates of trigger i are part[lo[i]:hi[i]]
     lo = searchsorted_sorted(part, trig - window, "left")
-    hi = np.maximum(searchsorted_sorted(part, trig + window, "right"), lo)
-    # cover[j]: how many trigger windows hold partner j
-    cover = np.cumsum(np.bincount(lo, minlength=n_part + 1)
-                      - np.bincount(hi, minlength=n_part + 1))
-    # a trigger whose only candidate no other trigger sees takes it
-    only = np.minimum(lo, n_part - 1)
-    alone = (hi - lo == 1) & (cover[only] == 1)
-    limit = window + 1.0  # the greedy loop's starting best distance
-    take = alone & (np.abs(part[only] - trig) < limit)
-    match[take] = lo[take]
-
-    # contested triggers: their candidates are seen by no alone trigger
-    used = np.zeros(n_part, dtype=bool)
-    for i in np.flatnonzero((hi > lo) & ~alone).tolist():
+    hi = searchsorted_sorted(part, trig + window, "right")
+    used = np.zeros(part.size, dtype=bool)
+    for i in np.flatnonzero(hi > lo).tolist():
         t = trig[i]
         best = -1
-        best_d = limit
+        best_d = window + 1.0
         for j in range(lo[i], hi[i]):
             if not used[j]:
                 d = abs(part[j] - t)

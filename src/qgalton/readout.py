@@ -20,7 +20,9 @@ the tolerance scale instead of coincidences at the line-span scale.  One
 walk over (trigger, counter pulse) pairs, shared with the persistence
 overlay, finds every pair whose spacing fits a slot; a pair that shares no
 pulse with another candidate is taken at once, and only the contested
-pulses go through the slot-by-slot greedy passes.
+pulses go through the slot-by-slot greedy passes of `kernels.pair_pulses`.
+`_time_order` splits the trace by polarity for both decode and the
+overlay, and `LineConfig.pixel_of` is the one spacing-to-pixel rule.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ class LineConfig:
     def slot_delay(self, pixel) -> np.ndarray | float:
         """Expected counter-minus-trigger spacing for a pixel index."""
         return (self.pixel_count - 1 - 2 * np.asarray(pixel)) * self.segment_delay
+
+    def pixel_of(self, spacing) -> np.ndarray | float:
+        """The slot whose spacing is nearest, as a float: slot_delay's
+        inverse, unbounded, so a spacing off the line names a padding slot
+        or one beyond."""
+        return np.rint(0.5 * ((self.pixel_count - 1)
+                              - np.asarray(spacing) / self.segment_delay))
 
 
 @dataclass
@@ -172,8 +181,9 @@ def _trigger_sign(config: LineConfig) -> float:
 
 
 def _time_order(trace: TraceEvents, config: LineConfig):
-    """The trace's stable time order, its times in that order, and which of
-    them are trigger-polarity pulses; zero-amplitude pulses and times past
+    """The trace split by polarity, each side in stable time order: trigger
+    pulse positions in the trace and their times, then counter pulse
+    positions and their times.  Zero-amplitude pulses and times past
     +/- MAX_TRACE_TIME are refused."""
     if np.any(trace.amplitudes == 0.0):
         raise InvalidArgumentError("trace contains zero-amplitude pulses")
@@ -182,7 +192,9 @@ def _time_order(trace: TraceEvents, config: LineConfig):
             f"trace times must lie within +/-{MAX_TRACE_TIME:g} s")
     order = np.argsort(trace.times, kind="stable")
     is_trig = np.sign(trace.amplitudes[order]) == _trigger_sign(config)
-    return order, trace.times[order], is_trig
+    trig_pos = order[np.flatnonzero(is_trig)]
+    part_pos = order[np.flatnonzero(~is_trig)]
+    return trig_pos, trace.times[trig_pos], part_pos, trace.times[part_pos]
 
 
 def _scan_order(pixel_count: int) -> np.ndarray:
@@ -235,8 +247,7 @@ def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
     point.  slot_delays holds the delay of slot s at s + SLOT_PAD.
     """
     n_pix = config.pixel_count
-    delta = config.segment_delay
-    far = (n_pix - 1 + 2 * SLOT_PAD) * delta
+    far = (n_pix - 1 + 2 * SLOT_PAD) * config.segment_delay
     # a pair passes a slot's test at most this far off the slot's exact
     # spacing: the tolerance plus rounding at the pair's times, under four
     # ulp of 2 * (|trigger| + far + tolerance); an ulp of x is at most
@@ -251,7 +262,7 @@ def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
                                               far + slack)[1]:
         trig_c = trig_times[cand_trig]
         part_c = part_times[cand_part]
-        slot = np.clip(np.rint(0.5 * ((n_pix - 1) - (part_c - trig_c) / delta)),
+        slot = np.clip(config.pixel_of(part_c - trig_c),
                        -SLOT_PAD, n_pix - 1 + SLOT_PAD).astype(np.int64)
         t = trig_c + slot_delays[slot + SLOT_PAD]
         hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
@@ -323,71 +334,43 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     Rows are sorted by origin time (a pulse time for orphans); rows of
     equal time keep pass order, then trigger orphans, then counter orphans.
     """
-    order, times, is_trig = _time_order(trace, config)
-    sign = _trigger_sign(config)
-    trig_at = np.flatnonzero(is_trig)
-    part_at = np.flatnonzero(~is_trig)
-    trig_pos_in_trace = order[trig_at]
-    part_pos_in_trace = order[part_at]
-    trig_times = times[trig_at]
-    part_times = times[part_at]
-    # the pair walk below sets a run's memory peak; keep only what it needs
-    del order, times, is_trig, trig_at, part_at
-
-    trig_flag = FLAG_ORPHAN_NEGATIVE if sign < 0 else FLAG_ORPHAN_POSITIVE
-    part_flag = FLAG_ORPHAN_POSITIVE if sign < 0 else FLAG_ORPHAN_NEGATIVE
-
+    trig_pos, trig_times, part_pos, part_times = _time_order(trace, config)
     n_pix = config.pixel_count
     scan = _scan_order(n_pix)
     match, rank = _pair(trig_times, part_times, config, scan)
 
     # pairs in the order the passes found them: by scan rank, then trigger
-    paired = match >= 0
-    p_trig = np.flatnonzero(paired)
-    p_rank = rank[p_trig]
-    by_rank = np.argsort(p_rank, kind="stable")
-    p_trig = p_trig[by_rank]
+    p_trig = np.flatnonzero(match >= 0)
+    p_trig = p_trig[np.argsort(rank[p_trig], kind="stable")]
     p_part = match[p_trig]
-    p_slot = scan[p_rank[by_rank]]
-    trig_pool = np.flatnonzero(~paired)
+    p_slot = scan[rank[p_trig]]
+    lone_trig = np.flatnonzero(match < 0)
     used = np.zeros(part_times.size, dtype=bool)
     used[p_part] = True
-    part_pool = np.flatnonzero(~used)
-    del match, rank, paired, p_rank, by_rank, used
+    lone_part = np.flatnonzero(~used)
 
-    half_span = 0.5 * config.span
-    pair_origin = 0.5 * (trig_times[p_trig] + part_times[p_part]) - half_span
-    pair_flags = np.where((p_slot >= 0) & (p_slot < n_pix),
-                          FLAG_OK, FLAG_PIXEL_OUT_OF_RANGE).astype(np.int8)
-
-    rows_pixel = [p_slot]
-    rows_time = [pair_origin]
-    rows_flag = [pair_flags]
-    rows_trig = [trig_pos_in_trace[p_trig]]
-    rows_part = [part_pos_in_trace[p_part]]
-    rows_sort = [pair_origin]
-
-    rows_pixel.append(np.full(trig_pool.size, -1, dtype=np.int64))
-    rows_time.append(np.full(trig_pool.size, np.nan))
-    rows_flag.append(np.full(trig_pool.size, trig_flag, dtype=np.int8))
-    rows_trig.append(trig_pos_in_trace[trig_pool])
-    rows_part.append(np.full(trig_pool.size, -1, dtype=np.int64))
-    rows_sort.append(trig_times[trig_pool])
-    rows_pixel.append(np.full(part_pool.size, -1, dtype=np.int64))
-    rows_time.append(np.full(part_pool.size, np.nan))
-    rows_flag.append(np.full(part_pool.size, part_flag, dtype=np.int8))
-    rows_trig.append(np.full(part_pool.size, -1, dtype=np.int64))
-    rows_part.append(part_pos_in_trace[part_pool])
-    rows_sort.append(part_times[part_pool])
-
-    sort_key = np.concatenate(rows_sort)
-    order = np.argsort(sort_key, kind="stable")
+    # rows: the pairs, then unpaired triggers, then unpaired counter pulses
+    n_lone = lone_trig.size + lone_part.size
+    origin = 0.5 * (trig_times[p_trig] + part_times[p_part]) - 0.5 * config.span
+    negative = _trigger_sign(config) < 0
+    flags = np.concatenate([
+        np.where((p_slot >= 0) & (p_slot < n_pix), FLAG_OK,
+                 FLAG_PIXEL_OUT_OF_RANGE),
+        np.full(lone_trig.size, FLAG_ORPHAN_NEGATIVE if negative
+                else FLAG_ORPHAN_POSITIVE),
+        np.full(lone_part.size, FLAG_ORPHAN_POSITIVE if negative
+                else FLAG_ORPHAN_NEGATIVE)], dtype=np.int8)
+    order = np.argsort(np.concatenate([origin, trig_times[lone_trig],
+                                       part_times[lone_part]]), kind="stable")
     return DecodedEvents(
-        pixels=np.concatenate(rows_pixel)[order],
-        origin_times=np.concatenate(rows_time)[order],
-        flags=np.concatenate(rows_flag)[order],
-        trigger_index=np.concatenate(rows_trig)[order],
-        partner_index=np.concatenate(rows_part)[order],
+        pixels=np.concatenate([p_slot, np.full(n_lone, -1)])[order],
+        origin_times=np.concatenate([origin, np.full(n_lone, np.nan)])[order],
+        flags=flags[order],
+        trigger_index=np.concatenate([trig_pos[p_trig], trig_pos[lone_trig],
+                                      np.full(lone_part.size, -1)])[order],
+        partner_index=np.concatenate([part_pos[p_part],
+                                      np.full(lone_trig.size, -1),
+                                      part_pos[lone_part]])[order],
     )
 
 
@@ -432,11 +415,8 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     before any is built, as are times past +/- MAX_TRACE_TIME; a run's
     config has checked bin_width.
     """
-    order, times, is_trig = _time_order(trace, config)
-    trig_times = times[np.flatnonzero(is_trig)]
-    part_at = np.flatnonzero(~is_trig)
-    part_times = times[part_at]
-    part_amps = trace.amplitudes[order[part_at]]
+    _, trig_times, part_pos, part_times = _time_order(trace, config)
+    part_amps = trace.amplitudes[part_pos]
 
     reach = config.span + 2.0 * config.segment_delay
     n_trig = trig_times.size

@@ -221,7 +221,12 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
         )
     if np.any(counts < 0):
         raise InvalidArgumentError("histogram counts must be nonnegative")
-    total = int(counts.sum())
+    # summed as Python ints, which do not wrap; the multinomial resamples
+    # take at most 2**63 - 1 draws
+    total = sum(counts.tolist())
+    if total > 2**63 - 1:
+        raise InvalidArgumentError(
+            f"histogram counts sum to {total}: the limit is 2**63 - 1")
     if total == 0:
         raise DegenerateFitError("cannot fit transmission to an empty histogram")
     stages = counts.size // 2

@@ -232,12 +232,9 @@ def decode(trace, config):
     structurally valid but names no physical pixel, so it is flagged
     pixel_out_of_range.  Unmatched pulses come back as orphans.
     """
-    order, times, is_trig = _time_order(trace, config)
+    (trig_pos_in_trace, trig_times,
+     part_pos_in_trace, part_times) = _time_order(trace, config)
     sign = _trigger_sign(config)
-    trig_pos_in_trace = order[is_trig]
-    part_pos_in_trace = order[~is_trig]
-    trig_times = times[is_trig]
-    part_times = times[~is_trig]
 
     trig_flag = FLAG_ORPHAN_NEGATIVE if sign < 0 else FLAG_ORPHAN_POSITIVE
     part_flag = FLAG_ORPHAN_POSITIVE if sign < 0 else FLAG_ORPHAN_NEGATIVE

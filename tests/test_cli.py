@@ -346,6 +346,19 @@ class TestFitCommands:
         assert code == EXIT_CONFIG
         assert "integer" in err
 
+    @pytest.mark.parametrize("counts", [[2**62] * 4 + [3, 7], [2**62] * 2])
+    def test_fit_t2_total_past_int64_exit_config(self, tmp_path, capsys,
+                                                 counts):
+        # JSON integers are read as floats; powers of two stay exact
+        p = tmp_path / "hist.json"
+        p.write_text(json.dumps(counts))
+        code, rep, err = run_cli(capsys, "fit-t2", "--input", str(p),
+                                 "--bootstrap", "10")
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert "histogram counts sum to" in err
+        assert "Traceback" not in err
+
     def test_fit_t2_too_many_bins_exit_resource(self, tmp_path, capsys):
         # 142 bins imply 71 stages, past the 62-stage walk limit
         p = tmp_path / "hist.json"

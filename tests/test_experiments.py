@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -651,6 +652,6 @@ class TestTableParity:
         out = run_experiment(small(experiment, seed=1, windows=300))
         written = write_outputs(out, str(tmp_path), "csv")
         got = {os.path.basename(p): hashlib.sha256(
-                   open(p, "rb").read()).hexdigest()
+                   Path(p).read_bytes()).hexdigest()
                for p in written if p.endswith(".csv")}
         assert got == self.CSV_SHA256[experiment]

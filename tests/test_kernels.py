@@ -178,4 +178,4 @@ class TestPairPulsesParity:
             np.testing.assert_array_equal(
                 kernels.pair_pulses(trig, part, window),
                 reference_impl.pair_pulses(trig, part, window))
-        assert contested > 0  # the greedy fallback ran, not only the fast path
+        assert contested > 0  # the passes held triggers that compete

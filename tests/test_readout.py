@@ -54,6 +54,19 @@ class TestLineConfig:
         d = cfg.slot_delay(np.arange(16))
         np.testing.assert_allclose(np.diff(d), -1.8e-9, atol=1e-18)
 
+    @pytest.mark.parametrize("pixel_count", [1, 16, 124])
+    @pytest.mark.parametrize("segment_delay", [20.000001e-12, 0.9e-9, 1.0])
+    def test_pixel_of_inverts_slot_delay(self, pixel_count, segment_delay):
+        # every slot decode scans, padding slots included, and every spacing
+        # within 0.9 segment delays of a slot's names that slot
+        cfg = LineConfig(segment_delay=segment_delay, pixel_count=pixel_count)
+        slots = np.arange(-SLOT_PAD, pixel_count + SLOT_PAD)
+        np.testing.assert_array_equal(cfg.pixel_of(cfg.slot_delay(slots)),
+                                      slots)
+        off = np.linspace(-0.9, 0.9, 19)[:, None] * segment_delay
+        got = cfg.pixel_of(cfg.slot_delay(slots)[None, :] + off)
+        np.testing.assert_array_equal(got, np.broadcast_to(slots, got.shape))
+
     @pytest.mark.parametrize(
         "kwargs",
         [

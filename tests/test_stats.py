@@ -85,6 +85,12 @@ class TestFitT2:
         with pytest.raises(InvalidArgumentError):
             fit_t2(counts)
 
+    @pytest.mark.parametrize("counts", [[2**62] * 4 + [3, 7], [2**62] * 2])
+    def test_total_past_int64_rejected(self, counts):
+        # an int64 sum wraps these to 10 and to -2**63
+        with pytest.raises(InvalidArgumentError, match="histogram counts sum"):
+            fit_t2(np.array(counts, dtype=np.int64), n_bootstrap=10)
+
     def test_both_bound_objective_rejected(self):
         obj = np.ones(11)
         obj[0] = obj[-1] = 0.0
