@@ -53,6 +53,7 @@ from .source import (
 )
 from .stats import (
     MAX_BOOTSTRAP_CELLS,
+    MIN_BOOTSTRAP,
     T2_GRID_POINTS,
     check_bootstrap_size,
     chi_square_gof,
@@ -82,7 +83,6 @@ _EXPERIMENT_DEFAULTS = {
     # carries enough probability to light up its peak
     "persistence": {"t_squared": 0.5},
 }
-MIN_BOOTSTRAP = 10
 # hard bounds on the size of a run, checked before anything is simulated:
 # the draw loop is one Python step per window, and every expected photon or
 # dark count (or persistence histogram bin) is a row of the run's arrays

@@ -9,18 +9,19 @@ a one-row search (fit_t2 stacks its MLE as a second row) and the bootstrap
 refits all resamples in one search rather than a Python loop.  Each public
 fit only checks its input, bins it and names its model.
 
-Only `scipy.special` is used at run time: the distributions are written
-out from its functions, so importing this module does not load scipy's
-stats and optimize subpackages, which take most of a process's start-up.
+Only numpy and `math` are used at run time: the Poisson pmf and tail and
+the chi-square tail are written out here, so importing this module loads
+no scipy, whose import would take most of a process's start-up.  The
+tests hold them to `scipy.stats`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DegenerateFitError,
@@ -36,23 +37,30 @@ _CI_LEVEL = 0.95
 T2_GRID_POINTS = 513
 # floats in one bootstrap table: n_bootstrap rows by the columns scored
 MAX_BOOTSTRAP_CELLS = 2**23
+MIN_BOOTSTRAP = 10
 _GOLDEN_ITERATIONS = 48
 _MIN_EXPECTED = 5.0
 # fit_exponential searches mean/20 .. 20*mean; golden section needs only
 # both ends finite and normal
 _MIN_MEAN_GAP = 20.0 * float(np.finfo(float).tiny)
 _MAX_MEAN_GAP = float(np.finfo(float).max) / 20.0
+# series and continued fractions stop at this relative size of a term
+_EPS = 2.0**-53
+# exp of anything below this is under the smallest normal float
+_MIN_LOG = math.log(float(np.finfo(float).tiny))
 
 
-def check_bootstrap_size(n_bootstrap: int, columns: int) -> None:
+def check_bootstrap_size(n_bootstrap: int, columns: int,
+                         why: str = "") -> None:
     """Refuse a bootstrap whose n_bootstrap x columns table is too large.
 
-    Raises ResourceLimitError before anything is allocated.
+    Raises ResourceLimitError before anything is allocated; ``why`` ends
+    the message.
     """
     if n_bootstrap * columns > MAX_BOOTSTRAP_CELLS:
         raise ResourceLimitError(
             f"n_bootstrap={n_bootstrap} with {columns} columns per resample: "
-            f"limit is n_bootstrap * columns <= {MAX_BOOTSTRAP_CELLS}")
+            f"limit is n_bootstrap * columns <= {MAX_BOOTSTRAP_CELLS}{why}")
 
 
 @dataclass(frozen=True)
@@ -282,22 +290,64 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
         flags=("flat-objective",) if flat else ())
 
 
+def _log_factorials(k) -> np.ndarray:
+    """log k! for each integer k >= 0, each within an ulp or two."""
+    k = np.asarray(k)
+    return np.array([math.lgamma(v + 1.0) for v in k.ravel().tolist()],
+                    dtype=float).reshape(k.shape)
+
+
+def _pmf(k, lam, log_k_factorial) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.asarray(k * np.log(lam), dtype=float)
+    # k log(lam) is 0 at k = 0, also where lam = 0
+    np.copyto(exponent, 0.0, where=np.asarray(k) == 0)
+    exponent -= log_k_factorial
+    exponent -= lam
+    return np.exp(exponent, out=exponent)
+
+
 def poisson_pmf(k, lam):
     """Poisson probability of k events at mean lam, broadcasting.
 
     Defined for integer k >= 0 and lam >= 0; outside that domain the value
-    is meaningless (scipy's `poisson.pmf`, which this equals bit for bit
-    on the domain, returns 0 or NaN there).
+    is meaningless.
     """
-    return np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
+    return _pmf(k, lam, _log_factorials(k))
 
 
-def _poisson_pmf_matrix(lam_rows: np.ndarray, kmax: int) -> np.ndarray:
-    """pmf over k = 0..kmax per row plus a tail-mass column."""
-    k = np.arange(kmax + 1)
-    pmf = poisson_pmf(k[None, :], lam_rows[:, None])
-    tail = special.pdtrc(kmax, lam_rows)[:, None]
-    return np.concatenate([pmf, tail], axis=1)
+def _poisson_pmf_matrix(lam_rows: np.ndarray, k: np.ndarray,
+                        log_k_factorial: np.ndarray) -> np.ndarray:
+    """pmf over k = 0..kmax per row plus a tail-mass column.
+
+    Each lam lies in [0, kmax + 1].  The tail P(X > kmax) is pmf(kmax) * R,
+    R = sum over n >= 1 of d_n x**n with x = lam / (kmax + 1) <= 1 and
+    d_n the product of (kmax + 1) / (kmax + j) for j = 1..n, taken by
+    Horner over all rows at once.  The term ratios lam / (kmax + j) fall
+    with j, and a row's terms over its first fall at least as fast as the
+    largest row's, so the term count comes from the largest lam: where its
+    next ratio r is below 1, the terms left are at most q / (1 - r) of the
+    first, q being its next term over its first.
+    """
+    kmax = int(k[-1])
+    pmf = _pmf(k[None, :], lam_rows[:, None], log_k_factorial)
+    top = float(lam_rows.max())
+    terms, q = 1, 1.0
+    while True:
+        r = top / (kmax + terms + 1)
+        q *= r
+        if r < 1.0 and q <= _EPS * (1.0 - r):
+            break
+        terms += 1
+    d = np.cumprod((kmax + 1.0) / (kmax + np.arange(1, terms + 1)))
+    x = lam_rows / (kmax + 1)
+    tail = np.full_like(x, d[-1])
+    for coefficient in d[-2::-1].tolist():
+        tail *= x
+        tail += coefficient
+    tail *= x
+    tail *= pmf[:, -1]
+    return np.concatenate([pmf, tail[:, None]], axis=1)
 
 
 def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
@@ -325,14 +375,22 @@ def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
             n_bootstrap=n_bootstrap, seed=seed, mle=0.0, flags=("all-zero",),
         )
 
-    # kmax + 2 columns: one per count and the tail; sized before bincount
-    check_bootstrap_size(n_bootstrap, kmax + 2)
+    # kmax + 2 columns: one per count and the tail; sized before bincount.
+    # Past MAX_BOOTSTRAP_CELLS / MIN_BOOTSTRAP columns no bootstrap a run
+    # config or fit option admits can help, so the refusal names the count
+    why = ""
+    if MIN_BOOTSTRAP * (kmax + 2) > MAX_BOOTSTRAP_CELLS:
+        why = (f"; the largest count, {kmax}, passes it at any "
+               f"n_bootstrap >= {MIN_BOOTSTRAP}")
+    check_bootstrap_size(n_bootstrap, kmax + 2, why)
     hist = np.bincount(counts, minlength=kmax + 1)
     freq = np.concatenate([hist / n_windows, [0.0]])  # tail is empty by design
     observed = freq[:-1] / freq[:-1].sum()
+    k = np.arange(kmax + 1)
+    log_k_factorial = _log_factorials(k)
     return _least_squares_fit(
-        lambda lam_rows: _poisson_pmf_matrix(lam_rows, kmax), freq,
-        n_windows, (0.0, float(kmax + 1)), n_bootstrap, seed,
+        lambda lam_rows: _poisson_pmf_matrix(lam_rows, k, log_k_factorial),
+        freq, n_windows, (0.0, float(kmax + 1)), n_bootstrap, seed,
         resample_p=lambda est: observed, mle=float(counts.mean()))
 
 
@@ -497,5 +555,48 @@ def chi_square_gof(observed, expected_probs, n_fitted: int = 0) -> GofResult:
             f"{k} pooled categories leave no degrees of freedom after "
             f"fitting {n_fitted} parameters"
         )
-    p_value = float(special.chdtrc(dof, statistic))
+    p_value = _igamc(dof / 2.0, statistic / 2.0)
     return GofResult(statistic=statistic, dof=dof, p_value=p_value, n_pooled=k)
+
+
+def _igamc(a: float, x: float) -> float:
+    """Upper regularized incomplete gamma Q(a, x) for a > 0, x >= 0.
+
+    Q(dof / 2, x / 2) is the chi-square tail.  This is the cephes form:
+    below x = max(a, 1), 1 minus the power series of P(a, x); above it, a
+    continued fraction, rescaled as its terms grow.  A value whose prefactor
+    x**a exp(-x) / Gamma(a) underflows reads 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    series = x < 1.0 or x < a
+    log_prefactor = a * math.log(x) - x - math.lgamma(a)
+    if not log_prefactor >= _MIN_LOG:
+        return 1.0 if series else 0.0
+    prefactor = math.exp(log_prefactor)
+    if series:
+        term = total = 1.0
+        n = a
+        while term > _EPS * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - total * prefactor / a
+    y = 1.0 - a
+    z = x + y + 1.0
+    c = 0.0
+    p_prev, q_prev, p, q = 1.0, x, x + 1.0, z * x
+    value = p / q
+    while True:
+        c += 1.0
+        y += 1.0
+        z += 2.0
+        p_prev, p = p, p * z - p_prev * y * c
+        q_prev, q = q, q * z - q_prev * y * c
+        if q != 0.0:
+            step, value = value, p / q
+            if abs(step - value) <= _EPS * abs(value):
+                return value * prefactor
+        if abs(p) > 2.0**52:
+            p_prev, q_prev, p, q = (v * 2.0**-52 for v in (p_prev, q_prev,
+                                                           p, q))

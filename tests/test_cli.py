@@ -376,6 +376,7 @@ class TestFitCommands:
         assert code == EXIT_RESOURCE
         assert rep is None
         assert "n_bootstrap" in err
+        assert "largest count" not in err  # a smaller bootstrap fits
 
     def test_fit_poisson(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -469,6 +470,22 @@ class TestFitCommands:
         assert rep is None
         assert err.startswith(f"error: n_bootstrap=500 with {count + 2} "
                               "columns")
+        assert f"the largest count, {count}," in err
+
+    def test_fit_poisson_count_alone_too_large_names_it(self, tmp_path,
+                                                        capsys):
+        # 10, the smallest --bootstrap, times 100000002 columns passes the
+        # table limit: the refusal names the count, which is what to change
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps([100000000, 3]))
+        code, rep, err = run_cli(capsys, "fit-poisson", "--input", str(p),
+                                 "--bootstrap", "10")
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert err == (
+            "error: n_bootstrap=10 with 100000002 columns per resample: "
+            f"limit is n_bootstrap * columns <= {MAX_BOOTSTRAP_CELLS}; the "
+            "largest count, 100000000, passes it at any n_bootstrap >= 10\n")
 
     @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson"])
     @pytest.mark.parametrize("value", ["1e400", "NaN", "-Infinity", "1e19"])
@@ -689,18 +706,23 @@ class TestConsoleScript:
 
 
 class TestStartup:
-    """scipy.stats, a test oracle, and scipy.optimize are never loaded at
-    run time: importing them would triple the start-up of every command."""
+    """No scipy module is loaded at run time, scipy being a test oracle
+    only: importing scipy.special alone would double the start-up of every
+    command.  interference takes the chi-square path, intervals both
+    Poisson paths (fit and pmf) and counting all three."""
 
     PROBE = textwrap.dedent("""\
         import contextlib, io, json, sys
-        HEAVY = ("scipy.stats", "scipy.optimize")
-        loaded = lambda: [m for m in HEAVY if m in sys.modules]
+        loaded = lambda: sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")
         from qgalton.cli import main
         after_import = loaded()
+        codes = []
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", "counting", "--config", sys.argv[1]])
-        print(json.dumps([after_import, code, loaded()]))
+            for experiment in ("interference", "intervals", "counting"):
+                codes.append(main(["run", experiment,
+                                   "--config", sys.argv[1]]))
+        print(json.dumps([after_import, codes, loaded()]))
     """)
 
     def test_run_loads_neither(self, tmp_path):
@@ -716,9 +738,9 @@ class TestStartup:
             env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        after_import, code, after_run = json.loads(proc.stdout)
+        after_import, codes, after_run = json.loads(proc.stdout)
         assert after_import == []
-        assert code == EXIT_OK
+        assert codes == [EXIT_OK] * 3
         assert after_run == []
 
 

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import special, stats as sps
+from scipy import stats as sps
 
 from qgalton.errors import (
     DegenerateFitError,
@@ -30,6 +30,9 @@ from qgalton.stats import (
     _MIN_MEAN_GAP,
     _golden_minimize,
     _grid_degeneracy,
+    _igamc,
+    _log_factorials,
+    _poisson_pmf_matrix,
 )
 from qgalton.walk import bin_probabilities
 
@@ -349,7 +352,7 @@ class TestFitRecipe:
         "fit_poisson": (
             lambda rng: fit_poisson(rng.poisson(4.0, 2000), n_bootstrap=60,
                                     seed=4),
-            "8c3686627d2d0d110f6bae9f3ca6fcb9f18d540dd880a44d90514574a3233c60"),
+            "f2916f6a78d7660b7a6f3b11a6dabef74c9d0deea95f14a2902f6a74a82f9794"),
         "fit_exponential": (
             lambda rng: fit_exponential(rng.exponential(5e-7, 3000),
                                         n_bootstrap=60, seed=4),
@@ -518,25 +521,80 @@ class TestGoldenMinimize:
         assert same_bits(alone(nll), [fit.mle])
 
 
-class TestSpecialForms:
-    """The scipy.special forms the fits use equal scipy.stats bit for bit."""
+def close_to(got, want, rel=1e-12, tiny=1e-300) -> bool:
+    """Within rel of want where |want| > tiny, and within tiny below it."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    err = np.abs(got - want)
+    big = np.abs(want) > tiny
+    return (got.shape == want.shape
+            and bool(np.all(err[big] <= rel * np.abs(want[big])))
+            and bool(np.all(err[~big] <= tiny)))
 
-    LAM = np.concatenate([[0.0, 1e-9], np.linspace(0.0, 60.0, 2002)])
-    K = np.arange(200)
 
-    def test_poisson_pmf(self):
-        assert same_bits(poisson_pmf(self.K[None, :], self.LAM[:, None]),
-                         sps.poisson.pmf(self.K[None, :], self.LAM[:, None]))
+# each mean as a fraction of kmax + 1, the top of fit_poisson's bracket
+LAM_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
 
-    def test_poisson_sf(self):
-        assert same_bits(special.pdtrc(self.K[None, :], self.LAM[:, None]),
-                         sps.poisson.sf(self.K[None, :], self.LAM[:, None]))
 
-    def test_chi2_sf(self):
-        rng = np.random.default_rng(7)
-        dof = rng.integers(1, 120, size=5000)
-        x = np.concatenate([[0.0], rng.uniform(0.0, 300.0, size=4999)])
-        assert same_bits(special.chdtrc(dof, x), sps.chi2.sf(x, dof))
+class TestSpecialFunctions:
+    """The Poisson pmf and tail and the chi-square tail the fits use,
+    written with numpy and math, against scipy.stats: within 1e-12
+    relative where scipy's value is above 1e-300, within 1e-300 below."""
+
+    @staticmethod
+    def matrix(kmax, fractions):
+        lam = np.asarray(fractions) * (kmax + 1)
+        k = np.arange(kmax + 1)
+        return lam, k, _poisson_pmf_matrix(lam, k, _log_factorials(k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmax=st.integers(1, 200), fractions=LAM_FRACTIONS)
+    @example(kmax=1, fractions=[0.0, 1.0])
+    @example(kmax=14, fractions=[0.0, 1e-300, 0.5, 1.0])
+    @example(kmax=200, fractions=[0.0, 1e-9, 1.0])
+    def test_pmf_and_tail_match_scipy(self, kmax, fractions):
+        lam, k, rows = self.matrix(kmax, fractions)
+        assert close_to(rows[:, :-1], sps.poisson.pmf(k, lam[:, None]))
+        assert close_to(rows[:, -1], sps.poisson.sf(kmax, lam))
+        assert same_bits(rows[:, :-1], poisson_pmf(k, lam[:, None]))
+
+    # the row sums stay within 1e-14 of 1 up to kmax 20 (6.4e-15 at most
+    # over 20,000 means per kmax).  Past it the exponent's few roundings,
+    # log(lam) times k first, each cost up to about 2**-53 lam log(lam)
+    # over the row, as in scipy's xlogy form (whose rows miss 1 by 3.4e-14
+    # at kmax 80); the worst of 20,000 means per kmax up to 200 reads 0.54
+    # of the bound
+    @settings(max_examples=300, deadline=None)
+    @given(kmax=st.integers(1, 200), fractions=LAM_FRACTIONS)
+    @example(kmax=20, fractions=[0.0, 0.5, 1.0])
+    @example(kmax=200, fractions=[1.0])
+    def test_pmf_row_and_tail_sum_to_one(self, kmax, fractions):
+        _, _, rows = self.matrix(kmax, fractions)
+        bound = 1e-14 if kmax <= 20 else (
+            4.0 * 2.0**-53 * (kmax + 1) * np.log(kmax + 1))
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= bound)
+
+    def test_edges_exact(self):
+        # lam = 0 puts all mass on k = 0; k = 0 is exp(-lam)
+        lam, _, rows = self.matrix(5, [0.0, 0.25])
+        assert rows[0].tolist() == [1.0] + [0.0] * 6
+        assert rows[1, 0] == np.exp(-lam[1])
+        assert poisson_pmf(0, 0.0) == 1.0 and poisson_pmf(3, 0.0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(dof=st.integers(1, 300), scale=st.floats(0.0, 4.0))
+    @example(dof=1, scale=0.0)
+    @example(dof=1, scale=3.84 / 11)
+    @example(dof=1, scale=4.0)
+    @example(dof=100, scale=124.3 / 110)
+    @example(dof=100, scale=0.0)
+    @example(dof=300, scale=1.0)
+    @example(dof=300, scale=4.0)
+    def test_chi_square_tail_matches_scipy(self, dof, scale):
+        statistic = scale * (dof + 10)
+        got = _igamc(dof / 2.0, statistic / 2.0)
+        assert close_to(got, sps.chi2.sf(statistic, dof))
+        if statistic == 0.0:
+            assert got == 1.0
 
 
 class TestBootstrapLimit:
