@@ -535,6 +535,27 @@ def close_to(got, want, rel=1e-12, tiny=1e-300) -> bool:
 LAM_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
 
 
+class TestSpecialForms:
+    """The Poisson pmf and tail on a fixed grid of means, against
+    scipy.stats within close_to's bounds."""
+
+    LAM = np.concatenate([[0.0, 1e-9], np.linspace(0.0, 60.0, 2002)])
+    K = np.arange(200)
+
+    def test_poisson_pmf(self):
+        assert close_to(poisson_pmf(self.K[None, :], self.LAM[:, None]),
+                        sps.poisson.pmf(self.K[None, :], self.LAM[:, None]))
+
+    def test_poisson_sf(self):
+        # the tail column at each kmax, over the means in its bracket
+        # [0, kmax + 1]
+        for kmax in self.K.tolist():
+            lam = self.LAM[self.LAM <= kmax + 1]
+            k = np.arange(kmax + 1)
+            rows = _poisson_pmf_matrix(lam, k, _log_factorials(k))
+            assert close_to(rows[:, -1], sps.poisson.sf(kmax, lam)), kmax
+
+
 class TestSpecialFunctions:
     """The Poisson pmf and tail and the chi-square tail the fits use,
     written with numpy and math, against scipy.stats: within 1e-12
