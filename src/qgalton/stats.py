@@ -7,7 +7,9 @@ interval.  One bounded minimizer serves every search: a vectorized golden
 section that solves many brackets at once, one row each.  The estimate is
 a one-row search (fit_t2 stacks its MLE as a second row) and the bootstrap
 refits all resamples in one search rather than a Python loop.  Each public
-fit only checks its input, bins it and names its model.
+fit only checks its input, bins it and names its model.  fit_t2's model is
+a polynomial of degree stages in t^2: it scans the walk on a grid and
+reads its golden-section probes off that polynomial (`bin_polynomial`).
 
 Only numpy and `math` are used at run time: the Poisson pmf and tail and
 the chi-square tail are written out here, so importing this module loads
@@ -29,7 +31,7 @@ from .errors import (
     InvalidDistributionError,
     ResourceLimitError,
 )
-from .walk import bin_probabilities
+from .walk import bin_polynomial, bin_probabilities
 
 DEFAULT_BOOTSTRAP = 500
 _CI_LEVEL = 0.95
@@ -241,22 +243,26 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     check_bootstrap_size(n_bootstrap, T2_GRID_POINTS)
     freq = counts / total
 
-    def model_rows(t2_rows: np.ndarray) -> np.ndarray:
-        return bin_probabilities(stages, t2_rows, input_port)
-
-    # the objective oscillates in t^2 (the model is a degree-2*stages
-    # polynomial family), so every minimization below starts from a grid
-    # scan to land in the right basin before local refinement
+    # the objective oscillates in t^2 (each bin is a degree-stages
+    # polynomial in t^2), so every minimization below starts from a scan of
+    # the walk on a grid to land in the right basin; the golden-section
+    # probes inside a bracket then read the same walk as its polynomial
+    model_rows = bin_polynomial(stages, input_port)
     grid = np.linspace(0.0, 1.0, T2_GRID_POINTS)
-    model_grid = model_rows(grid)
+    model_grid = bin_probabilities(stages, grid, input_port)
+    model_sums = (model_grid**2).sum(axis=1)
 
     def around(k) -> tuple:
         return grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
 
     def grid_brackets(freq_rows: np.ndarray) -> tuple:
-        objs = ((freq_rows**2).sum(axis=1)[:, None]
-                - 2.0 * freq_rows @ model_grid.T
-                + (model_grid**2).sum(axis=1)[None, :])
+        # sum((f - m)**2) for every resample and grid point, built in one
+        # n_bootstrap x grid table; scaling by 2 is exact, so these are the
+        # bits of f.f - 2 f.m + m.m
+        objs = freq_rows @ model_grid.T
+        objs *= 2.0
+        np.subtract((freq_rows**2).sum(axis=1)[:, None], objs, out=objs)
+        objs += model_sums
         return around(objs.argmin(axis=1))
 
     grid_obj = ((freq[None, :] - model_grid) ** 2).sum(axis=1)
@@ -284,7 +290,7 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
 
     return _least_squares_fit(
         model_rows, freq, total, (0.0, 1.0), n_bootstrap, seed,
-        resample_p=lambda est: model_rows(np.array([est]))[0],
+        resample_p=lambda est: bin_probabilities(stages, est, input_port),
         boot_bracket=grid_brackets,
         estimate=0.5 if flat else float(estimate), mle=float(mle),
         flags=("flat-objective",) if flat else ())

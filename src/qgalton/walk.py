@@ -18,6 +18,9 @@ from the left output of coupler j, with vacuum at both edges.
 many values of t**2 at once; `path_sum_oracle` recomputes one distribution
 by brute-force enumeration of all 2**S transmit/cross decision paths and is
 kept deliberately independent of it so the two can check each other.
+`bin_polynomial` samples `bin_probabilities` at S + 1 points and returns
+the same rows as a polynomial in t**2, for the fits' many refinement
+probes.
 
 Every amplitude is purely real or purely imaginary, so the recurrence runs
 on real numbers.  A cross contributes a factor i, and a path's input side
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
-__all__ = ["bin_probabilities", "path_sum_oracle"]
+__all__ = ["bin_polynomial", "bin_probabilities", "path_sum_oracle"]
 
 # The walk does stages**2 / 2 coupler steps per t^2 value, and a fit holds
 # several (rows, 2*stages) model tables at once; this bounds both.
@@ -121,6 +124,45 @@ def bin_probabilities(stages: int, t_squared, input_port: str = "left") -> np.nd
     probs[:, 0::2] = (out_l ** 2).T
     probs[:, 1::2] = (out_r ** 2).T
     return probs[0] if scalar else probs
+
+
+def bin_polynomial(stages: int, input_port: str = "left"):
+    """`bin_probabilities` for one stage count and port, as a polynomial.
+
+    A bin's probability sums products of two path amplitudes, t**s1 r**c1
+    and t**s2 r**c2 with s + c = stages.  Only pairs whose cross counts
+    c1, c2 have the same parity survive, so c1 + c2 and s1 + s2 are even
+    and each product is (t**2)**i (1 - t**2)**j with i + j = stages: every
+    bin is a polynomial of degree ``stages`` in t**2.  It is sampled once,
+    at the stages + 1 Chebyshev nodes u_k = cos(theta_k), theta_k =
+    pi (k + 1/2) / (stages + 1), of u = 2 t**2 - 1, and the discrete cosine
+    sum gives its Chebyshev coefficients, which fix it to rounding (within
+    about 1e-13 of the walk up to MAX_STAGES).
+
+    Returns a function from a vector of t**2 values in [0, 1] to the rows
+    `bin_probabilities` gives for them, each value clipped at 0 so that a
+    logarithm never sees rounding below it.
+    """
+    n = stages + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    samples = bin_probabilities(stages, 0.5 * (1.0 + np.cos(theta)), input_port)
+    coefficients = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ samples)
+    coefficients[0] *= 0.5
+
+    def rows(t_squared) -> np.ndarray:
+        u = 2.0 * check_t_squared(t_squared) - 1.0
+        # T_0 .. T_stages at u, one row each: T_j = 2u T_(j-1) - T_(j-2)
+        chebyshev = np.empty((n, u.size))
+        chebyshev[0] = 1.0
+        chebyshev[1] = u
+        twice_u = 2.0 * u
+        for j in range(2, n):
+            np.multiply(twice_u, chebyshev[j - 1], out=chebyshev[j])
+            chebyshev[j] -= chebyshev[j - 2]
+        probs = chebyshev.T @ coefficients
+        return np.maximum(probs, 0.0, out=probs)
+
+    return rows
 
 
 # Routing table for the oracle, written out independently of the array code in

@@ -385,9 +385,9 @@ class TestStreamParity:
     EXPORT = {"efficiency": 0.8, "dark_count_rate_hz": 2e4}
     REPORTS = [
         ("interference", {}, 0,
-         "c86a2c398d7079847451f517512d386cd26a1cd6ec3dddcabf9033da1b462e82"),
+         "c73c3328ee9699daa328ed2040e761dd817cfe7676d16dd13bd1ee6c52688a66"),
         ("interference", {}, 1,
-         "7682666d6b7ec43537ee0e62d4bdb6ae728de7e595c3c080a714fc0d5f439577"),
+         "cb342eea7e3b1d9e36abf78c7f6a1db9f71eb5e5d4e3bbf9222a7239be12c6ce"),
         ("counting", {}, 0,
          "f38e63e3b23fc27a6ea69dc2a0285971269ba265cc37d6653de4160ba1209076"),
         ("counting", {}, 1,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
+import qgalton.stats
+import qgalton.walk
 from qgalton.errors import (
     DegenerateFitError,
     InvalidArgumentError,
@@ -34,7 +37,7 @@ from qgalton.stats import (
     _log_factorials,
     _poisson_pmf_matrix,
 )
-from qgalton.walk import bin_probabilities
+from qgalton.walk import bin_polynomial, bin_probabilities
 
 
 class TestFitT2:
@@ -67,6 +70,22 @@ class TestFitT2:
         right = fit_t2(counts[::-1].copy(), n_bootstrap=10, seed=0,
                        input_port="right")
         assert right.estimate == pytest.approx(left.estimate, abs=1e-6)
+
+    def test_walk_sampled_three_times(self, monkeypatch):
+        # the grid scan and the resample model read the walk itself, and
+        # the golden-section probes its polynomial from stages + 1 nodes
+        sizes = []
+
+        def counted(stages, t_squared, input_port="left"):
+            sizes.append(np.size(t_squared))
+            return bin_probabilities(stages, t_squared, input_port)
+
+        monkeypatch.setattr(qgalton.walk, "bin_probabilities", counted)
+        monkeypatch.setattr(qgalton.stats, "bin_probabilities", counted)
+        counts = np.random.default_rng(1).multinomial(
+            3000, bin_probabilities(6, 0.4))
+        fit_t2(counts, n_bootstrap=20, seed=0)
+        assert sorted(sizes) == [1, 7, T2_GRID_POINTS]
 
     def test_point_mass_pulls_to_bound(self):
         counts = np.zeros(16, dtype=np.int64)
@@ -348,7 +367,7 @@ class TestFitRecipe:
         "fit_t2": (
             lambda rng: fit_t2(rng.multinomial(5000, bin_probabilities(8, 0.763)),
                                n_bootstrap=60, seed=4),
-            "38e4fdb1b331ea439f5aa6a218106eb95ea0f9f53b1ba41dff114d62789aec3e"),
+            "00f0a9d21e7f205a0540079cfbe7f4da560ed29be10d8511be621aa22868612a"),
         "fit_poisson": (
             lambda rng: fit_poisson(rng.poisson(4.0, 2000), n_bootstrap=60,
                                     seed=4),
@@ -403,7 +422,7 @@ def true_minimizer(kind, c, a, w, lo, hi):
     return None
 
 
-def resolution(f, want, lo, hi, ulps=16):
+def resolution(f, want, lo, hi, shift, ulps=16):
     """How far from want, inside [lo, hi], f stays within ``ulps`` ulps of
     f(want).
 
@@ -413,10 +432,16 @@ def resolution(f, want, lo, hi, ulps=16):
     distance from want, and past 16 ulps of f(want) the plateaus of these
     shapes are narrower.  f rises away from want on each side, so each edge
     of the reach is found by bisection.
+
+    Where f(want) is 0 its ulps are subnormal and miss the plateaus: f
+    adds ``shift`` (|c| + |a|) to x before squaring, which rounds x to
+    steps of up to an ulp of shift, so f is flat on each such step, and
+    the reach is at least a few of them.
     """
     level = f(np.array([want]))[0]
     if not np.isfinite(level):
         return hi - lo
+    floor = 4.0 * np.spacing(shift) if level == 0.0 else 0.0
     level += ulps * np.spacing(abs(level))
     reach = 0.0
     for end in (lo, hi):
@@ -432,7 +457,7 @@ def resolution(f, want, lo, hi, ulps=16):
             else:
                 outside = mid
         reach = max(reach, abs(outside - want))
-    return reach
+    return max(reach, floor)
 
 
 # Each probe, x1 = b - g (b - a) or x2 = a + g (b - a) with g = 1/phi, is
@@ -475,6 +500,9 @@ class TestGoldenMinimize:
     # neighbouring points apart
     @example(rows=[("smooth", 0.0, 1e-9, -1.0, 0.0, 0.0)])
     @example(rows=[("edge", 7.0, 1e-9, 0.0, 0.0, 5.3125)])
+    # x - 1 + 1 is 0 on a plateau around the minimizer at 0, whose next
+    # steps sit an ulp of 1 apart
+    @example(rows=[("inf-right", 0.0, 1e-9, 1.0, 1.0, 0.0)])
     def test_rows_in_bracket_accurate_and_independent(self, rows):
         funcs = [objective(kind, c, a, w) for kind, _, _, c, a, w in rows]
         lo = np.array([x1 for _, x1, *_ in rows])
@@ -489,33 +517,42 @@ class TestGoldenMinimize:
                 # 48 steps leave 1e-10 of the bracket; on top of that, what
                 # floating point cannot resolve, in f and in the steps
                 steps = STEP_ULPS * np.spacing(max(abs(lo[i]), abs(hi[i])))
+                shift = 0.0 if kind == "edge" else abs(c) + abs(a)
                 assert (abs(together[i] - want)
                         <= 1e-9 * (hi[i] - lo[i]) + steps
-                        + resolution(funcs[i], want, lo[i], hi[i]))
+                        + resolution(funcs[i], want, lo[i], hi[i], shift))
 
     @pytest.mark.parametrize("stages, t2", [(8, 0.763), (8, 0.3), (5, 0.9)])
     def test_fit_t2_rows_solve_alone(self, stages, t2):
         # fit_t2 searches its estimate and MLE as two rows of one call;
-        # each equals its own one-row search over the same grid bracket
+        # each equals its own one-row search over the same grid bracket,
+        # scanned on the walk and refined on the fit's polynomial
         counts = np.random.default_rng(3).multinomial(
             4000, bin_probabilities(stages, t2))
         fit = fit_t2(counts, n_bootstrap=10, seed=0)
         freq = counts / counts.sum()
         mask = counts > 0
         grid = np.linspace(0.0, 1.0, T2_GRID_POINTS)
+        polynomial = bin_polynomial(stages)
 
-        def ls(x):
-            return ((freq - bin_probabilities(stages, x)) ** 2).sum(axis=1)
+        def walk(x):
+            return bin_probabilities(stages, x)
 
-        def nll(x):
-            with np.errstate(divide="ignore"):
-                return -(counts[mask] * np.log(
-                    bin_probabilities(stages, x)[:, mask])).sum(axis=1)
+        def ls(model):
+            return lambda x: ((freq - model(x)) ** 2).sum(axis=1)
 
-        def alone(f):
-            k = int(np.argmin(f(grid)))
+        def nll(model):
+            def f(x):
+                with np.errstate(divide="ignore"):
+                    return -(counts[mask] * np.log(
+                        model(x)[:, mask])).sum(axis=1)
+            return f
+
+        def alone(objective):
+            k = int(np.argmin(objective(walk)(grid)))
             lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-            return _golden_minimize(f, np.array([lo]), np.array([hi]))
+            return _golden_minimize(objective(polynomial), np.array([lo]),
+                                    np.array([hi]))
 
         assert same_bits(alone(ls), [fit.estimate])
         assert same_bits(alone(nll), [fit.mle])
@@ -632,3 +669,19 @@ class TestBootstrapLimit:
             fit(data, n_bootstrap=largest + 1)
         with pytest.raises(ResourceLimitError, match="n_bootstrap"):
             fit(data, n_bootstrap=10**12)
+
+    def test_largest_t2_bootstrap_holds_one_table(self):
+        # fit_t2 scans every resample on its grid in one n_bootstrap x grid
+        # table; two of them at once would double the peak
+        largest = MAX_BOOTSTRAP_CELLS // T2_GRID_POINTS
+        counts = np.random.default_rng(0).multinomial(
+            4000, bin_probabilities(8, 0.763))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_t2(counts, n_bootstrap=largest)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        table = largest * T2_GRID_POINTS * 8
+        assert peak <= 1.25 * table, (peak, table)

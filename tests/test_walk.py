@@ -14,11 +14,16 @@ enumeration by hand before being frozen here.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_impl
 from qgalton.errors import InvalidArgumentError, ResourceLimitError
-from qgalton.walk import MAX_STAGES, bin_probabilities, path_sum_oracle
+from qgalton.walk import (
+    MAX_STAGES,
+    bin_polynomial,
+    bin_probabilities,
+    path_sum_oracle,
+)
 
 
 def closed_form_2(t2):
@@ -249,6 +254,37 @@ class TestBinProbabilities:
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError):
             bin_probabilities(8, [0.5, np.nan])
+
+
+class TestBinPolynomial:
+    """The fits' refinement probes read the walk as its polynomial in t^2;
+    it must give the walk's rows to rounding at every stage count."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(stages=st.integers(1, MAX_STAGES),
+           t2s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           port=st.sampled_from(["left", "right"]))
+    @example(stages=MAX_STAGES, t2s=[0.0, 0.5, 1.0], port="left")
+    @example(stages=1, t2s=[0.0, 0.5, 1.0], port="right")
+    def test_matches_walk(self, stages, t2s, port):
+        t2s = [0.0, 0.5, 1.0] + t2s
+        rows = bin_polynomial(stages, port)(t2s)
+        np.testing.assert_allclose(rows, bin_probabilities(stages, t2s, port),
+                                   rtol=0, atol=1e-12)
+        assert np.all(rows >= 0.0)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12
+
+    def test_input_checks(self):
+        rows = bin_polynomial(8, "right")
+        assert rows([0.3, 0.7]).shape == (2, 16)
+        with pytest.raises(InvalidArgumentError):
+            rows([0.5, 1.2])
+        with pytest.raises(InvalidArgumentError):
+            rows(np.nan)
+        with pytest.raises(InvalidArgumentError):
+            bin_polynomial(8, "top")
+        with pytest.raises(ResourceLimitError):
+            bin_polynomial(MAX_STAGES + 1)
 
 
 class TestComplexRecurrenceParity:
