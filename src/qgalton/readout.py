@@ -20,7 +20,8 @@ the tolerance scale instead of coincidences at the line-span scale.  One
 walk over (trigger, counter pulse) pairs, shared with the persistence
 overlay, finds every pair whose spacing fits a slot; a pair that shares no
 pulse with another candidate is taken at once, and only the contested
-pulses go through the slot-by-slot greedy passes of `kernels.pair_pulses`.
+candidates go through `kernels.pair_pulses`, one greedy walk in scan,
+trigger and distance order.
 `_time_order` splits the trace by polarity for both decode and the
 overlay, and `LineConfig.pixel_of` is the one spacing-to-pixel rule.
 """
@@ -240,11 +241,13 @@ def _pairs_within(trig_times, part_times, reach):
 
 def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
     """Every (trigger, partner, slot) whose spacing passes that slot's
-    pairing test, as three arrays: trigger and partner indices and slots.
+    pairing test, as four arrays: trigger and partner indices, slots and
+    distances.
 
-    The test is pair_pulses' window test: t = trigger + slot delay, then
-    t - DEFAULT_TOLERANCE <= partner <= t + DEFAULT_TOLERANCE in floating
-    point.  slot_delays holds the delay of slot s at s + SLOT_PAD.
+    The test is the window around the slot's spacing: t = trigger + slot
+    delay, then t - DEFAULT_TOLERANCE <= partner <= t + DEFAULT_TOLERANCE
+    in floating point, and the distance is |partner - t|.  slot_delays
+    holds the delay of slot s at s + SLOT_PAD.
     """
     n_pix = config.pixel_count
     far = (n_pix - 1 + 2 * SLOT_PAD) * config.segment_delay
@@ -257,7 +260,7 @@ def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
     # pair passes at most the slot nearest its spacing
     slack = DEFAULT_TOLERANCE + 2.0**-48 * (MAX_TRACE_TIME + far
                                             + DEFAULT_TOLERANCE)
-    found = [(np.empty(0, np.int64),) * 3]
+    found = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     for cand_trig, cand_part in _pairs_within(trig_times, part_times,
                                               far + slack)[1]:
         trig_c = trig_times[cand_trig]
@@ -267,55 +270,47 @@ def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
         t = trig_c + slot_delays[slot + SLOT_PAD]
         hit = np.flatnonzero((t - DEFAULT_TOLERANCE <= part_c)
                              & (part_c <= t + DEFAULT_TOLERANCE))
-        found.append((cand_trig[hit], cand_part[hit], slot[hit]))
+        found.append((cand_trig[hit], cand_part[hit], slot[hit],
+                      np.abs(part_c[hit] - t[hit])))
     return tuple(np.concatenate(c) for c in zip(*found))
 
 
-def _pair(trig_times, part_times, config: LineConfig, scan: np.ndarray):
-    """The slot passes' pairing: each trigger's partner (-1 if none) and
-    the scan rank of the pass that paired it.
+def _pair(trig_times, part_times, config: LineConfig):
+    """The pairs decode takes, as trigger indices, partner indices and
+    slots, in scan order of their slots and then trigger order.
 
-    A pass pairs each trigger, in trigger order, with the nearest unused
-    partner that passes its slot's test.  A candidate whose trigger and
-    partner have no other candidate is paired in its slot's pass whatever
-    else that pass does, so it is taken at once.  Every other candidate
-    belongs to a contested group that shares no pulse with the rest, and
-    the passes run over those pulses alone.
+    Slots go in `_scan_order`; within a slot, triggers in time order each
+    take the nearest free partner, the earliest on a tie.  A candidate
+    whose trigger and partner have no other candidate is taken at once.
+    The rest are contested: sorted by (scan rank, trigger, distance,
+    partner), they go through one `pair_pulses` walk, which runs once per
+    decode even with nothing contested.
     """
+    scan = _scan_order(config.pixel_count)
     slot_delays = config.slot_delay(
         np.arange(-SLOT_PAD, config.pixel_count + SLOT_PAD))
-    cand_trig, cand_part, cand_slot = _candidates(trig_times, part_times,
-                                                  config, slot_delays)
+    cand_trig, cand_part, cand_slot, cand_dist = _candidates(
+        trig_times, part_times, config, slot_delays)
     trig_degree = np.bincount(cand_trig, minlength=trig_times.size)
     part_degree = np.bincount(cand_part, minlength=part_times.size)
-    alone = (trig_degree[cand_trig] == 1) & (part_degree[cand_part] == 1)
+    # the uncontested candidates
+    chosen = (trig_degree[cand_trig] == 1) & (part_degree[cand_part] == 1)
     # scan ranks fit uint8: experiments.check_value bounds pixel_count at
     # 124, so a line has at most 124 + 2 * SLOT_PAD slots
     rank_of_slot = np.empty(scan.size, dtype=np.uint8)  # at slot + SLOT_PAD
     rank_of_slot[scan + SLOT_PAD] = np.arange(scan.size)
-    match = np.full(trig_times.size, -1, dtype=np.int64)
-    rank = np.zeros(trig_times.size, dtype=np.uint8)
-    match[cand_trig[alone]] = cand_part[alone]
-    rank[cand_trig[alone]] = rank_of_slot[cand_slot[alone] + SLOT_PAD]
+    cand_rank = rank_of_slot[cand_slot + SLOT_PAD]
 
-    contested = np.zeros(trig_times.size, dtype=bool)
-    contested[cand_trig[~alone]] = True
-    trig_pool = np.flatnonzero(contested)
-    contested = np.zeros(part_times.size, dtype=bool)
-    contested[cand_part[~alone]] = True
-    part_pool = np.flatnonzero(contested)
-    for r, slot in enumerate(scan):
-        shifted = trig_times[trig_pool] + slot_delays[slot + SLOT_PAD]
-        hit_part = pair_pulses(shifted, part_times[part_pool],
-                               DEFAULT_TOLERANCE)
-        hit = hit_part >= 0
-        match[trig_pool[hit]] = part_pool[hit_part[hit]]
-        rank[trig_pool[hit]] = r
-        trig_pool = trig_pool[~hit]
-        used = np.zeros(part_pool.size, dtype=bool)
-        used[hit_part[hit]] = True
-        part_pool = part_pool[~used]
-    return match, rank
+    contested = np.flatnonzero(~chosen)
+    contested = contested[np.lexsort((
+        cand_part[contested], cand_dist[contested], cand_trig[contested],
+        cand_rank[contested]))]
+    chosen[contested[pair_pulses(cand_trig[contested],
+                                 cand_part[contested])]] = True
+    # candidates run in trigger order, and a trigger is taken at most once
+    taken = np.flatnonzero(chosen)
+    taken = taken[np.argsort(cand_rank[taken], kind="stable")]
+    return cand_trig[taken], cand_part[taken], cand_slot[taken]
 
 
 def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
@@ -325,26 +320,22 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     spacing lies within DEFAULT_TOLERANCE of that slot's expected spacing.
     Slots are visited in scan order, the legal slots first, then SLOT_PAD
     slots beyond each end of the line; in each, triggers take the nearest
-    unused counter pulse in trigger order.  One walk tests each pair within
+    free counter pulse in trigger order.  One walk tests each pair within
     the line's reach against the slot nearest its spacing; a pair that
-    shares no pulse with another candidate is taken at once, and only the
-    contested rest go through the slot passes.  Times past MAX_TRACE_TIME
-    are refused.  A pair in a padding slot names no physical pixel, so it
-    is flagged pixel_out_of_range.  Unmatched pulses come back as orphans.
-    Rows are sorted by origin time (a pulse time for orphans); rows of
-    equal time keep pass order, then trigger orphans, then counter orphans.
+    shares no pulse with another candidate is taken at once, and the
+    contested rest go through one ordered `pair_pulses` walk.  Times past
+    MAX_TRACE_TIME are refused.  A pair in a padding slot names no
+    physical pixel, so it is flagged pixel_out_of_range.  Unmatched pulses
+    come back as orphans.  Rows are sorted by origin time (a pulse time
+    for orphans); rows of equal time keep scan order, then trigger order,
+    then trigger orphans, then counter orphans.
     """
     trig_pos, trig_times, part_pos, part_times = _time_order(trace, config)
     n_pix = config.pixel_count
-    scan = _scan_order(n_pix)
-    match, rank = _pair(trig_times, part_times, config, scan)
-
-    # pairs in the order the passes found them: by scan rank, then trigger
-    p_trig = np.flatnonzero(match >= 0)
-    p_trig = p_trig[np.argsort(rank[p_trig], kind="stable")]
-    p_part = match[p_trig]
-    p_slot = scan[rank[p_trig]]
-    lone_trig = np.flatnonzero(match < 0)
+    p_trig, p_part, p_slot = _pair(trig_times, part_times, config)
+    used = np.zeros(trig_times.size, dtype=bool)
+    used[p_trig] = True
+    lone_trig = np.flatnonzero(~used)
     used = np.zeros(part_times.size, dtype=bool)
     used[p_part] = True
     lone_part = np.flatnonzero(~used)

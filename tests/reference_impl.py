@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qgalton import kernels
 from qgalton.readout import (
     DEFAULT_TOLERANCE,
     FLAG_NAMES,
@@ -197,21 +196,21 @@ def pair_pulses(trigger_times, partner_times, window):
     (earliest index on exact ties).  Returns an int64 array of partner
     indices per trigger, -1 where no partner was available.
     """
-    n_trig = len(trigger_times)
-    n_part = len(partner_times)
-    match = np.full(n_trig, -1, dtype=np.int64)
-    used = np.zeros(n_part, dtype=bool)
+    trig = np.asarray(trigger_times, dtype=float).tolist()
+    part = np.asarray(partner_times, dtype=float).tolist()
+    n_part = len(part)
+    match = [-1] * len(trig)
+    used = [False] * n_part
     lo = 0
-    for i in range(n_trig):
-        t = trigger_times[i]
-        while lo < n_part and partner_times[lo] < t - window:
+    for i, t in enumerate(trig):
+        while lo < n_part and part[lo] < t - window:
             lo += 1
         best = -1
         best_d = window + 1.0
         j = lo
-        while j < n_part and partner_times[j] <= t + window:
+        while j < n_part and part[j] <= t + window:
             if not used[j]:
-                d = abs(partner_times[j] - t)
+                d = abs(part[j] - t)
                 if d < best_d:
                     best_d = d
                     best = j
@@ -219,7 +218,7 @@ def pair_pulses(trigger_times, partner_times, window):
         if best >= 0:
             used[best] = True
             match[i] = best
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def decode(trace, config):
@@ -256,8 +255,8 @@ def decode(trace, config):
         if trig_pool.size == 0 or part_pool.size == 0:
             break
         offset = float(config.slot_delay(slot))
-        match = kernels.pair_pulses(trig_times[trig_pool] + offset,
-                                    part_times[part_pool], DEFAULT_TOLERANCE)
+        match = pair_pulses(trig_times[trig_pool] + offset,
+                            part_times[part_pool], DEFAULT_TOLERANCE)
         hit = match >= 0
         pair_trig.append(trig_pool[hit])
         pair_part.append(part_pool[match[hit]])

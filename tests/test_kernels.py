@@ -1,17 +1,20 @@
 """Contract tests for the event-stream kernels."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_impl
 from qgalton import kernels, readout
 from qgalton.experiments import config_from_dict, simulate_stream
 
-# integer-valued times make exact ties and exact window/dead-time boundaries
-# common, which is where the greedy rules are easiest to get wrong
+# integer-valued times make exact ties and exact dead-time boundaries
+# common, which is where the sequential rule is easiest to get wrong
 sorted_times = st.lists(st.integers(0, 30), max_size=40).map(
     lambda ts: np.array(sorted(ts), dtype=np.float64))
 small_span = st.integers(0, 6).map(float)
+# (trigger, partner) candidates over a few pulses each, in any order
+candidate_pairs = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           max_size=40)
 
 
 @st.composite
@@ -27,23 +30,9 @@ class TestGreedySemantics:
     """Behavioral contract of the two kernels."""
 
     def test_each_partner_used_once(self):
-        trig = np.array([0.0, 1.0, 2.0])
-        part = np.array([0.9])
-        match = kernels.pair_pulses(trig, part, 5.0)
-        assert (match >= 0).sum() == 1
-
-    def test_window_is_inclusive(self):
-        match = kernels.pair_pulses(np.array([0.0]), np.array([1.0]), 1.0)
-        assert match[0] == 0
-
-    def test_outside_window_unmatched(self):
-        match = kernels.pair_pulses(np.array([0.0]), np.array([1.01]), 1.0)
-        assert match[0] == -1
-
-    def test_tie_break_is_earliest_index(self):
-        trig = np.array([10.0])
-        part = np.array([9.0, 11.0])  # equidistant
-        assert list(kernels.pair_pulses(trig, part, 2.0)) == [0]
+        # three triggers contest one partner: the first candidate takes it
+        taken = kernels.pair_pulses(np.array([0, 1, 2]), np.array([0, 0, 0]))
+        assert taken.tolist() == [0]
 
     def test_dead_time_filter_counts(self):
         pixels = np.array([0, 0, 1, 0], dtype=np.int64)
@@ -81,20 +70,21 @@ class TestKernelProperties:
                 assert p in last and t - last[p] < dead_time
 
     @settings(deadline=None)
-    @given(sorted_times, sorted_times, small_span)
-    def test_pair_pulses(self, trig, part, window):
-        match = kernels.pair_pulses(trig, part, window)
-        assert match.dtype == np.int64 and match.shape == trig.shape
-        used = match[match >= 0]
-        assert len(set(used.tolist())) == used.size
-        for i, j in enumerate(match):
-            if j >= 0:
-                assert abs(part[j] - trig[i]) <= window
-        free = np.ones(part.size, dtype=bool)
-        free[used] = False
-        for i in np.flatnonzero(match < 0):
-            near = np.abs(part - trig[i]) <= window
-            assert not (near & free).any()
+    @given(candidate_pairs)
+    @example([])
+    def test_pair_pulses(self, pairs):
+        trig = np.array([i for i, _ in pairs], dtype=np.int64)
+        part = np.array([j for _, j in pairs], dtype=np.int64)
+        taken = kernels.pair_pulses(trig, part)
+        assert taken.dtype == np.int64
+        assert (np.diff(taken) > 0).all()
+        is_taken = np.zeros(len(pairs), dtype=bool)
+        is_taken[taken] = True
+        for k, (i, j) in enumerate(pairs):
+            earlier = is_taken[:k]
+            # a candidate is taken iff neither pulse was taken before it
+            shares = ((trig[:k][earlier] == i) | (part[:k][earlier] == j)).any()
+            assert is_taken[k] != shares
 
 
 class TestDeadTimeFilterParity:
@@ -145,37 +135,36 @@ dense_times = st.lists(st.integers(0, 12), max_size=30).map(
 
 
 class TestPairPulsesParity:
-    """The vectorized kernel returns the greedy loop's result exactly."""
+    """The walk over one slot's candidates, ordered by trigger, distance
+    and partner, pairs as the nearest-in-window greedy loop."""
 
     @settings(deadline=None, max_examples=300)
     @given(dense_times, dense_times, st.integers(0, 4).map(float))
     def test_matches_reference_loop(self, trig, part, window):
-        got = kernels.pair_pulses(trig, part, window)
-        want = reference_impl.pair_pulses(trig, part, window)
-        assert got.dtype == want.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
+        dist = np.abs(part[None, :] - trig[:, None])
+        cand_trig, cand_part = np.nonzero(dist <= window)
+        cand_dist = dist[cand_trig, cand_part]
+        order = np.lexsort((cand_part, cand_dist, cand_trig))
+        taken = order[kernels.pair_pulses(cand_trig[order], cand_part[order])]
+        got = np.full(trig.size, -1, dtype=np.int64)
+        got[cand_trig[taken]] = cand_part[taken]
+        np.testing.assert_array_equal(
+            got, reference_impl.pair_pulses(trig, part, window))
 
     def test_saturated_decode_passes(self, monkeypatch):
-        # record the pairing passes of a real decode at 30 photons/window
-        passes = []
+        # record the pairing walks of a real decode at 30 photons/window
+        walks = []
 
-        def recording(trig, part, window):
-            passes.append((trig.copy(), part.copy(), window))
-            return reference_impl.pair_pulses(trig, part, window)
+        def recording(trig, part):
+            walks.append(trig.size)
+            return kernels.pair_pulses(trig, part)
 
         monkeypatch.setattr(readout, "pair_pulses", recording)
         simulate_stream(config_from_dict(
             "counting", {"mean_photon_number": 30.0, "windows": 300}, seed=1))
-        # one pass per slot (16 pixels, 2 padding slots at each end), over
-        # the pulses whose candidates are contested
-        assert len(passes) == 20
-        contested = 0
-        for trig, part, window in passes:
-            lo = np.searchsorted(part, trig - window, side="left")
-            hi = np.searchsorted(part, trig + window, side="right")
-            # a trigger with several candidates, or sharing one with the next
-            contested += int((hi - lo > 1).sum() + (hi[:-1] > lo[1:]).sum())
-            np.testing.assert_array_equal(
-                kernels.pair_pulses(trig, part, window),
-                reference_impl.pair_pulses(trig, part, window))
-        assert contested > 0  # the passes held triggers that compete
+        # one walk, over candidates that contest a pulse
+        assert len(walks) == 1 and walks[0] > 0
+        # a decode with nothing contested still walks once
+        readout.decode(readout.TraceEvents(np.array([]), np.array([])),
+                       readout.LineConfig())
+        assert walks[1:] == [0]
