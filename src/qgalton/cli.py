@@ -16,17 +16,20 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import QGaltonError, ResourceLimitError
 from .experiments import (
+    _EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
+    ExperimentConfig,
     ExperimentOutput,
     check_value,
     config_from_dict,
+    key_type,
     load_config,
     render_report,
     run_experiment,
@@ -63,11 +66,13 @@ def _read_numbers(path: str) -> np.ndarray:
 
 
 def _read_trace(path: str) -> TraceEvents:
-    """Trace from a two-column CSV (time_ns, amplitude), header optional."""
+    """Trace from a two-column CSV (time_ns, amplitude), header optional:
+    the first non-blank line may be one."""
     times = []
     amps = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines()):
-        line = line.strip()
+    lines = [line.strip() for line in Path(path).read_text().splitlines()]
+    first = next((n for n, line in enumerate(lines) if line), None)
+    for line_no, line in enumerate(lines):
         if not line:
             continue
         parts = line.split(",")
@@ -78,7 +83,7 @@ def _read_trace(path: str) -> TraceEvents:
         try:
             t, a = float(parts[0]), float(parts[1])
         except ValueError:
-            if line_no == 0:
+            if line_no == first:
                 continue  # header row
             raise DecodeFailure(
                 f"{path}:{line_no + 1}: could not parse {line!r}"
@@ -105,7 +110,8 @@ def cmd_simulate_walk(args) -> int:
     t2 = args.t_squared
     if t2 is None:
         t2 = t2_of_wavelength(
-            1550.0 if args.wavelength_nm is None else args.wavelength_nm)
+            _EXPERIMENT_DEFAULTS["interference"]["wavelength_nm"]
+            if args.wavelength_nm is None else args.wavelength_nm)
     probs = bin_probabilities(args.stages, t2, args.input_port)
     report = {
         "stages": args.stages,
@@ -133,12 +139,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _check_fit_options(args) -> None:
-    """Hold --seed and --bootstrap to a run config's bounds."""
-    check_value("seed", args.seed, "--seed")
-    check_value("n_bootstrap", args.bootstrap, "--bootstrap")
-
-
 def _read_counts(path: str, what: str) -> np.ndarray:
     """Integer counts from a `_read_numbers` file, refused unless exact."""
     values = _read_numbers(path)
@@ -152,7 +152,6 @@ def _read_counts(path: str, what: str) -> np.ndarray:
 
 
 def cmd_fit_t2(args) -> int:
-    _check_fit_options(args)
     counts = _read_counts(args.input, "histogram entries")
     fit = fit_t2(counts, n_bootstrap=args.bootstrap, seed=args.seed,
                  input_port=args.input_port)
@@ -161,7 +160,6 @@ def cmd_fit_t2(args) -> int:
 
 
 def cmd_fit_poisson(args) -> int:
-    _check_fit_options(args)
     counts = _read_counts(args.input, "window counts")
     fit = fit_poisson(counts, n_bootstrap=args.bootstrap, seed=args.seed)
     _emit({"fit": asdict(fit)}, {}, args)
@@ -169,7 +167,6 @@ def cmd_fit_poisson(args) -> int:
 
 
 def cmd_fit_exponential(args) -> int:
-    _check_fit_options(args)
     gaps = _read_numbers(args.input)
     fit = fit_exponential(gaps, n_bootstrap=args.bootstrap, seed=args.seed)
     report = {"fit": asdict(fit), "units": "same as input (ns expected)"}
@@ -178,8 +175,6 @@ def cmd_fit_exponential(args) -> int:
 
 
 def cmd_decode_trace(args) -> int:
-    check_value("segment_delay_ns", args.segment_delay_ns, "--segment-delay-ns")
-    check_value("pixel_count", args.pixel_count, "--pixel-count")
     line = LineConfig(
         segment_delay=args.segment_delay_ns * 1e-9,
         pixel_count=args.pixel_count,
@@ -218,6 +213,22 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
                         "adds the tables")
 
 
+def _add_settings(p: argparse.ArgumentParser, *flags: str) -> None:
+    """One option per flag for the config key it names (``--bootstrap``
+    sets ``n_bootstrap``), with that key's type and default.  `main` holds
+    each to the key's bound in the order given, so with two bad options
+    the first given here is the one refused."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    settings = []
+    for flag in flags:
+        key = ("n_bootstrap" if flag == "--bootstrap"
+               else flag[2:].replace("-", "_"))
+        action = p.add_argument(flag, type=key_type(key),
+                                default=defaults[key])
+        settings.append((key, flag, action.dest))
+    p.set_defaults(settings=settings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgalton",
@@ -227,11 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-walk",
                        help="bin distribution out of the coupler mesh")
-    p.add_argument("--stages", type=int, default=8)
-    p.add_argument("--t-squared", type=float, default=None)
-    p.add_argument("--wavelength-nm", type=float, default=None)
-    p.add_argument("--input-port", default="left",
-                   choices=("left", "right"))
+    _add_settings(p, "--input-port", "--wavelength-nm", "--stages",
+                  "--t-squared")
     p.add_argument("--check-oracle", action="store_true",
                    help="cross-check against explicit path enumeration")
     _add_common_output(p)
@@ -240,46 +248,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a full experiment")
     p.add_argument("experiment", choices=EXPERIMENTS)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=key_type("seed"),
                    help="override the config seed")
     _add_common_output(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("fit-t2",
-                       help="fit coupler transmission to a bin histogram")
-    p.add_argument("--input", required=True,
-                   help="JSON array or whitespace separated counts")
-    p.add_argument("--bootstrap", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input-port", default="left", choices=("left", "right"))
-    _add_common_output(p)
-    p.set_defaults(func=cmd_fit_t2)
-
-    p = sub.add_parser("fit-poisson",
-                       help="fit a Poisson mean to per-window counts")
-    p.add_argument("--input", required=True)
-    p.add_argument("--bootstrap", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common_output(p)
-    p.set_defaults(func=cmd_fit_poisson)
-
-    p = sub.add_parser("fit-exponential",
-                       help="fit an exponential mean to inter-arrival gaps")
-    p.add_argument("--input", required=True,
-                   help="gaps in nanoseconds")
-    p.add_argument("--bootstrap", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common_output(p)
-    p.set_defaults(func=cmd_fit_exponential)
+    for command, func, summary, input_help, flags in (
+            ("fit-t2", cmd_fit_t2,
+             "fit coupler transmission to a bin histogram",
+             "JSON array or whitespace separated counts", ["--input-port"]),
+            ("fit-poisson", cmd_fit_poisson,
+             "fit a Poisson mean to per-window counts", None, []),
+            ("fit-exponential", cmd_fit_exponential,
+             "fit an exponential mean to inter-arrival gaps",
+             "gaps in nanoseconds", [])):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--input", required=True, help=input_help)
+        _add_settings(p, *flags, "--seed", "--bootstrap")
+        _add_common_output(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("decode-trace",
                        help="recover events from a pulse-train CSV")
     p.add_argument("--input", required=True,
                    help="CSV with time_ns,amplitude columns")
-    p.add_argument("--segment-delay-ns", type=float, default=0.9)
-    p.add_argument("--pixel-count", type=int, default=16)
-    p.add_argument("--trigger-polarity", default="negative",
-                   choices=("negative", "positive"))
+    _add_settings(p, "--trigger-polarity", "--segment-delay-ns",
+                  "--pixel-count")
     _add_common_output(p)
     p.set_defaults(func=cmd_decode_trace)
 
@@ -287,9 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # every option that sets a config key, before any input is read
+        for key, flag, dest in getattr(args, "settings", ()):
+            check_value(key, getattr(args, dest), flag)
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

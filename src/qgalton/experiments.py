@@ -96,8 +96,8 @@ _MIN_SEGMENT_DELAY_NS = 2.0 * DEFAULT_TOLERANCE * 1e9
 # above 0 in seconds.  A run's timeline bounds its window and jitter
 _LARGEST = 1e300
 # The bound of every run-config key, written once, and checked where input
-# enters: by a run config for each key and by decode-trace and fit-* for
-# their options, so the components take what they are given.  An entry is
+# enters, by `check_value`: for each key of a run config and each CLI option
+# that sets one, so the components take what they are given.  An entry is
 # (test, what it allows), or a walk or source check that their API callers
 # reach directly, whose message names the key.  Numbers must be finite.
 _BOUNDS = {
@@ -129,27 +129,6 @@ _BOUNDS = {
 # bootstrap table has under one column, and a run's has fit_t2's 513
 _LIMITS = {"windows": MAX_WINDOWS, "pixel_count": 2 * MAX_STAGES,
            "n_bootstrap": MAX_BOOTSTRAP_CELLS}
-
-
-def check_value(key: str, value, option: Optional[str]) -> None:
-    """Refuse, with ConfigError or past a size limit ResourceLimitError, a
-    ``value`` out of ``key``'s bound, naming it and ``option`` if given."""
-    name = key if option is None else f"{option} ({key})"
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    bound = _BOUNDS[key]
-    if callable(bound):
-        try:
-            bound(value)
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc)) from None
-        return
-    test, allowed = bound
-    if not test(value):
-        raise ConfigError(f"{name} must be {allowed}, got {value!r}")
-    limit = _LIMITS.get(key)
-    if limit is not None and value > limit:
-        raise ResourceLimitError(f"{name} is {value}: the limit is {limit}")
 
 
 @dataclass(frozen=True)
@@ -196,9 +175,7 @@ class ExperimentConfig:
                 "exactly one of wavelength_nm and t_squared must be set"
             )
         for key in _KNOWN_KEYS:
-            value = getattr(self, key)
-            if value is not None:
-                check_value(key, value, None)
+            check_value(key, getattr(self, key), None)
         # the far-end pulse is the weakest; decode refuses a zero amplitude
         if self.base_amplitude * self.attenuation_per_segment ** (
                 self.pixel_count - 1) == 0.0:
@@ -281,22 +258,44 @@ _ACCEPTED = {int: (numbers.Integral, "an integer"),
              str: (str, "a string")}
 
 
-def _check_type(key: str, value) -> None:
-    """Raise ConfigError unless ``value`` fits the declared field type."""
+def key_type(key: str) -> type:
+    """The type of config key ``key``'s values: int, float or str."""
     hint = _FIELD_TYPES[key]
-    args = get_args(hint)  # Optional[X] -> (X, NoneType)
-    if value is None and type(None) in args:
+    return (get_args(hint) or (hint,))[0]  # Optional[X] -> X
+
+
+def check_value(key: str, value, option: Optional[str]) -> None:
+    """Refuse, with ConfigError or past a size limit ResourceLimitError, a
+    ``value`` not of ``key``'s type or out of its bound, naming it and
+    ``option`` if given.  None passes where the key is optional."""
+    if value is None and type(None) in get_args(_FIELD_TYPES[key]):
         return
-    kinds, name = _ACCEPTED[args[0] if args else hint]
+    kinds, what = _ACCEPTED[key_type(key)]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"config field {key} must be {name}, got {value!r}")
+        raise ConfigError(f"config field {key} must be {what}, got {value!r}")
+    name = key if option is None else f"{option} ({key})"
     if kinds is numbers.Real:
         # an integer is stored as given, but a float field must hold it
         try:
-            float(value)
+            finite = math.isfinite(value)
         except OverflowError:
             raise ConfigError(f"config field {key} must fit in a float, got "
                               f"a {len(str(abs(value)))}-digit integer") from None
+        if not finite:
+            raise ConfigError(f"{name} must be finite, got {value}")
+    bound = _BOUNDS[key]
+    if callable(bound):
+        try:
+            bound(value)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
+        return
+    test, allowed = bound
+    if not test(value):
+        raise ConfigError(f"{name} must be {allowed}, got {value!r}")
+    limit = _LIMITS.get(key)
+    if limit is not None and value > limit:
+        raise ResourceLimitError(f"{name} is {value}: the limit is {limit}")
 
 
 def config_from_dict(experiment: str, data: Optional[dict] = None,
@@ -307,7 +306,7 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, value in data.items():
-        _check_type(key, value)
+        check_value(key, value, None)
 
     user_wl = data.pop("wavelength_nm", None)
     user_t2 = data.pop("t_squared", None)
@@ -320,8 +319,6 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
     elif user_t2 is not None:
         merged["wavelength_nm"], merged["t_squared"] = None, float(user_t2)
     if seed is not None:
-        if "seed" in data:  # overridden, but still refused out of bound
-            check_value("seed", data["seed"], None)
         merged["seed"] = int(seed)
     return ExperimentConfig(experiment=experiment, **merged)
 
@@ -523,16 +520,16 @@ def run_interference(config: ExperimentConfig,
     return ExperimentOutput(report=report, tables=tables)
 
 
-def _window_counts(stream: SimulatedStream, config: ExperimentConfig):
-    _, times = _decoded_ok(stream)
-    wins = _window_index(times, config.window, config.windows)
-    return np.bincount(wins, minlength=config.windows)
+def _window_counts(events, stream: SimulatedStream, n_windows: int):
+    """Decoded ok events per window, off the events table's window column."""
+    return np.bincount(events[1][0][stream.decoded.ok], minlength=n_windows)
 
 
 def run_counting(config: ExperimentConfig,
                  stream: SimulatedStream) -> ExperimentOutput:
     """Per-window count statistics against the Poisson model."""
-    counts = _window_counts(stream, config)
+    events = _events_table(stream, config.window, config.windows)
+    counts = _window_counts(events, stream, config.windows)
     truth_counts = np.bincount(stream.truth_windows, minlength=config.windows)
 
     fit = fit_poisson(counts, n_bootstrap=config.n_bootstrap, seed=config.seed)
@@ -557,7 +554,7 @@ def run_counting(config: ExperimentConfig,
         "count_histogram": (
             ["count", "windows", "model_probability"],
             [np.arange(kmax + 1), hist, pmf]),
-        "events": _events_table(stream, config.window, config.windows),
+        "events": events,
     }
     return ExperimentOutput(report=report, tables=tables)
 
@@ -571,7 +568,8 @@ def run_intervals(config: ExperimentConfig,
 
     interval_fit = fit_exponential(gaps, n_bootstrap=config.n_bootstrap,
                                    seed=config.seed)
-    counts = _window_counts(stream, config)
+    events = _events_table(stream, config.window, config.windows)
+    counts = _window_counts(events, stream, config.windows)
     count_fit = fit_poisson(counts, n_bootstrap=config.n_bootstrap,
                             seed=config.seed)
     consistency = mean_consistency(count_fit, interval_fit, config.window)
@@ -599,7 +597,7 @@ def run_intervals(config: ExperimentConfig,
     tables = {
         "gap_histogram": (["gap_ns", "count", "model_mass"],
                           [centers * 1e9, binned[:-1], masses[:-1]]),
-        "events": _events_table(stream, config.window, config.windows),
+        "events": events,
     }
     return ExperimentOutput(report=report, tables=tables)
 

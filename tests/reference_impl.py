@@ -21,8 +21,6 @@ from qgalton.readout import (
     FLAG_PIXEL_OUT_OF_RANGE,
     SLOT_PAD,
     DecodedEvents,
-    _time_order,
-    _trigger_sign,
 )
 from qgalton.walk import bin_probabilities
 
@@ -231,12 +229,20 @@ def decode(trace, config):
     structurally valid but names no physical pixel, so it is flagged
     pixel_out_of_range.  Unmatched pulses come back as orphans.
     """
-    (trig_pos_in_trace, trig_times,
-     part_pos_in_trace, part_times) = _time_order(trace, config)
-    sign = _trigger_sign(config)
+    # each polarity's pulses in time order, the earlier trace row first on
+    # a tie: triggers carry the trigger polarity's sign, partners the other
+    negative = config.trigger_polarity == "negative"
+    times, amps = trace.times.tolist(), trace.amplitudes.tolist()
+    order = sorted(range(len(times)), key=times.__getitem__)
+    trig_pos = [i for i in order if (amps[i] < 0) == negative]
+    part_pos = [i for i in order if (amps[i] < 0) != negative]
+    trig_pos_in_trace = np.array(trig_pos, dtype=np.int64)
+    part_pos_in_trace = np.array(part_pos, dtype=np.int64)
+    trig_times = np.array([times[i] for i in trig_pos], dtype=float)
+    part_times = np.array([times[i] for i in part_pos], dtype=float)
 
-    trig_flag = FLAG_ORPHAN_NEGATIVE if sign < 0 else FLAG_ORPHAN_POSITIVE
-    part_flag = FLAG_ORPHAN_POSITIVE if sign < 0 else FLAG_ORPHAN_NEGATIVE
+    trig_flag = FLAG_ORPHAN_NEGATIVE if negative else FLAG_ORPHAN_POSITIVE
+    part_flag = FLAG_ORPHAN_POSITIVE if negative else FLAG_ORPHAN_NEGATIVE
 
     n_pix = config.pixel_count
     slots = list(range(n_pix))

@@ -80,6 +80,14 @@ class TestSimulateWalk:
         code, _, _ = run_cli(capsys, "simulate-walk", "--t-squared", "1.5")
         assert code == EXIT_CONFIG
 
+    def test_out_of_choice_input_port_exit_config(self, capsys):
+        code, rep, err = run_cli(capsys, "simulate-walk", "--input-port",
+                                 "mid")
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert err == ("error: input_port must be 'left' or 'right', "
+                       "got 'mid'\n")
+
     def test_nan_t2_exit_config(self, capsys):
         code, rep, err = run_cli(capsys, "simulate-walk", "--t-squared", "nan")
         assert code == EXIT_CONFIG
@@ -535,6 +543,20 @@ class TestFitCommands:
         assert rep is None
         assert option in err
 
+    def test_fit_options_checked_in_order_before_input(self, capsys):
+        # each option alone exits 2, 2 or 4; the first in order is refused,
+        # and the missing input is never read
+        code, rep, err = run_cli(capsys, "fit-t2", "--input", "/no/file",
+                                 "--bootstrap", str(10**9), "--seed", "-1",
+                                 "--input-port", "up")
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert err == "error: input_port must be 'left' or 'right', got 'up'\n"
+        code, _, err = run_cli(capsys, "fit-poisson", "--input", "/no/file",
+                               "--bootstrap", str(10**9), "--seed", "-1")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: --seed (seed) must be")
+
     def test_fit_largest_seed_and_least_bootstrap_run(self, tmp_path, capsys):
         p = tmp_path / "counts.json"
         p.write_text(json.dumps([3, 5, 4, 6, 2, 4]))
@@ -656,6 +678,24 @@ class TestDecodeTrace:
         assert code == EXIT_RESOURCE
         assert rep is None
         assert "pixel_count" in err and "124" in err
+
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        # the first non-blank line may be the header, wherever it sits
+        path = self.write_trace(tmp_path, [0, 5], [0.0, 100e-9])
+        _, want, _ = run_cli(capsys, "decode-trace", "--input", path)
+        text = Path(path).read_text()
+        Path(path).write_text("\n  \n" + text)
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", path)
+        assert code == EXIT_OK, err
+        assert rep == want and rep["n_ok"] == 2
+
+    def test_out_of_choice_polarity_exit_config(self, tmp_path, capsys):
+        # refused before the trace is read, like the other line options
+        code, rep, err = run_cli(capsys, "decode-trace", "--input",
+                                 "/no/trace", "--trigger-polarity", "up")
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert "--trigger-polarity (trigger_polarity)" in err
 
     def test_missing_file_exit_decode_is_config(self, capsys):
         # unreadable input is a configuration problem, not a decode failure
