@@ -9,9 +9,13 @@ uncontested pair itself and hands it only the contested candidates, about
 3,000 at 30 photons per window, in one call per decode.
 
 `dead_time_filter` is vectorized.  The detector makes one call over
-the whole record, and an event at least one dead time after the previous
-event of its pixel always registers; only events closer than that to their
-predecessor run the sequential rule, in a loop over those events alone.
+the whole record.  An event at least one dead time after the previous
+event of its pixel always registers, and a close event (one closer than
+that) right after a registered event is always blocked.  So only a run of
+consecutive close events on one pixel needs the sequential rule, and only
+from its second event on: a loop walks each run from the registered event
+before it.  At 30 photons per window that is about 700 of 14,000 close
+events in 300,000.
 """
 
 import numpy as np
@@ -37,19 +41,32 @@ def dead_time_filter(pixels, times, dead_time):
     # each pixel's events in time order, one pixel after the other
     order = np.argsort(pixels, kind="stable")
     p, t = pixels[order], times[order]
-    same = p[1:] == p[:-1]
     # the last registered time is never later than the previous event, and
-    # rounding is monotone, so a gap of dead_time or more always registers
-    close = np.flatnonzero(same & (t[1:] - t[:-1] < dead_time)) + 1
-    held = np.ones(t.size, dtype=bool)
-    t = t.tolist()
-    last = 0.0
-    for i in close.tolist():
-        if held[i - 1]:
-            last = t[i - 1]
-        # else event i - 1 was blocked, and `last` still holds the
-        # registered time before it
-        held[i] = t[i] - last >= dead_time
+    # rounding is monotone, so a gap of dead_time or more always registers;
+    # an event closer than that to a registered predecessor is blocked
+    is_close = np.zeros(t.size, dtype=bool)
+    np.less(t[1:] - t[:-1], dead_time, out=is_close[1:])
+    is_close[1:] &= p[1:] == p[:-1]
+    held = ~is_close
+    # so only a close event after a close event needs the sequential rule:
+    # walk each run of close events from the registered time before it
+    chained = np.flatnonzero(is_close[1:] & is_close[:-1]) + 1
+    opens = ~is_close[chained - 2]
+    # the registered time before each run, read where its walk starts
+    befores = iter(t[chained[opens] - 2].tolist())
+    chain_held = []
+    last = previous = 0.0
+    previous_held = False
+    for start, now in zip(opens.tolist(), t[chained].tolist()):
+        if start:
+            # the run's first event is blocked by the event before it
+            last = next(befores)
+        elif previous_held:
+            last = previous
+        previous_held = now - last >= dead_time
+        chain_held.append(previous_held)
+        previous = now
+    held[chained] = chain_held
     keep = np.empty_like(held)
     keep[order] = held
     return keep

@@ -163,15 +163,20 @@ def encode(records: DetectionRecords, config: LineConfig) -> TraceEvents:
     alpha = config.attenuation_per_segment
     last = config.pixel_count - 1
     sign = _trigger_sign(config)
+    # each pixel's two amplitudes, one power per pixel rather than per
+    # pulse; gathered per pulse they keep the bits of the per-pulse product
+    taps = np.arange(config.pixel_count)
+    trig_amp = sign * config.base_amplitude * alpha**taps
+    ctr_amp = -sign * config.base_amplitude * alpha ** (last - taps)
 
-    trig_times = times + pixels * delta
-    trig_amps = sign * config.base_amplitude * alpha**pixels
-    ctr_times = times + (last - pixels) * delta
-    ctr_amps = -sign * config.base_amplitude * alpha ** (last - pixels)
-
-    ids = np.arange(times.size, dtype=np.int64)
-    all_times = np.concatenate([trig_times, ctr_times])
-    all_amps = np.concatenate([trig_amps, ctr_amps])
+    n = times.size
+    all_times = np.empty(2 * n)
+    np.add(times, pixels * delta, out=all_times[:n])
+    np.add(times, (last - pixels) * delta, out=all_times[n:])
+    all_amps = np.empty(2 * n)
+    np.take(trig_amp, pixels, out=all_amps[:n])
+    np.take(ctr_amp, pixels, out=all_amps[n:])
+    ids = np.arange(n, dtype=np.int64)
     all_ids = np.concatenate([ids, ids])
     order = np.argsort(all_times, kind="stable")
     return TraceEvents(all_times[order], all_amps[order], all_ids[order])

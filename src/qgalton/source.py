@@ -75,8 +75,12 @@ def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):
     exactly a homogeneous Poisson process restricted to the window.  Window
     w starts at ``w * window`` on the run's timeline.  Returns (times,
     windows): each photon's absolute time in seconds and its window index,
-    which never decreases; within a window the times are sorted, ties in
-    draw order.
+    which never decreases; within a window the times are sorted.
+
+    Only the sorted times come back, not the order, and equal times are
+    the same double, so the first sort need not be stable: any order of
+    ties gives the same values.  The second sort, by window, must be
+    stable, to keep each window's times in the order the first gave them.
     """
     if (times.ndim != 1 or counts.ndim != 1 or np.any(counts < 0)
             or counts.sum() != times.size):
@@ -84,11 +88,15 @@ def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):
             f"counts must be 1-d, non-negative and sum to {times.size}")
     windows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     times = times + windows * window
-    order = np.argsort(times, kind="stable")
+    order = np.argsort(times)
     # the rounding of w * window can carry a time of window w past the
     # first of window w + 1; a stable sort by window puts it back
     order = order[np.argsort(windows[order], kind="stable")]
     return times[order], windows
+
+
+# cells of the [0, 1) lookup table of assign_bins
+_CELLS = 4096
 
 
 def assign_bins(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -97,17 +105,39 @@ def assign_bins(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     ``uniforms`` holds one [0, 1) draw per photon, in the photons' order.
     The distribution must be normalized to within 1e-9; anything worse
     points at a bug upstream rather than rounding error.
+
+    A photon's bin is the number of cdf values at or below its uniform,
+    ``np.searchsorted(cdf, u, "right")``.  Scaling by _CELLS, a power of
+    two, is exact, so ``floor(u * _CELLS)`` puts u in the cell
+    [c / _CELLS, (c + 1) / _CELLS) it lies in.  Where no cdf value lies in
+    u's cell, that count is the number of cdf values below the cell's
+    start, one table entry per cell; only a uniform in a cell that holds a
+    cdf value is searched.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise InvalidDistributionError("probabilities must be a 1-d array")
-    if np.any(p < 0.0):
-        raise InvalidDistributionError("probabilities must be nonnegative")
-    total = p.sum()
+    if not np.all(p >= 0.0):  # NaN fails the comparison
+        raise InvalidDistributionError(
+            "probabilities must be nonnegative numbers")
+    total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistributionError(
             f"probabilities sum to {total!r}, expected 1 within 1e-9"
         )
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
+    u = np.asarray(uniforms, dtype=float)
+    # min and max are NaN if any uniform is
+    if u.ndim != 1 or (u.size and not (u.min() >= 0.0 and u.max() < 1.0)):
+        raise InvalidArgumentError(
+            "uniforms must be a 1-d array of values in [0, 1)")
+    table = np.searchsorted(cdf, np.arange(_CELLS) / _CELLS,
+                            side="left").astype(np.int64)
+    # -1 marks the cells that hold a cdf value
+    cells = (cdf * _CELLS).astype(np.int64)
+    table[cells[cells < _CELLS]] = -1
+    bins = table[(u * _CELLS).astype(np.intp)]
+    searched = np.flatnonzero(bins < 0)
+    bins[searched] = np.searchsorted(cdf, u[searched], side="right")
+    return bins

@@ -9,7 +9,8 @@ a one-row search (fit_t2 stacks its MLE as a second row) and the bootstrap
 refits all resamples in one search rather than a Python loop.  Each public
 fit only checks its input, bins it and names its model.  fit_t2's model is
 a polynomial of degree stages in t^2: it scans the walk on a grid and
-reads its golden-section probes off that polynomial (`bin_polynomial`).
+reads its golden-section probes off that polynomial
+(`unchecked_bin_polynomial`).
 
 Only numpy and `math` are used at run time: the Poisson pmf and tail and
 the chi-square tail are written out here, so importing this module loads
@@ -31,7 +32,7 @@ from .errors import (
     InvalidDistributionError,
     ResourceLimitError,
 )
-from .walk import bin_polynomial, bin_probabilities
+from .walk import bin_probabilities, unchecked_bin_polynomial
 
 DEFAULT_BOOTSTRAP = 500
 _CI_LEVEL = 0.95
@@ -247,7 +248,8 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     # polynomial in t^2), so every minimization below starts from a scan of
     # the walk on a grid to land in the right basin; the golden-section
     # probes inside a bracket then read the same walk as its polynomial
-    model_rows = bin_polynomial(stages, input_port)
+    # the probes stay inside brackets within [0, 1], so they skip the check
+    model_rows = unchecked_bin_polynomial(stages, input_port)
     grid = np.linspace(0.0, 1.0, T2_GRID_POINTS)
     model_grid = bin_probabilities(stages, grid, input_port)
     model_sums = (model_grid**2).sum(axis=1)

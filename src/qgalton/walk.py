@@ -141,7 +141,21 @@ def bin_polynomial(stages: int, input_port: str = "left"):
 
     Returns a function from a vector of t**2 values in [0, 1] to the rows
     `bin_probabilities` gives for them, each value clipped at 0 so that a
-    logarithm never sees rounding below it.
+    logarithm never sees rounding below it.  It refuses a t**2 outside
+    [0, 1] or NaN; `unchecked_bin_polynomial` is the same function without
+    that check.
+    """
+    rows = unchecked_bin_polynomial(stages, input_port)
+    return lambda t_squared: rows(check_t_squared(t_squared))
+
+
+def unchecked_bin_polynomial(stages: int, input_port: str):
+    """`bin_polynomial` for t**2 values known to lie in [0, 1].
+
+    For callers whose values lie there by construction, such as the
+    golden-section probes of `stats.fit_t2`, which stay inside brackets
+    within [0, 1]: the check of every evaluation would cost them about a
+    quarter of its time.  A value outside [0, 1] gives a meaningless row.
     """
     n = stages + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -150,7 +164,7 @@ def bin_polynomial(stages: int, input_port: str = "left"):
     coefficients[0] *= 0.5
 
     def rows(t_squared) -> np.ndarray:
-        u = 2.0 * check_t_squared(t_squared) - 1.0
+        u = 2.0 * np.asarray(t_squared, dtype=np.float64) - 1.0
         # T_0 .. T_stages at u, one row each: T_j = 2u T_(j-1) - T_(j-2)
         chebyshev = np.empty((n, u.size))
         chebyshev[0] = 1.0

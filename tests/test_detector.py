@@ -270,6 +270,33 @@ class TestWholeRun:
         assert_reference(run, events, draws, config, window)
         assert run.is_dark.any() == (config.dark_count_rate > 0.0)
 
+    @pytest.mark.parametrize("dark_count_rate", [0.0, 2e5])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.8])
+    @pytest.mark.parametrize("jitter_sigma", [0.0, 50e-12])
+    @pytest.mark.parametrize("dead_time", [0.0, 20e-9])
+    def test_caller_arrays_unchanged(self, dark_count_rate, efficiency,
+                                     jitter_sigma, dead_time):
+        # detect works on its own copies: a step that kept the caller's
+        # times (say, a sort skipped on sorted input) would let the jitter
+        # step's in-place add write into them
+        config = self.cfg(dark_count_rate=dark_count_rate,
+                          efficiency=efficiency, jitter_sigma=jitter_sigma,
+                          dead_time=dead_time)
+        window = 2e-6
+        events = self.photons(31, 25)
+        counts = np.bincount(events[2], minlength=1)
+        draws, _ = reference_draws(
+            config, [window_rng(32, w) for w in range(counts.size)], counts,
+            window)
+        arrays = list(events) + [getattr(draws, name)
+                                 for name in DetectorDraws.__annotations__]
+        before = [a.copy() for a in arrays]
+        rec = detect(*events, config, draws, window)
+        assert len(rec) > 0
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+
     def test_dead_time_carries_across_window_edge(self):
         # the same pixel fires 5 ns before the end of window 0 and at the
         # start of window 1: it is still dead there, and has recovered

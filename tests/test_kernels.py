@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import reference_impl
-from qgalton import kernels, readout
+from qgalton import detector, kernels, readout
 from qgalton.experiments import config_from_dict, simulate_stream
 
 # integer-valued times make exact ties and exact dead-time boundaries
@@ -92,6 +92,14 @@ class TestDeadTimeFilterParity:
 
     @settings(deadline=None, max_examples=300)
     @given(click_streams(), small_span)
+    # one pixel at 0.4 dead-time spacing: one long run of close events in
+    # which every third event registers
+    @example((np.zeros(16, dtype=np.int64), np.arange(16) * 2.0, 1), 5.0)
+    # runs of close events right after a pixel's first event, on two
+    # pixels interleaved, the second run ending in a registered event
+    @example((np.array([0, 1, 0, 1, 0, 1, 0, 1, 1]),
+              np.array([3.0, 3.0, 4.0, 4.0, 5.0, 5.0, 6.0, 6.0, 7.0]), 2),
+             4.0)
     def test_matches_reference_loop(self, stream, dead_time):
         pixels, times, n_pixels = stream
         got = kernels.dead_time_filter(pixels, times, dead_time)
@@ -118,6 +126,26 @@ class TestDeadTimeFilterParity:
             reference_impl.dead_time_filter(p, t, n_pixels, dead_time)
             for p, t, _ in streams])
         np.testing.assert_array_equal(got, want)
+
+    def test_chain_heavy_record(self, monkeypatch):
+        # at 200 photons per window and a 200 ns dead time most events
+        # follow a blocked event on their pixel, in long runs
+        calls = []
+
+        def recording(labels, times, dead_time):
+            keep = kernels.dead_time_filter(labels, times, dead_time)
+            calls.append((labels.tolist(), times.tolist(), dead_time, keep))
+            return keep
+
+        monkeypatch.setattr(detector, "dead_time_filter", recording)
+        simulate_stream(config_from_dict(
+            "counting", {"mean_photon_number": 200.0, "windows": 2000,
+                         "dead_time_ns": 200.0}, seed=1))
+        (labels, times, dead_time, keep), = calls
+        assert keep.sum() < len(times) / 2
+        np.testing.assert_array_equal(
+            keep, reference_impl.dead_time_filter(labels, times, 16,
+                                                  dead_time))
 
     def test_burst_steps_back_past_blocked_events(self):
         # 0 registers; 1..3 are blocked by it; 4 is 4 after 0 and registers

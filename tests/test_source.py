@@ -13,6 +13,7 @@ from qgalton.errors import (
 )
 from qgalton.experiments import _draw_windows, check_value, config_from_dict
 from qgalton.source import (
+    _CELLS,
     DEFAULT_CALIBRATION,
     assign_bins,
     sample_arrivals,
@@ -258,6 +259,60 @@ class TestSampleArrivals:
         np.testing.assert_array_equal(
             times, [1e-7 + 12 * 2e-6, last + 12 * 2e-6, 13 * 2e-6])
 
+    def test_duplicate_times_inside_a_window(self):
+        times, windows = sample_arrivals(
+            np.array([2e-7, 1e-7, 2e-7, 1e-7, 2e-7, 0.0, 0.0]),
+            np.array([5, 0, 2]), 1e-6)
+        np.testing.assert_array_equal(windows, [0, 0, 0, 0, 0, 2, 2])
+        np.testing.assert_array_equal(
+            times, [1e-7, 1e-7, 2e-7, 2e-7, 2e-7, 2e-6, 2e-6])
+
+    def test_equal_times_on_both_sides_of_a_window_edge(self):
+        # a time just below the window's end of window 12 rounds onto the
+        # start of window 13, where window 13 has photons too: the times
+        # tie across the edge, and window 12's still come first
+        window = 2e-6
+        below = np.nextafter(window, 0.0)
+        while below + 12 * window != 13 * window:
+            below = np.nextafter(below, 0.0)
+        times, windows = sample_arrivals(
+            np.array([below, 1e-7, below, 0.0, 1e-7, 0.0]),
+            np.array([0] * 12 + [3, 3]), window)
+        np.testing.assert_array_equal(windows, [12] * 3 + [13] * 3)
+        edge = 13 * window
+        np.testing.assert_array_equal(
+            times, [1e-7 + 12 * window, edge, edge, edge, edge,
+                    1e-7 + 13 * window])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.lists(st.sampled_from(
+        [0.0, 1e-7, 5e-7, float(np.nextafter(2e-6, 0.0)), 2e-6 - 1e-18]),
+        max_size=6), min_size=1, max_size=12))
+    def test_ties_match_sorting_each_window(self, per_window):
+        # few distinct values, so ties inside and across windows abound
+        times, windows = sample_arrivals(
+            np.array([t for ts in per_window for t in ts], dtype=float),
+            np.array([len(ts) for ts in per_window]), 2e-6)
+        np.testing.assert_array_equal(
+            windows, [w for w, ts in enumerate(per_window) for _ in ts])
+        np.testing.assert_array_equal(times, np.concatenate(
+            [np.empty(0)] + [np.sort(np.array(ts, dtype=float)) + w * 2e-6
+                             for w, ts in enumerate(per_window)]))
+
+    def test_many_ties_match_sorting_each_window(self):
+        # a run-sized case: ten distinct times, the last rounding onto the
+        # next window's start, over 400 windows of up to 20 photons
+        rng = window_rng(9, 0)
+        counts = rng.integers(0, 20, 400)
+        grid = np.append(np.arange(9) * 2e-7, np.nextafter(2e-6, 0.0))
+        times = grid[rng.integers(0, 10, counts.sum())]
+        got, windows = sample_arrivals(times, counts, 2e-6)
+        np.testing.assert_array_equal(windows, np.repeat(np.arange(400),
+                                                         counts))
+        np.testing.assert_array_equal(got, np.concatenate(
+            [np.sort(own) + w * 2e-6 for w, own in
+             enumerate(np.split(times, np.cumsum(counts)[:-1]))]))
+
 
 class TestAssignBins:
     def test_point_mass(self):
@@ -285,6 +340,23 @@ class TestAssignBins:
         p[0], p[1] = -0.01, p[1] + 0.01 + 1.0 / 16
         with pytest.raises(InvalidDistributionError):
             assign_bins(p, np.array([0.5]))
+
+    def test_nan_probability_rejected(self):
+        # abs(nan - 1) > 1e-9 is False, so the sum check alone lets it in
+        p = np.full(16, 1.0 / 16)
+        p[3] = np.nan
+        with pytest.raises(InvalidDistributionError, match="nonnegative"):
+            assign_bins(p, np.array([0.1, 0.5, 0.9]))
+
+    @pytest.mark.parametrize("p, total", [
+        (np.full(16, 0.07), "1.12"),
+        (np.array([0.5, np.inf]), "inf"),
+    ])
+    def test_sum_message_prints_plain_number(self, p, total):
+        with pytest.raises(InvalidDistributionError) as err:
+            assign_bins(p, np.array([0.5]))
+        assert f"sum to {total}" in str(err.value)
+        assert "float64" not in str(err.value)
 
     def test_empty_window(self):
         assert assign_bins(np.full(16, 1.0 / 16), np.empty(0)).size == 0
@@ -317,3 +389,83 @@ class TestAssignBins:
             n = reference_impl.sample_arrivals(4.0, cfg.window, rng).size
             np.testing.assert_array_equal(
                 run[windows == w], reference_impl.assign_bins(n, p, rng))
+
+
+def cdf_of(p):
+    """The cdf assign_bins draws from: the cumulative sum, its last value
+    set to 1."""
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def around(values):
+    """Each value and the doubles either side of it that lie in [0, 1)."""
+    values = np.asarray(values, dtype=float)
+    near = np.concatenate([np.nextafter(values, -1.0), values,
+                           np.nextafter(values, 2.0)])
+    return near[(near >= 0.0) & (near < 1.0)]
+
+
+class TestAssignBinsLookup:
+    """assign_bins reads most bins off a table of [0, 1) cells; every bin
+    must equal the binary search of the cdf, at and beside each cell edge
+    and each cdf value, where a table would go wrong."""
+
+    def assert_searchsorted(self, p, uniforms):
+        uniforms = np.asarray(uniforms, dtype=float)
+        got = assign_bins(p, uniforms)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, np.searchsorted(cdf_of(p), uniforms, side="right"))
+
+    def edges_and_cdf(self, p):
+        return around(np.concatenate([np.arange(_CELLS) / _CELLS,
+                                      cdf_of(p)]))
+
+    @pytest.mark.parametrize("stages", [1, 2, 8, 62])
+    @pytest.mark.parametrize("t2", [0.0, 0.3, 0.5, 0.763, 1.0])
+    @pytest.mark.parametrize("port", ["left", "right"])
+    def test_walk_distributions(self, stages, t2, port):
+        from qgalton.walk import bin_probabilities
+
+        # t2 0 and 1 leave bins of zero probability
+        p = bin_probabilities(stages, t2, port)
+        u = np.concatenate([self.edges_and_cdf(p),
+                            window_rng(stages, 0).random(5000)])
+        self.assert_searchsorted(p, u)
+
+    @pytest.mark.parametrize("p", [
+        [1.0],
+        [0.0, 1.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+        # cdf values on cell edges
+        [0.25, 0.25, 0.5],
+        [1.0 / _CELLS, 0.0, 1.0 - 1.0 / _CELLS],
+        # several cdf values inside one cell
+        [1e-5, 1e-5, 1e-5, 1.0 - 3e-5],
+        # a cdf value one double below 1 and one below a cell edge
+        [float(np.nextafter(1.0, 0.0)), 0.0, 2.0**-53],
+        [float(np.nextafter(0.5, 0.0)), 0.5, 2.0**-54],
+    ])
+    def test_chosen_distributions(self, p):
+        p = np.array(p)
+        self.assert_searchsorted(p, self.edges_and_cdf(p))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e-4, 1e-12]),
+                    min_size=1, max_size=40).filter(any),
+           st.integers(0, 2**32))
+    def test_random_distributions(self, weights, seed):
+        p = np.array(weights) / sum(weights)
+        self.assert_searchsorted(p, np.concatenate([
+            self.edges_and_cdf(p), window_rng(seed, 0).random(200)]))
+
+    @pytest.mark.parametrize("uniforms", [
+        [0.5, 1.0], [-0.1, 0.5], [0.5, np.nan], [1.5], [np.inf, 0.2],
+        [-0.0, 1.0], [[0.5]],
+    ])
+    def test_uniforms_outside_the_unit_interval_rejected(self, uniforms):
+        with pytest.raises(InvalidArgumentError, match=r"\[0, 1\)"):
+            assign_bins(np.full(4, 0.25), np.array(uniforms))
