@@ -100,8 +100,16 @@ def _read_trace(path: str) -> TraceEvents:
 
 
 def _emit(report: dict, tables: dict, args) -> None:
-    write_outputs(ExperimentOutput(report, tables), args.out, args.format)
-    sys.stdout.write(render_report(report))
+    """Write the outputs, then the report text to stdout: with --out, the
+    text of the report.json just written, rendered once."""
+    written = write_outputs(ExperimentOutput(report, tables), args.out,
+                            args.format)
+    if written:
+        with open(written[0]) as fh:
+            text = fh.read()
+    else:
+        text = render_report(report)
+    sys.stdout.write(text)
 
 
 def cmd_simulate_walk(args) -> int:

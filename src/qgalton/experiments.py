@@ -397,17 +397,13 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     photons = np.array(photons, dtype=np.int64)
     dark_counts = np.array(dark_counts, dtype=np.int64)
     # every window's blocks in stream order: arrival times, bin uniforms,
-    # efficiency uniforms, dark times and jitter normals; a stable sort of
-    # their labels gathers each part of the run in window order
+    # efficiency uniforms, dark times and jitter normals
     sizes = np.stack([photons, photons, photons * thin, dark_counts,
                       (photons + dark_counts) * jitter], axis=1)
-    labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), photons.size),
-                       sizes.ravel())
     values = np.concatenate(blocks) if blocks else np.empty(0)
     del blocks
-    values = values[np.argsort(labels, kind="stable")]
-    arrivals, bin_uniforms, keep, dark_times, normals = np.split(
-        values, np.cumsum(sizes.sum(axis=0))[:-1])
+    arrivals, bin_uniforms, keep, dark_times, normals = _split_parts(
+        values, sizes)
     arrivals *= window
     dark_times *= window
     normals *= det.jitter_sigma
@@ -416,6 +412,38 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
         dark_pixels=np.array(dark_pixels, dtype=np.int64),
         jitter_counts=sizes[:, 4], jitter=normals)
     return arrivals, photons, bin_uniforms, draws
+
+
+def _split_parts(values: np.ndarray, sizes: np.ndarray) -> list:
+    """The five parts of a run's draws, each in window order.
+
+    ``values`` holds the blocks of every window in stream order, window by
+    window and part by part; ``sizes[w, k]`` is the size of part k's block
+    in window w.  Returns the parts as views of one new array.
+
+    The parts are one gather.  Block (w, k) starts at some position s in
+    ``values`` and lands at some position d of the result, and the gather
+    index runs s, s + 1, ... from d on.  So the index is 1 at every
+    position but the start of each nonempty block, which holds the step
+    from the previous block's last source position (0 for the first
+    block) to its own first, and one in-place running sum turns the steps
+    into the gather index.  It is int32 where the draw count allows, to
+    halve its memory.
+    """
+    flat = sizes.ravel()
+    source = (np.cumsum(flat) - flat).reshape(sizes.shape).T.ravel()
+    # the blocks in result order, part by part and within a part window
+    # by window; an empty block starts nowhere
+    length = sizes.T.ravel()
+    full = np.flatnonzero(length)
+    source, length = source[full], length[full]
+    index = np.ones(values.size, dtype=np.int32 if values.size < 2**31
+                    else np.int64)
+    if full.size:
+        index[np.cumsum(length) - length] = source - np.concatenate(
+            ([0], source[:-1] + length[:-1] - 1))
+    np.cumsum(index, dtype=index.dtype, out=index)
+    return np.split(values[index], np.cumsum(sizes.sum(axis=0))[:-1])
 
 
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
@@ -565,8 +593,8 @@ def run_counting(config: ExperimentConfig,
 def run_intervals(config: ExperimentConfig,
                   stream: SimulatedStream) -> ExperimentOutput:
     """Inter-arrival statistics and the count-rate consistency check."""
+    # decode returns its rows in origin order, so the times are sorted
     _, times = _decoded_ok(stream)
-    times = np.sort(times)
     gaps = np.diff(times)
 
     interval_fit = fit_exponential(gaps, n_bootstrap=config.n_bootstrap,
@@ -702,8 +730,8 @@ def write_outputs(output: ExperimentOutput, out_dir: Optional[str],
 
     Each ``(header, columns)`` table becomes ``<name>.csv``; its cells are
     turned into text here and nowhere else.  Returns the list of paths
-    written.  A None out_dir writes nothing, which is how library callers
-    skip disk output.
+    written, report.json first.  A None out_dir writes nothing, which is
+    how library callers skip disk output.
     """
     if out_dir is None:
         return []

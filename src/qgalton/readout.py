@@ -203,14 +203,19 @@ def _time_order(trace: TraceEvents, config: LineConfig):
     return trig_pos, trace.times[trig_pos], part_pos, trace.times[part_pos]
 
 
-def _scan_order(pixel_count: int) -> np.ndarray:
-    """Slots in the order pairing visits them: the legal slots, then
-    SLOT_PAD slots beyond each end of the line, alternating outward."""
+def _scan_ranks(pixel_count: int) -> np.ndarray:
+    """Each slot's place in the order pairing visits them, at slot +
+    SLOT_PAD: the legal slots, then SLOT_PAD slots beyond each end of the
+    line, alternating outward.  The ranks fit uint8: experiments.check_value
+    bounds pixel_count at 124, so a line has at most 124 + 2 * SLOT_PAD
+    slots."""
     scan = list(range(pixel_count))
     for k in range(1, SLOT_PAD + 1):
         scan.append(-k)
         scan.append(pixel_count - 1 + k)
-    return np.array(scan, dtype=np.int64)
+    ranks = np.empty(len(scan), dtype=np.uint8)
+    ranks[np.array(scan) + SLOT_PAD] = np.arange(len(scan))
+    return ranks
 
 
 # pairs a walk holds at once: at under 100 bytes each, a denser trace takes
@@ -282,39 +287,35 @@ def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
 
 def _pair(trig_times, part_times, config: LineConfig):
     """The pairs decode takes, as trigger indices, partner indices and
-    slots, in scan order of their slots and then trigger order.
+    slots, in trigger order.
 
-    Slots go in `_scan_order`; within a slot, triggers in time order each
-    take the nearest free partner, the earliest on a tie.  A candidate
-    whose trigger and partner have no other candidate is taken at once.
-    The rest are contested: sorted by (scan rank, trigger, distance,
-    partner), they go through one `pair_pulses` walk, which runs once per
-    decode even with nothing contested.
+    Slots go in `_scan_ranks` order; within a slot, triggers in time
+    order each take the nearest free partner, the earliest on a tie.  A
+    candidate whose trigger and partner have no other candidate is taken
+    at once.  The rest are contested: sorted by (scan rank, trigger,
+    distance, partner), they go through one `pair_pulses` walk, which runs
+    once per decode even with nothing contested.
     """
-    scan = _scan_order(config.pixel_count)
     slot_delays = config.slot_delay(
         np.arange(-SLOT_PAD, config.pixel_count + SLOT_PAD))
     cand_trig, cand_part, cand_slot, cand_dist = _candidates(
         trig_times, part_times, config, slot_delays)
-    trig_degree = np.bincount(cand_trig, minlength=trig_times.size)
-    part_degree = np.bincount(cand_part, minlength=part_times.size)
-    # the uncontested candidates
-    chosen = (trig_degree[cand_trig] == 1) & (part_degree[cand_part] == 1)
-    # scan ranks fit uint8: experiments.check_value bounds pixel_count at
-    # 124, so a line has at most 124 + 2 * SLOT_PAD slots
-    rank_of_slot = np.empty(scan.size, dtype=np.uint8)  # at slot + SLOT_PAD
-    rank_of_slot[scan + SLOT_PAD] = np.arange(scan.size)
-    cand_rank = rank_of_slot[cand_slot + SLOT_PAD]
+    # the uncontested candidates: their trigger and partner have one each
+    chosen = ((np.bincount(cand_trig, minlength=trig_times.size)[cand_trig]
+               == 1)
+              & (np.bincount(cand_part, minlength=part_times.size)[cand_part]
+                 == 1))
+    cand_rank = _scan_ranks(config.pixel_count)[cand_slot + SLOT_PAD]
 
     contested = np.flatnonzero(~chosen)
     contested = contested[np.lexsort((
         cand_part[contested], cand_dist[contested], cand_trig[contested],
         cand_rank[contested]))]
+    del cand_dist  # freed before the taken pairs are gathered
     chosen[contested[pair_pulses(cand_trig[contested],
                                  cand_part[contested])]] = True
     # candidates run in trigger order, and a trigger is taken at most once
     taken = np.flatnonzero(chosen)
-    taken = taken[np.argsort(cand_rank[taken], kind="stable")]
     return cand_trig[taken], cand_part[taken], cand_slot[taken]
 
 
@@ -332,8 +333,11 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     MAX_TRACE_TIME are refused.  A pair in a padding slot names no
     physical pixel, so it is flagged pixel_out_of_range.  Unmatched pulses
     come back as orphans.  Rows are sorted by origin time (a pulse time
-    for orphans); rows of equal time keep scan order, then trigger order,
-    then trigger orphans, then counter orphans.
+    for orphans), in one stable sort of the pairs in trigger order and then
+    the orphans.  Rows of equal time go in scan order, then trigger order,
+    then trigger orphans, then counter orphans: the sort gives every order
+    but the first, and pairs of equal origin, which a run seldom has, are
+    put in scan order after it.
     """
     trig_pos, trig_times, part_pos, part_times = _time_order(trace, config)
     n_pix = config.pixel_count
@@ -345,7 +349,9 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     used[p_part] = True
     lone_part = np.flatnonzero(~used)
 
-    # rows: the pairs, then unpaired triggers, then unpaired counter pulses
+    # rows: the pairs in trigger order, then unpaired triggers, then
+    # unpaired counter pulses; in trigger order the pairs' origins are
+    # nearly sorted already, which the stable sort runs through fast
     n_lone = lone_trig.size + lone_part.size
     origin = 0.5 * (trig_times[p_trig] + part_times[p_part]) - 0.5 * config.span
     negative = _trigger_sign(config) < 0
@@ -358,9 +364,18 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
                 else FLAG_ORPHAN_NEGATIVE)], dtype=np.int8)
     order = np.argsort(np.concatenate([origin, trig_times[lone_trig],
                                        part_times[lone_part]]), kind="stable")
+    origin_times = np.concatenate([origin, np.full(n_lone, np.nan)])[order]
+    # freed before the columns are gathered, which is a saturated run's
+    # peak of memory
+    del trig_times, part_times, origin
+    # orphans are nan, so only pairs tie here, and the stable sort left
+    # each run of equal origins next to each other in trigger order
+    tie = np.flatnonzero(origin_times[1:] == origin_times[:-1])
+    if tie.size:
+        _scan_ties(order, tie, p_slot, n_pix)
     return DecodedEvents(
         pixels=np.concatenate([p_slot, np.full(n_lone, -1)])[order],
-        origin_times=np.concatenate([origin, np.full(n_lone, np.nan)])[order],
+        origin_times=origin_times,
         flags=flags[order],
         trigger_index=np.concatenate([trig_pos[p_trig], trig_pos[lone_trig],
                                       np.full(lone_part.size, -1)])[order],
@@ -368,6 +383,20 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
                                       np.full(lone_trig.size, -1),
                                       part_pos[lone_part]])[order],
     )
+
+
+def _scan_ties(order, tie, slots, pixel_count):
+    """Apply decode's tie rule to pairs of equal origin, in place.
+
+    ``order`` sorts decode's rows stably by time, the pairs first and in
+    trigger order, ``slots`` holds each pair's slot, and row ``order[i]``
+    ties with ``order[i + 1]`` for each i in ``tie``.  Each run of tied
+    rows is put in scan order of its slots, trigger order kept within a
+    slot."""
+    rows = np.union1d(tie, tie + 1)
+    run = np.cumsum(~np.isin(rows - 1, tie))
+    ranks = _scan_ranks(pixel_count)[slots[order[rows]] + SLOT_PAD]
+    order[rows] = order[rows][np.lexsort((ranks, run))]
 
 
 # pairs persistence_trace overlays at once, each about 43 bytes at its peak;

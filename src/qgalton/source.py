@@ -77,10 +77,13 @@ def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):
     windows): each photon's absolute time in seconds and its window index,
     which never decreases; within a window the times are sorted.
 
-    Only the sorted times come back, not the order, and equal times are
-    the same double, so the first sort need not be stable: any order of
-    ties gives the same values.  The second sort, by window, must be
-    stable, to keep each window's times in the order the first gave them.
+    The rounding of ``w * window`` can carry a time of window w past the
+    first of window w + 1.  Unless it does, each nonempty window's times
+    lie at or below the next one's, and one sort of the values is each
+    window sorted in turn: equal times are the same double, so any order
+    of ties gives the same values.  A run where it does sorts the
+    positions by time, then stably by window, which keeps each window's
+    times in the order the first sort gave them.
     """
     if (times.ndim != 1 or counts.ndim != 1 or np.any(counts < 0)
             or counts.sum() != times.size):
@@ -88,11 +91,14 @@ def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):
             f"counts must be 1-d, non-negative and sum to {times.size}")
     windows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     times = times + windows * window
-    order = np.argsort(times)
-    # the rounding of w * window can carry a time of window w past the
-    # first of window w + 1; a stable sort by window puts it back
-    order = order[np.argsort(windows[order], kind="stable")]
-    return times[order], windows
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    if times.size and not np.all(np.maximum.reduceat(times, starts)[:-1]
+                                 <= np.minimum.reduceat(times, starts)[1:]):
+        order = np.argsort(times)
+        order = order[np.argsort(windows[order], kind="stable")]
+        return times[order], windows
+    times.sort()
+    return times, windows
 
 
 # cells of the [0, 1) lookup table of assign_bins

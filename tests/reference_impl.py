@@ -3,7 +3,8 @@
 These are the original forms: the walk on complex amplitudes, the
 dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
-time, and the row-by-row CSV tables.  The package replaced them with
+time, the label sort that splits a run's draws into parts, and the
+row-by-row CSV tables.  The package replaced them with
 real-valued or vectorized forms; the parity tests compare the two element
 for element.
 """
@@ -89,6 +90,20 @@ def assign_bins(n, probabilities, rng):
     cdf[-1] = 1.0
     u = rng.random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+def split_parts(values, sizes):
+    """A run's draws split into their five parts, each in window order.
+
+    ``values`` holds every window's blocks in stream order, window by
+    window and part by part, and ``sizes[w, k]`` is the size of part k's
+    block in window w.  Each value is labelled with its part, and a stable
+    sort of the labels gathers each part's blocks in window order.
+    """
+    labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), len(sizes)),
+                       sizes.ravel())
+    values = values[np.argsort(labels, kind="stable")]
+    return np.split(values, np.cumsum(sizes.sum(axis=0))[:-1])
 
 
 def detector_draws(n_photons, config, rng, duration):

@@ -140,6 +140,31 @@ class TestRun:
         assert json.loads(on_disk) == rep
         assert list(p.name for p in out.iterdir()) == ["report.json"]
 
+    @pytest.mark.parametrize("out", [None, "results"])
+    def test_report_rendered_once(self, tmp_path, capsys, monkeypatch, out):
+        # with --out, stdout carries report.json's text, not a second render
+        import qgalton.cli
+        import qgalton.experiments
+
+        calls = []
+
+        def counted(report):
+            calls.append(report)
+            return real(report)
+
+        real = qgalton.experiments.render_report
+        for module in (qgalton.cli, qgalton.experiments):
+            monkeypatch.setattr(module, "render_report", counted)
+        argv = ["run", "counting", "--config", self.config(tmp_path)]
+        if out:
+            argv += ["--out", str(tmp_path / out), "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        assert len(calls) == 1
+        assert text == real(calls[0])
+        if out:
+            assert (tmp_path / out / "report.json").read_text() == text
+
     def test_out_dir_csv_tables(self, tmp_path, capsys):
         out = tmp_path / "results"
         code, _, _ = run_cli(capsys, "run", "counting",

@@ -369,6 +369,12 @@ class TestDecodeValidation:
                 run(trace, cfg)
 
 
+def assert_ok_origins_sorted(decoded):
+    """Ok rows come in origin order: run_intervals takes their gaps as
+    they are."""
+    assert np.all(np.diff(decoded.origin_times[decoded.ok]) >= 0)
+
+
 def assert_same_decode(got, want):
     for name in ("pixels", "origin_times", "flags", "trigger_index",
                  "partner_index"):
@@ -416,7 +422,7 @@ def grid_traces(draw):
     return TraceEvents(times, amplitudes), config
 
 
-# decode's peak on the dense trace below: about 7.3 MB today, and under the
+# decode's peak on the dense trace below: about 6.4 MB today, and under the
 # 12.2 MB that the slot-by-slot reference loop peaks at on the same trace
 DENSE_PEAK_BYTES = 12_000_000
 
@@ -429,7 +435,9 @@ class TestDecodeParity:
     def test_matches_reference_loop(self, case):
         trace, config = case
         want = reference_impl.decode(trace, config)
-        assert_same_decode(decode(trace, config), want)
+        got = decode(trace, config)
+        assert_same_decode(got, want)
+        assert_ok_origins_sorted(got)
         # blocks of a few candidates: triggers split across blocks, and
         # single triggers with more candidates than a block
         with pytest.MonkeyPatch.context() as mp:
@@ -444,6 +452,37 @@ class TestDecodeParity:
         stream = simulate_stream(config)
         assert_same_decode(stream.decoded, reference_impl.decode(
             stream.trace, config.line_config()))
+        assert_ok_origins_sorted(stream.decoded)
+
+    def test_equal_origins_go_in_scan_order(self):
+        # a pair in padding slot -1 and a pixel-0 pair, both of origin
+        # delta: the padding pair's trigger comes first, but the scan
+        # visits pixel 0 first, so its row does
+        delta = 2.0**-30
+        config = LineConfig(segment_delay=delta)
+        trace = TraceEvents(np.array([0.0, 1.0, 16.0, 17.0]) * delta,
+                            [-1.0, -1.0, 1.0, 1.0])
+        got = decode(trace, config)
+        np.testing.assert_array_equal(got.pixels, [0, -1])
+        np.testing.assert_array_equal(got.origin_times, [delta, delta])
+        assert_same_decode(got, reference_impl.decode(trace, config))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-SLOT_PAD, 17)),
+                    min_size=1, max_size=24))
+    def test_many_equal_origins_match_reference_loop(self, clicks):
+        # pairs on an exact grid with few distinct origins, in every slot
+        # including the padding: most rows tie with others on origin
+        delta = 2.0**-30
+        config = LineConfig(segment_delay=delta)
+        origins, slots = (np.array(c, dtype=float) for c in zip(*clicks))
+        origins *= 8.0
+        trace = TraceEvents(
+            np.concatenate([origins + slots, origins + 15.0 - slots]) * delta,
+            np.repeat([-1.0, 1.0], len(clicks)))
+        got = decode(trace, config)
+        assert_same_decode(got, reference_impl.decode(trace, config))
+        assert_ok_origins_sorted(got)
 
     def test_dense_trace_memory_within_loop(self):
         # 124 pixels at 0.1 pulses/ns: each trigger has about a dozen

@@ -1,5 +1,7 @@
 """Tests for the weak coherent source model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,12 @@ from qgalton.errors import (
     InvalidArgumentError,
     InvalidDistributionError,
 )
-from qgalton.experiments import _draw_windows, check_value, config_from_dict
+from qgalton.experiments import (
+    _draw_windows,
+    _split_parts,
+    check_value,
+    config_from_dict,
+)
 from qgalton.source import (
     _CELLS,
     DEFAULT_CALIBRATION,
@@ -312,6 +319,81 @@ class TestSampleArrivals:
         np.testing.assert_array_equal(got, np.concatenate(
             [np.sort(own) + w * 2e-6 for w, own in
              enumerate(np.split(times, np.cumsum(counts)[:-1]))]))
+
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([1e-9, 2e-6]),
+           st.sampled_from([0, 12, 2**16]),
+           st.lists(st.lists(st.integers(0, 8), max_size=5), min_size=1,
+                    max_size=10))
+    def test_overlapping_windows_match_sorting_each_window(
+            self, window, first, per_window):
+        # times up to four windows long, from window `first` on: a
+        # window's times reach past the starts of the next few windows,
+        # so one sort of the whole run would mix them
+        grid = np.append(np.arange(9) * 0.5 * window,
+                         np.nextafter(window, 0.0))
+        per_window = [grid[ks] for ks in per_window]
+        counts = np.array([0] * first + [ts.size for ts in per_window])
+        times, windows = sample_arrivals(
+            np.concatenate(per_window), counts, window)
+        np.testing.assert_array_equal(
+            windows, np.repeat(np.arange(counts.size), counts))
+        np.testing.assert_array_equal(times, np.concatenate(
+            [np.sort(ts) + (first + w) * window
+             for w, ts in enumerate(per_window)]))
+
+    def test_overlap_across_several_windows_is_repaired(self):
+        # window 0's time lies past the starts of windows 1 and 2, so the
+        # run's times are not sorted, and still come back window by window
+        times, windows = sample_arrivals(
+            np.array([2.5, 0.5, 0.0, 1.0]), np.array([2, 1, 1]), 1.0)
+        np.testing.assert_array_equal(windows, [0, 0, 1, 2])
+        np.testing.assert_array_equal(times, [0.5, 2.5, 1.0, 3.0])
+
+
+# _draw_windows' peak on a saturated run, per drawn value: about 22.3
+# bytes today, and under the 26.5 that the stable sort of one part label
+# per value peaked at on the same run
+DRAW_PEAK_BYTES_PER_VALUE = 24
+
+
+class TestSplitParts:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)),
+                    min_size=1, max_size=20),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_matches_label_sort(self, per_window, thin, darks, jitter):
+        # windows with no photons, efficiency uniforms below unit
+        # efficiency, dark counts and jitter normals each on or off, as
+        # _draw_windows lays out its blocks
+        photons, dark_counts = (np.array(c, dtype=np.int64)
+                                for c in zip(*per_window))
+        dark_counts *= darks
+        sizes = np.stack([photons, photons, photons * thin, dark_counts,
+                          (photons + dark_counts) * jitter], axis=1)
+        values = np.arange(sizes.sum(), dtype=float)  # each one distinct
+        got = _split_parts(values, sizes)
+        want = reference_impl.split_parts(values, sizes)
+        assert len(got) == len(want) == 5
+        for part, (a, b) in enumerate(zip(got, want)):
+            np.testing.assert_array_equal(a, b, err_msg=f"part {part}")
+
+    def test_saturated_draw_memory_per_value(self):
+        # 30 photons per window over 10,000 windows: 900,000 drawn values
+        cfg = config_from_dict("counting", {"mean_photon_number": 30.0},
+                               seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            arrivals, _, uniforms, draws = _draw_windows(
+                cfg, cfg.detector_config())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        drawn = arrivals.size + uniforms.size + draws.jitter.size
+        assert drawn > 850_000
+        assert peak <= DRAW_PEAK_BYTES_PER_VALUE * drawn, peak / drawn
 
 
 class TestAssignBins:
