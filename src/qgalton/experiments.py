@@ -428,20 +428,28 @@ def _split_parts(values: np.ndarray, sizes: np.ndarray) -> list:
     from the previous block's last source position (0 for the first
     block) to its own first, and one in-place running sum turns the steps
     into the gather index.  It is int32 where the draw count allows, to
-    halve its memory.
+    halve its memory.  The blocks are taken one part at a time, so that
+    at a few photons per window, where the blocks outnumber the values,
+    their positions take no more memory than one window per entry.
     """
-    flat = sizes.ravel()
-    source = (np.cumsum(flat) - flat).reshape(sizes.shape).T.ravel()
-    # the blocks in result order, part by part and within a part window
-    # by window; an empty block starts nowhere
-    length = sizes.T.ravel()
-    full = np.flatnonzero(length)
-    source, length = source[full], length[full]
     index = np.ones(values.size, dtype=np.int32 if values.size < 2**31
                     else np.int64)
-    if full.size:
-        index[np.cumsum(length) - length] = source - np.concatenate(
-            ([0], source[:-1] + length[:-1] - 1))
+    totals = sizes.sum(axis=1)
+    # each window's next source position, one part after the other
+    offset = np.cumsum(totals) - totals
+    del totals
+    at = last = 0  # the next result position, and the index just before it
+    for column in sizes.T:
+        full = np.flatnonzero(column)  # an empty block starts nowhere
+        if full.size:
+            length = column[full]
+            source = offset[full]
+            ends = np.cumsum(length)
+            index[at + ends - length] = source - np.concatenate(
+                ([last], source[:-1] + length[:-1] - 1))
+            at += int(ends[-1])
+            last = int(source[-1] + length[-1] - 1)
+        offset += column
     np.cumsum(index, dtype=index.dtype, out=index)
     return np.split(values[index], np.cumsum(sizes.sum(axis=0))[:-1])
 
