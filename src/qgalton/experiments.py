@@ -399,7 +399,7 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     # every window's blocks in stream order: arrival times, bin uniforms,
     # efficiency uniforms, dark times and jitter normals
     sizes = np.stack([photons, photons, photons * thin, dark_counts,
-                      (photons + dark_counts) * jitter], axis=1)
+                      (photons + dark_counts) * jitter])
     values = np.concatenate(blocks) if blocks else np.empty(0)
     del blocks
     arrivals, bin_uniforms, keep, dark_times, normals = _split_parts(
@@ -410,7 +410,7 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     draws = DetectorDraws(
         keep=keep, dark_counts=dark_counts, dark_times=dark_times,
         dark_pixels=np.array(dark_pixels, dtype=np.int64),
-        jitter_counts=sizes[:, 4], jitter=normals)
+        jitter_counts=sizes[4], jitter=normals)
     return arrivals, photons, bin_uniforms, draws
 
 
@@ -418,10 +418,10 @@ def _split_parts(values: np.ndarray, sizes: np.ndarray) -> list:
     """The five parts of a run's draws, each in window order.
 
     ``values`` holds the blocks of every window in stream order, window by
-    window and part by part; ``sizes[w, k]`` is the size of part k's block
+    window and part by part; ``sizes[k, w]`` is the size of part k's block
     in window w.  Returns the parts as views of one new array.
 
-    The parts are one gather.  Block (w, k) starts at some position s in
+    The parts are one gather.  Block (k, w) starts at some position s in
     ``values`` and lands at some position d of the result, and the gather
     index runs s, s + 1, ... from d on.  So the index is 1 at every
     position but the start of each nonempty block, which holds the step
@@ -434,24 +434,25 @@ def _split_parts(values: np.ndarray, sizes: np.ndarray) -> list:
     """
     index = np.ones(values.size, dtype=np.int32 if values.size < 2**31
                     else np.int64)
-    totals = sizes.sum(axis=1)
+    totals = sizes.sum(axis=0)
     # each window's next source position, one part after the other
     offset = np.cumsum(totals) - totals
     del totals
     at = last = 0  # the next result position, and the index just before it
-    for column in sizes.T:
-        full = np.flatnonzero(column)  # an empty block starts nowhere
+    bounds = []
+    for part in sizes:
+        full = np.flatnonzero(part)  # an empty block starts nowhere
         if full.size:
-            length = column[full]
-            source = offset[full]
-            ends = np.cumsum(length)
-            index[at + ends - length] = source - np.concatenate(
+            length, source = part[full], offset[full]
+            ends = at + np.cumsum(length)
+            index[ends - length] = source - np.concatenate(
                 ([last], source[:-1] + length[:-1] - 1))
-            at += int(ends[-1])
+            at = int(ends[-1])
             last = int(source[-1] + length[-1] - 1)
-        offset += column
+        offset += part
+        bounds.append(at)
     np.cumsum(index, dtype=index.dtype, out=index)
-    return np.split(values[index], np.cumsum(sizes.sum(axis=0))[:-1])
+    return np.split(values[index], bounds[:-1])
 
 
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:

@@ -96,14 +96,14 @@ def split_parts(values, sizes):
     """A run's draws split into their five parts, each in window order.
 
     ``values`` holds every window's blocks in stream order, window by
-    window and part by part, and ``sizes[w, k]`` is the size of part k's
+    window and part by part, and ``sizes[k, w]`` is the size of part k's
     block in window w.  Each value is labelled with its part, and a stable
     sort of the labels gathers each part's blocks in window order.
     """
-    labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), len(sizes)),
-                       sizes.ravel())
+    labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), sizes.shape[1]),
+                       sizes.T.ravel())
     values = values[np.argsort(labels, kind="stable")]
-    return np.split(values, np.cumsum(sizes.sum(axis=0))[:-1])
+    return np.split(values, np.cumsum(sizes.sum(axis=1))[:-1])
 
 
 def detector_draws(n_photons, config, rng, duration):

@@ -352,7 +352,7 @@ class TestSampleArrivals:
         np.testing.assert_array_equal(times, [0.5, 2.5, 1.0, 3.0])
 
 
-# _draw_windows' peak on a saturated run, per drawn value: about 22.3
+# _draw_windows' peak on a saturated run, per drawn value: about 22.0
 # bytes today, and under the 26.5 that the stable sort of one part label
 # per value peaked at on the same run
 DRAW_PEAK_BYTES_PER_VALUE = 24
@@ -371,7 +371,7 @@ class TestSplitParts:
                                 for c in zip(*per_window))
         dark_counts *= darks
         sizes = np.stack([photons, photons, photons * thin, dark_counts,
-                          (photons + dark_counts) * jitter], axis=1)
+                          (photons + dark_counts) * jitter])
         values = np.arange(sizes.sum(), dtype=float)  # each one distinct
         got = _split_parts(values, sizes)
         want = reference_impl.split_parts(values, sizes)
