@@ -429,8 +429,9 @@ def _split_parts(values: np.ndarray, sizes: np.ndarray) -> list:
     block) to its own first, and one in-place running sum turns the steps
     into the gather index.  It is int32 where the draw count allows, to
     halve its memory.  The blocks are taken one part at a time, so that
-    at a few photons per window, where the blocks outnumber the values,
-    their positions take no more memory than one window per entry.
+    the arrays of block positions hold one entry per window, not one per
+    (window, part): at a few photons per window they would outweigh the
+    values themselves.
     """
     index = np.ones(values.size, dtype=np.int32 if values.size < 2**31
                     else np.int64)

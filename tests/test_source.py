@@ -320,7 +320,6 @@ class TestSampleArrivals:
             [np.sort(own) + w * 2e-6 for w, own in
              enumerate(np.split(times, np.cumsum(counts)[:-1]))]))
 
-
     @settings(deadline=None, max_examples=200)
     @given(st.sampled_from([1e-9, 2e-6]),
            st.sampled_from([0, 12, 2**16]),
