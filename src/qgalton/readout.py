@@ -301,10 +301,8 @@ def _pair(trig_times, part_times, config: LineConfig):
     cand_trig, cand_part, cand_slot, cand_dist = _candidates(
         trig_times, part_times, config, slot_delays)
     # the uncontested candidates: their trigger and partner have one each
-    chosen = ((np.bincount(cand_trig, minlength=trig_times.size)[cand_trig]
-               == 1)
-              & (np.bincount(cand_part, minlength=part_times.size)[cand_part]
-                 == 1))
+    chosen = np.bincount(cand_trig, minlength=trig_times.size)[cand_trig] == 1
+    chosen &= np.bincount(cand_part, minlength=part_times.size)[cand_part] == 1
     cand_rank = _scan_ranks(config.pixel_count)[cand_slot + SLOT_PAD]
 
     contested = np.flatnonzero(~chosen)
