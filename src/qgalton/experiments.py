@@ -95,6 +95,8 @@ _MIN_SEGMENT_DELAY_NS = 2.0 * DEFAULT_TOLERANCE * 1e9
 # and a run's sums of amplitudes stay finite; the smallest window is still
 # above 0 in seconds.  A run's timeline bounds its window and jitter
 _LARGEST = 1e300
+# rows of a CSV table formatted and written at a time
+_CSV_BLOCK_ROWS = 2**14
 # The bound of every run-config key, written once, and checked where input
 # enters, by `check_value`: for each key of a run config and each CLI option
 # that sets one, so the components take what they are given.  An entry is
@@ -726,12 +728,17 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_lines(header: list, columns: list):
-    """CSV lines of one table: each cell is ``str`` of the column item as a
-    Python scalar, so a float prints as its repr and text as itself."""
+def _csv_blocks(header: list, columns: list):
+    """CSV text of one table: the header line, then blocks of up to
+    _CSV_BLOCK_ROWS lines, so memory stays bounded by one block.  Each cell
+    is ``str`` of the column item as a Python scalar, so a float prints as
+    its repr and text as itself."""
     yield ",".join(header) + "\n"
-    for row in zip(*(map(str, col.tolist()) for col in columns)):
-        yield ",".join(row) + "\n"
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        yield "".join(map(row.format,
+                          *(col[start:stop].tolist() for col in columns)))
 
 
 def write_outputs(output: ExperimentOutput, out_dir: Optional[str],
@@ -757,6 +764,6 @@ def write_outputs(output: ExperimentOutput, out_dir: Optional[str],
         for name, (header, columns) in output.tables.items():
             path = os.path.join(out_dir, f"{name}.csv")
             with open(path, "w") as fh:
-                fh.writelines(_csv_lines(header, columns))
+                fh.writelines(_csv_blocks(header, columns))
             written.append(path)
     return written

@@ -4,13 +4,14 @@ Three fits share one recipe, `_least_squares_fit`: least squares between
 an observed histogram and the model's bin masses for the headline estimate,
 the analytic MLE alongside where one exists, and a bootstrap percentile
 interval.  One bounded minimizer serves every search: a vectorized golden
-section that solves many brackets at once, one row each.  The estimate is
-a one-row search (fit_t2 stacks its MLE as a second row) and the bootstrap
-refits all resamples in one search rather than a Python loop.  Each public
-fit only checks its input, bins it and names its model.  fit_t2's model is
-a polynomial of degree stages in t^2: it scans the walk on a grid and
-reads its golden-section probes off that polynomial
-(`unchecked_bin_polynomial`).
+section that solves many brackets at once, one row each, and evaluates one
+new probe per row and step, keeping the other.  The estimate is a one-row
+search (fit_t2 stacks its MLE as a second row) and the bootstrap refits
+all resamples in one search rather than a Python loop.  Each public fit
+only checks its input, bins it and names its model.  fit_t2's model is a
+polynomial of degree stages in t^2: it scans the walk on a grid and reads
+its golden-section probes off that polynomial (`unchecked_bin_polynomial`),
+each row's probe in its own call.
 
 Only numpy and `math` are used at run time: the Poisson pmf and tail and
 the chi-square tail are written out here, so importing this module loads
@@ -120,30 +121,43 @@ def _golden_minimize(objective: Callable[[np.ndarray], np.ndarray],
                      lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section minimum per row of a vectorized objective.
 
-    objective maps 2n candidate points, both probes of each of the n rows
-    stacked as [x1, x2], to objective values of the same shape; each value
-    must depend on its own point and row alone.  _GOLDEN_ITERATIONS steps
-    shrink the bracket by about 1e-10 of its width, well past the precision
-    any fit needs.
+    objective maps n points, one per row, to their n values; each value
+    must depend on its own point and row alone.  Each step keeps one
+    interior probe of every row, its position and its value, and
+    evaluates one new probe per row (Kiefer 1953; Press et al., Numerical
+    Recipes section 10.2), so a search makes _GOLDEN_ITERATIONS + 1 calls:
+    two for the first probes, then one per step but the last.  The kept
+    position is never recomputed from the bracket, which would move it in
+    the last bits.  _GOLDEN_ITERATIONS steps shrink the bracket by about
+    1e-10 of its width, well past the precision any fit needs.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
-    n = a.size
-    for _ in range(_GOLDEN_ITERATIONS):
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f = objective(np.concatenate([x1, x2]))
-        keep_left = f[:n] < f[n:]
-        b = np.where(keep_left, x2, b)
-        a = np.where(keep_left, a, x1)
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1 = objective(x1)
+    f2 = objective(x2)
+    for step in range(_GOLDEN_ITERATIONS):
+        # keep [a, x2] where x1 is lower, x1 becoming its right probe; else
+        # keep [x1, b], x2 becoming its left probe
+        left = f1 < f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        if step == _GOLDEN_ITERATIONS - 1:
+            break
+        reach = invphi * (b - a)
+        x_new = np.where(left, b - reach, a + reach)
+        f_new = objective(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
     return 0.5 * (a + b)
 
 
 def _percentile_ci(samples: np.ndarray) -> tuple[float, float]:
     tail = 100.0 * (1.0 - _CI_LEVEL) / 2.0
-    return (float(np.percentile(samples, tail)),
-            float(np.percentile(samples, 100.0 - tail)))
+    low, high = np.percentile(samples, [tail, 100.0 - tail]).tolist()
+    return low, high
 
 
 def _grid_degeneracy(objective_on_grid: np.ndarray) -> None:
@@ -201,9 +215,7 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
         boot_lo, boot_hi = boot_bracket(resamples)
 
     def boot_objective(x_rows: np.ndarray) -> np.ndarray:
-        # x_rows holds both golden-section probes of every resample
-        d = resamples - model_rows(x_rows).reshape(2, n_bootstrap, -1)
-        return (d ** 2).sum(axis=-1).ravel()
+        return ((resamples - model_rows(x_rows)) ** 2).sum(axis=1)
 
     boot = _golden_minimize(boot_objective, boot_lo, boot_hi)
     ci_low, ci_high = _percentile_ci(boot)
@@ -280,10 +292,11 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
             return -(counts[mask] * np.log(model[:, mask])).sum(axis=1)
 
     def ls_and_nll(x: np.ndarray) -> np.ndarray:
-        # x is [estimate probe, MLE probe] per golden step, twice over
-        model = model_rows(x)
-        ls = ((freq[None, :] - model[0::2]) ** 2).sum(axis=1)
-        return np.column_stack([ls, nll_rows(model[1::2])]).ravel()
+        # x is [estimate probe, MLE probe]; each row reads the polynomial
+        # in its own one-point call, as a one-row search does, because the
+        # polynomial's bits can depend on the points one call holds
+        ls = ((freq[None, :] - model_rows(x[:1])) ** 2).sum(axis=1)
+        return np.concatenate([ls, nll_rows(model_rows(x[1:]))])
 
     # the least-squares estimate and the MLE are two rows of one search
     estimate, mle = _golden_minimize(

@@ -156,6 +156,13 @@ def unchecked_bin_polynomial(stages: int, input_port: str):
     golden-section probes of `stats.fit_t2`, which stay inside brackets
     within [0, 1]: the check of every evaluation would cost them about a
     quarter of its time.  A value outside [0, 1] gives a meaningless row.
+
+    A row's bits can depend on how many points one call holds: the
+    Chebyshev sum is one matrix product, and the BLAS takes another path
+    for one point than for two (all of 50 probes at 8 stages read other
+    bits).  A caller that needs a row to read as it does alone evaluates
+    it alone.  A one-point call runs its recurrence in Python floats, the
+    same roundings as the array form at a fifth of its cost there.
     """
     n = stages + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -165,7 +172,15 @@ def unchecked_bin_polynomial(stages: int, input_port: str):
 
     def rows(t_squared) -> np.ndarray:
         u = 2.0 * np.asarray(t_squared, dtype=np.float64) - 1.0
-        # T_0 .. T_stages at u, one row each: T_j = 2u T_(j-1) - T_(j-2)
+        if u.size == 1:
+            # T_0 .. T_stages at the one point: T_j = 2u T_(j-1) - T_(j-2)
+            t = [1.0, float(u.flat[0])]
+            twice_u = 2.0 * t[1]
+            for _ in range(2, n):
+                t.append(twice_u * t[-1] - t[-2])
+            probs = np.array([t]) @ coefficients
+            return np.maximum(probs, 0.0, out=probs)
+        # T_0 .. T_stages at u, one row each
         chebyshev = np.empty((n, u.size))
         chebyshev[0] = 1.0
         chebyshev[1] = u

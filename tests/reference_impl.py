@@ -3,11 +3,12 @@
 These are the original forms: the walk on complex amplitudes, the
 dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
-time, the label sort that splits a run's draws into parts, and the
-row-by-row CSV tables.  The package replaced them with real-valued or
+time, the label sort that splits a run's draws into parts, the
+row-by-row CSV tables, and golden section on one bracket in scalars.  The package replaced them with real-valued or
 vectorized forms; the parity tests compare the two element for element.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,33 @@ def complex_bin_probabilities(stages, t_squared, input_port="left"):
     probs[:, 0::2] = (out_l.real ** 2 + out_l.imag ** 2).T
     probs[:, 1::2] = (out_r.real ** 2 + out_r.imag ** 2).T
     return probs
+
+
+def golden_minimize(f, lo, hi, iterations):
+    """Golden section on one bracket [lo, hi] of a scalar function f.
+
+    The textbook form: the interior probe a step keeps carries its position
+    and value into the next step, and each step but the last places one new
+    probe a fraction 1/phi of the new bracket in from its far end.  After
+    ``iterations`` steps, the bracket's midpoint.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for step in range(iterations):
+        last = step == iterations - 1
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            if not last:
+                x1 = b - g * (b - a)
+                f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            if not last:
+                x2 = a + g * (b - a)
+                f2 = f(x2)
+    return 0.5 * (a + b)
 
 
 def dead_time_filter(pixels, times, n_pixels, dead_time):

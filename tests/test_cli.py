@@ -311,11 +311,11 @@ class TestRun:
     EXPORT_CSV_SHA256 = {
         300: {
             "events.csv": "1c138cf280f2d7b3d18efd45a03382c797cb9b99cb4128afcf582eb32fc23dd2",
-            "gap_histogram.csv": "2ffd5cef0e6a0e95e91ec5630c01d4e28c13fe171f60f3a6779f256151f514c4",
+            "gap_histogram.csv": "94301d9eb1fdcb0d0ec1c386b5dc137ea3a470eae612cd34270f6a2c3e552538",
         },
         10_000: {
             "events.csv": "825472d886eb64212f0f84d6e10bd2ea123243c0ed00e6dc261bfd15f5d318cb",
-            "gap_histogram.csv": "344d650a03ebc0bc7c28805ca9ce81f28707ae35dd71babec6fe558534e451a0",
+            "gap_histogram.csv": "da998e4038413237b2f0aaf64428ba544ff92062b8e94de76a0662fa6a0a0c76",
         },
     }
 

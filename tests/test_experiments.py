@@ -19,7 +19,8 @@ from qgalton.experiments import (
     MAX_EXPECTED_COUNTS,
     MAX_WINDOWS,
     SimulatedStream,
-    _csv_lines,
+    _CSV_BLOCK_ROWS,
+    _csv_blocks,
     _events_table,
     _truth_table,
     config_from_dict,
@@ -378,32 +379,32 @@ class TestStreamParity:
             seed=0)
         text = render_report(run_experiment(cfg).report)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "6663978ec6b42e666f159da1b31284e3c243281279318caac4a5b1f04a3b11b3")
+            "cae52d845c9a2df246ea45415663b8f2c7673b6f26e03cd29e1fcdffefbfd6bf")
 
     # the other parity reports: (experiment, overrides, seed, sha256 of
     # render_report); with the export case above these are all eleven
     EXPORT = {"efficiency": 0.8, "dark_count_rate_hz": 2e4}
     REPORTS = [
         ("interference", {}, 0,
-         "c73c3328ee9699daa328ed2040e761dd817cfe7676d16dd13bd1ee6c52688a66"),
+         "baae1afc304491f59ff9feea7f6c4ceacc068a1b9aed7c4e9a311002d36a2f13"),
         ("interference", {}, 1,
-         "cb342eea7e3b1d9e36abf78c7f6a1db9f71eb5e5d4e3bbf9222a7239be12c6ce"),
+         "d75634ab525271969350713eb6e60eca2ae6fd7ce9ceb27db043e25f8f1257d5"),
         ("counting", {}, 0,
-         "f38e63e3b23fc27a6ea69dc2a0285971269ba265cc37d6653de4160ba1209076"),
+         "63a6e887a5c8c29bdad395914b87b33cb3ca3e0dcccb838fd7fd78dc0638242a"),
         ("counting", {}, 1,
-         "66b85b237556911af74aae231f0b26422f5fc892fd8bd24c13bd58f68b07d39f"),
+         "c6cf7e1633328aa1f03fd5696d89fff597e670a8ffb84e6853b0a63413f94236"),
         ("intervals", {}, 0,
-         "60d17dc5202a1e1df8442dc06f821057c90d57355b552bea3853d7827cbc9ac6"),
+         "56ec374f58c03a1a2fbcc786822e04895ee4e57df199f3e1726f31471cf2b548"),
         ("intervals", {}, 1,
-         "76fcb370f9556d6ef439c1292c7dc0bf0c9178c8e6bf65fcf301d4454690c901"),
+         "f3c55cf93350b15ed6b25f21371df0a833ad0b03b44eb3b51674220074db25a4"),
         ("persistence", {}, 0,
          "211e545858eaaed710f739046d8d1e87cb3068601e6fb327d192c28e16cd9fea"),
         ("persistence", {}, 1,
          "5e25fb13fccb44ab757a86379c21d5b797ab2ab6a36c2fab62eff07df94cfe4b"),
         ("counting", {"mean_photon_number": 30.0}, 0,
-         "1fa3fdc4913db13c63bedce2207af6f0ad1133ad8bf2de132911dda735fde81c"),
+         "420f3b19cf1b313ee7b13b6292bcb4dbc148181df79110cff9ed883523fd31a6"),
         ("intervals", EXPORT, 1,
-         "a9d1fc871aed74f8ee12a1b7ad1ffed824c3263ea555f99fc2831205d2e4bc9c"),
+         "6a4f16fc2ca34ea0b7dc5aaede8b9700095834ea764c4a8870f9aea8434bc319"),
     ]
 
     @pytest.mark.parametrize(
@@ -550,7 +551,8 @@ class TestOutputs:
 
 
 def csv_lines(table):
-    return list(_csv_lines(*table))
+    """The lines of the blocks a table writes."""
+    return "".join(_csv_blocks(*table)).splitlines(keepends=True)
 
 
 class TestTableParity:
@@ -622,6 +624,24 @@ class TestTableParity:
         assert csv_lines(_truth_table(stream)) == \
             reference_impl.csv_lines(reference_impl.truth_table(stream))
 
+    def test_blocks_of_a_long_and_an_empty_table(self):
+        # more than two blocks, the last one short, and a table with no rows
+        n = 2 * _CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(0)
+        header = ["index", "value", "flag"]
+        columns = [np.arange(n), rng.normal(size=n),
+                   rng.choice(np.array(["ok", "orphan_negative"]), n)]
+        blocks = list(_csv_blocks(header, columns))
+        assert [b.count("\n") for b in blocks] == [
+            1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 5]
+        rows = list(zip(*(col.tolist() for col in columns)))
+        assert csv_lines((header, columns)) == reference_impl.csv_lines(
+            (header, rows))
+        empty = [col[:0] for col in columns]
+        assert list(_csv_blocks(header, empty)) == ["index,value,flag\n"]
+        assert csv_lines((header, empty)) == reference_impl.csv_lines(
+            (header, []))
+
     # sha256 of every CSV the per-row table builders wrote for these runs
     # (300 windows, 50 resamples, seed 1); re-pin only with a deliberate
     # change of the simulated numbers
@@ -632,13 +652,13 @@ class TestTableParity:
             "truth_events.csv": "423b388d863906f14cf1b22a3b2c769b642f39d082a833c0a252f220e8bcad89",
         },
         "counting": {
-            "count_histogram.csv": "c77c0b51647694b3b93f6baf552638ea31820aab23cfc8ce5eff2526c3bcfabe",
+            "count_histogram.csv": "b1d5216c48d9339c81f4ca826fe9c6e3ac33efb60c4a15eb80fb1f51dab838cf",
             "events.csv": "a7d2b58f0b340c7fa0cc53879f07cfb8a5ab4d57da8ff03fde78e8c38a169b05",
             "window_counts.csv": "e6de12a57dc600d363aec78a217cfe03aab692dd8f6da519bf2a93b8765e6f2e",
         },
         "intervals": {
             "events.csv": "a7d2b58f0b340c7fa0cc53879f07cfb8a5ab4d57da8ff03fde78e8c38a169b05",
-            "gap_histogram.csv": "b36107a62b03d0ec6e60577596ab1e3bf1efe987d8f116b87e28451347add49c",
+            "gap_histogram.csv": "66d5d3b47422f28bbc8db91dc47b5420916112dfc96440d9f6f7b70ec8c78fbc",
         },
         "persistence": {
             "peaks.csv": "681b06fb73f7931a4879c2d8817dd9572bbfb14859471d3246361998106c201a",

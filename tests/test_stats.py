@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 import qgalton.stats
+import reference_impl
 import qgalton.walk
 from qgalton.errors import (
     DegenerateFitError,
@@ -30,6 +31,7 @@ from qgalton.stats import (
     mean_consistency,
     poisson_pmf,
     _MAX_MEAN_GAP,
+    _GOLDEN_ITERATIONS,
     _MIN_MEAN_GAP,
     _golden_minimize,
     _grid_degeneracy,
@@ -367,15 +369,15 @@ class TestFitRecipe:
         "fit_t2": (
             lambda rng: fit_t2(rng.multinomial(5000, bin_probabilities(8, 0.763)),
                                n_bootstrap=60, seed=4),
-            "00f0a9d21e7f205a0540079cfbe7f4da560ed29be10d8511be621aa22868612a"),
+            "941f198ab4e1c6e73cb24b44c54c1f02df2d7294a82a23dd77177db22c5c6027"),
         "fit_poisson": (
             lambda rng: fit_poisson(rng.poisson(4.0, 2000), n_bootstrap=60,
                                     seed=4),
-            "f2916f6a78d7660b7a6f3b11a6dabef74c9d0deea95f14a2902f6a74a82f9794"),
+            "1308688720089dcd269e66c75f054c80ffac3a109cd6a99cba8ab4d7dea3e93b"),
         "fit_exponential": (
             lambda rng: fit_exponential(rng.exponential(5e-7, 3000),
                                         n_bootstrap=60, seed=4),
-            "0ddc8769edc4aa53ca0c9ed6da91d0e52272d977ce12e17fbda2d0142939cf90"),
+            "acb2d288449d71f41ba276650aa0e17601c6e12459e4cb9c7ed23f7c06e7d900"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -469,7 +471,7 @@ STEP_ULPS = 2.0 / ((np.sqrt(5.0) - 1.0) / 2.0) ** 3
 
 
 def stacked(funcs):
-    """One objective over rows: row i owns points i and i + n."""
+    """One objective over rows: row i owns point i."""
     n = len(funcs)
 
     def f(x):
@@ -521,6 +523,36 @@ class TestGoldenMinimize:
                 assert (abs(together[i] - want)
                         <= 1e-9 * (hi[i] - lo[i]) + steps
                         + resolution(funcs[i], want, lo[i], hi[i], shift))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(ROW, min_size=1, max_size=5))
+    @example(rows=[("smooth", 0.0, 1e-9, -1.0, 0.0, 0.0)])
+    @example(rows=[("inf-right", 0.0, 1e-9, 1.0, 1.0, 0.0)])
+    @example(rows=[("steps", 0.5, 30.0, 0.0, 0.0, 0.0),
+                   ("flat", 0.0, 0.0, 0.0, 0.0, 0.0)])
+    def test_rows_match_scalar_textbook_search(self, rows):
+        # each row keeps one probe per step, its position and value, as
+        # the scalar search does: the same bits on every row
+        funcs = [objective(kind, c, a, w) for kind, _, _, c, a, w in rows]
+        lo = np.array([x1 for _, x1, *_ in rows])
+        hi = lo + np.array([width for _, _, width, *_ in rows])
+        got = _golden_minimize(stacked(funcs), lo, hi)
+        for i, fn in enumerate(funcs):
+            want = reference_impl.golden_minimize(
+                lambda x: fn(np.array([x]))[0], float(lo[i]), float(hi[i]),
+                _GOLDEN_ITERATIONS)
+            assert same_bits(got[i:i + 1], [want])
+
+    def test_one_new_probe_per_row_and_step(self):
+        # two calls for the first probes, then one per step but the last
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return (x - 0.3) ** 2
+
+        _golden_minimize(counted, np.zeros(3), np.array([1.0, 2.0, 3.0]))
+        assert shapes == [(3,)] * (_GOLDEN_ITERATIONS + 1)
 
     @pytest.mark.parametrize("stages, t2", [(8, 0.763), (8, 0.3), (5, 0.9)])
     def test_fit_t2_rows_solve_alone(self, stages, t2):

@@ -274,6 +274,22 @@ class TestBinPolynomial:
         assert np.all(rows >= 0.0)
         assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12
 
+    @settings(deadline=None, max_examples=80)
+    @given(stages=st.integers(1, MAX_STAGES), t2=st.floats(0.0, 1.0),
+           port=st.sampled_from(["left", "right"]))
+    @example(stages=1, t2=0.0, port="left")
+    @example(stages=MAX_STAGES, t2=1.0, port="right")
+    def test_one_point_matches_walk(self, stages, t2, port):
+        # a one-row golden search asks for one point at a time, which
+        # takes its own recurrence
+        rows = bin_polynomial(stages, port)
+        row = rows([t2])
+        assert row.shape == (1, 2 * stages)
+        assert row.tobytes() == rows(t2).tobytes()
+        np.testing.assert_allclose(row, bin_probabilities(stages, [t2], port),
+                                   rtol=0, atol=1e-12)
+        assert np.all(row >= 0.0)
+
     def test_input_checks(self):
         rows = bin_polynomial(8, "right")
         assert rows([0.3, 0.7]).shape == (2, 16)
