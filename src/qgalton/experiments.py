@@ -732,13 +732,18 @@ def _csv_blocks(header: list, columns: list):
     """CSV text of one table: the header line, then blocks of up to
     _CSV_BLOCK_ROWS lines, so memory stays bounded by one block.  Each cell
     is ``str`` of the column item as a Python scalar, so a float prints as
-    its repr and text as itself."""
+    its repr and text as itself.  A block is one ``%`` format of its cells
+    laid out row by row, which formats them without a Python call per row.
+    """
     yield ",".join(header) + "\n"
-    row = ",".join(["{}"] * len(columns)) + "\n"
+    width = len(columns)
+    row = ",".join(["%s"] * width) + "\n"
     for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        yield "".join(map(row.format,
-                          *(col[start:stop].tolist() for col in columns)))
+        block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns]
+        cells = [None] * (width * len(block[0]))
+        for j, values in enumerate(block):
+            cells[j::width] = values
+        yield row * len(block[0]) % tuple(cells)
 
 
 def write_outputs(output: ExperimentOutput, out_dir: Optional[str],
