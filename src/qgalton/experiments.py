@@ -740,10 +740,11 @@ def _csv_blocks(header: list, columns: list):
     row = ",".join(["%s"] * width) + "\n"
     for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
         block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns]
-        cells = [None] * (width * len(block[0]))
+        rows = len(block[0])
+        cells = [None] * (width * rows)
         for j, values in enumerate(block):
             cells[j::width] = values
-        yield row * len(block[0]) % tuple(cells)
+        yield row * rows % tuple(cells)
 
 
 def write_outputs(output: ExperimentOutput, out_dir: Optional[str],

@@ -4,8 +4,9 @@ These are the original forms: the walk on complex amplitudes, the
 dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
 time, the label sort that splits a run's draws into parts, the
-row-by-row CSV tables, and golden section on one bracket in scalars.  The package replaced them with real-valued or
-vectorized forms; the parity tests compare the two element for element.
+row-by-row CSV tables, and golden section on one bracket in scalars.  The
+package replaced them with real-valued or vectorized forms; the parity
+tests compare the two element for element.
 """
 
 import math

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 import qgalton.stats
-import reference_impl
 import qgalton.walk
+import reference_impl
 from qgalton.errors import (
     DegenerateFitError,
     InvalidArgumentError,
@@ -30,8 +30,8 @@ from qgalton.stats import (
     fit_t2,
     mean_consistency,
     poisson_pmf,
-    _MAX_MEAN_GAP,
     _GOLDEN_ITERATIONS,
+    _MAX_MEAN_GAP,
     _MIN_MEAN_GAP,
     _golden_minimize,
     _grid_degeneracy,
