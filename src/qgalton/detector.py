@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .kernels import dead_time_filter
+from .kernels import dead_time_filter, non_decreasing
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,10 @@ class DetectorDraws:
     clicks that could register (a run draws one per photon and per dark
     count): the dead time decides later how many register, and a window
     left with k clicks uses its first k.
+
+    A run's draws (`experiments._draw_windows`) are arrays of their own,
+    but dark_times and jitter may be the front of a longer buffer of its
+    draws, which lives as long as they do.
     """
 
     keep: np.ndarray
@@ -92,6 +96,13 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
     record without a break: a pixel's dead time carries across window
     edges.  Jitter is added on the absolute timeline and the clicks come
     back sorted by recorded time, a photon before a dark count on a tie.
+
+    The two stable sorts that put the clicks and their windows in order
+    run only on input out of order: dark counts merged in among the
+    photons, or window-edge rounding that puts a time of one window before
+    one of the window before it.  The input arrays are never written; on
+    a run with neither dead time nor jitter, where no step changes them,
+    the clicks may be the input arrays themselves.
     """
     if not times.shape == bins.shape == windows.shape:
         raise InvalidArgumentError(
@@ -125,12 +136,15 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
         is_dark = np.concatenate(
             [is_dark, np.ones(draws.dark_times.size, dtype=bool)])
 
-    # stable: on a tie the photon comes before the dark count.  Each stage
-    # frees its index arrays as it goes, which keeps a run's peak RSS down
-    order = np.argsort(times, kind="stable")
-    times, bins, windows, is_dark = (times[order], bins[order],
-                                     windows[order], is_dark[order])
-    del order
+    # stable: on a tie the photon comes before the dark count.  Times
+    # already in order, as on every run without dark counts, stay as they
+    # are: the stable sort would not move them.  Each stage frees its index
+    # arrays as it goes, which keeps a run's peak RSS down
+    if not non_decreasing(times):
+        order = np.argsort(times, kind="stable")
+        times, bins, windows, is_dark = (times[order], bins[order],
+                                         windows[order], is_dark[order])
+        del order
 
     if config.dead_time > 0.0 and times.size:
         # one group per pixel over the whole record; labels this narrow
@@ -145,14 +159,18 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
     if config.jitter_sigma > 0.0 and times.size:
         # the k-th click of window w takes that window's k-th jitter draw.
         # Rounding can put a click of window w + 1 before one of window w,
-        # so k counts along a stable sort by window, not along the record.
-        # shift[w]: window w's first jitter draw less its first click
+        # so k counts along a stable sort by window, not along the record;
+        # where the windows never decrease, that sort leaves the record as
+        # it is.  shift[w]: window w's first jitter draw less its first
+        # click.  The sum is a new array: times may still be the caller's
         spare = draws.jitter_counts - np.bincount(windows, minlength=n_windows)
         shift = np.cumsum(spare) - spare
-        by_window = np.argsort(windows, kind="stable")
-        times[by_window] += draws.jitter[
-            np.arange(times.size) + shift[windows[by_window]]]
-        del windows, by_window
+        rank = np.arange(times.size)
+        if not non_decreasing(windows):
+            rank[np.argsort(windows, kind="stable")] = np.arange(times.size)
+        rank += shift[windows]
+        times = times + draws.jitter[rank]
+        del windows, rank
         order = np.argsort(times, kind="stable")
         times, bins, is_dark = times[order], bins[order], is_dark[order]
 

@@ -361,30 +361,49 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     not made.  One generator serves the whole run, re-keyed to each
     window's stream in turn.
 
-    The blocks are split apart and scaled once over the run:
-    ``uniform(0, window)`` is ``0 + window * u`` and ``normal(0, sigma)``
-    is ``0 + sigma * z`` on the same doubles.  Returns the photons'
-    in-window arrival times, the photon count of each window, the bin
-    uniforms and the detector draws.
+    Each draw is written in place, through ``out=``, at the end of one
+    buffer per kind: photon uniforms, dark times and jitter normals.  A
+    buffer starts with room for its expected count and a margin
+    (`_capacity`) and grows only past it.  The dark times and normals are
+    then in window order as they stand; the photon uniforms are split
+    into their parts by one gather each.  The parts are scaled once over
+    the run: ``uniform(0, window)`` is ``0 + window * u`` and
+    ``normal(0, sigma)`` is ``0 + sigma * z`` on the same doubles.
+    Returns the photons' in-window arrival times, the photon count of each
+    window, the bin uniforms and the detector draws.
     """
     mean, window, seed = config.mean_photon_number, config.window, config.seed
+    n_windows = config.windows
     thin = det.efficiency < 1.0
     parts = 3 if thin else 2
     darks = det.dark_count_rate > 0.0
     mean_darks = det.dark_count_rate * window * det.pixel_count
     jitter = det.jitter_sigma > 0.0
-    photons, dark_counts, blocks, dark_pixels = [], [], [], []
+    uniforms = np.empty(parts * _capacity(n_windows * mean))
+    dark_times = np.empty(_capacity(n_windows * mean_darks) if darks else 0)
+    normals = np.empty(_capacity(n_windows * (mean + mean_darks))
+                       if jitter else 0)
+    photons, dark_counts, dark_pixels = [], [], []
+    at = dark_at = normal_at = 0  # the used length of each buffer
     rng = None
-    for w in range(config.windows):
+    for w in range(n_windows):
         rng = window_rng(seed, w, rng)
         n = int(rng.poisson(mean))
         if n:
-            blocks.append(rng.random(parts * n))
+            end = at + parts * n
+            if end > uniforms.size:
+                uniforms = _grown(uniforms, at, end)
+            rng.random(out=uniforms[at:end])
+            at = end
         d = 0
         if darks:
             d = int(rng.poisson(mean_darks))
             if d:
-                blocks.append(rng.random(d))
+                end = dark_at + d
+                if end > dark_times.size:
+                    dark_times = _grown(dark_times, dark_at, end)
+                rng.random(out=dark_times[dark_at:end])
+                dark_at = end
                 # d scalar draws give the values of one size-d draw, and
                 # for one or two skip its size handling, which costs more
                 dark_pixels.extend(
@@ -392,70 +411,58 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
                     if d < 3 else
                     rng.integers(0, det.pixel_count, size=d).tolist())
         if jitter and n + d:
-            blocks.append(rng.standard_normal(n + d))
+            end = normal_at + n + d
+            if end > normals.size:
+                normals = _grown(normals, normal_at, end)
+            rng.standard_normal(out=normals[normal_at:end])
+            normal_at = end
         photons.append(n)
         dark_counts.append(d)
 
     photons = np.array(photons, dtype=np.int64)
     dark_counts = np.array(dark_counts, dtype=np.int64)
-    # every window's blocks in stream order: arrival times, bin uniforms,
-    # efficiency uniforms, dark times and jitter normals
-    sizes = np.stack([photons, photons, photons * thin, dark_counts,
-                      (photons + dark_counts) * jitter])
-    values = np.concatenate(blocks) if blocks else np.empty(0)
-    del blocks
-    arrivals, bin_uniforms, keep, dark_times, normals = _split_parts(
-        values, sizes)
+    # photon i of window w, after before[w] photons of earlier windows,
+    # has its arrival time at i + (parts - 1) * before[w] and each further
+    # part the window's n doubles on.  The steps are made again for each
+    # part rather than kept, which holds a saturated run's peak lower
+    before = np.cumsum(photons) - photons
+    index = np.repeat((parts - 1) * before, photons)
+    del before
+    index += np.arange(index.size)
+    arrivals = uniforms[index]
+    index += np.repeat(photons, photons)
+    bin_uniforms = uniforms[index]
+    # a fresh empty array: a view would keep the uniforms alive
+    keep = np.empty(0)
+    if thin:
+        index += np.repeat(photons, photons)
+        keep = uniforms[index]
+    del uniforms, index
     arrivals *= window
+    dark_times = dark_times[:dark_at]
     dark_times *= window
+    normals = normals[:normal_at]
     normals *= det.jitter_sigma
     draws = DetectorDraws(
         keep=keep, dark_counts=dark_counts, dark_times=dark_times,
         dark_pixels=np.array(dark_pixels, dtype=np.int64),
-        jitter_counts=sizes[4], jitter=normals)
+        jitter_counts=(photons + dark_counts) * jitter, jitter=normals)
     return arrivals, photons, bin_uniforms, draws
 
 
-def _split_parts(values: np.ndarray, sizes: np.ndarray) -> list:
-    """The five parts of a run's draws, each in window order.
+def _capacity(expected: float) -> int:
+    """A buffer length for a Poisson count of mean ``expected``: five
+    standard deviations over the mean, which a run's count passes about
+    once in three million runs."""
+    return int(expected + 5.0 * math.sqrt(expected)) + 1
 
-    ``values`` holds the blocks of every window in stream order, window by
-    window and part by part; ``sizes[k, w]`` is the size of part k's block
-    in window w.  Returns the parts as views of one new array.
 
-    The parts are one gather.  Block (k, w) starts at some position s in
-    ``values`` and lands at some position d of the result, and the gather
-    index runs s, s + 1, ... from d on.  So the index is 1 at every
-    position but the start of each nonempty block, which holds the step
-    from the previous block's last source position (0 for the first
-    block) to its own first, and one in-place running sum turns the steps
-    into the gather index.  It is int32 where the draw count allows, to
-    halve its memory.  The blocks are taken one part at a time, so that
-    the arrays of block positions hold one entry per window, not one per
-    (window, part): at a few photons per window they would outweigh the
-    values themselves.
-    """
-    index = np.ones(values.size, dtype=np.int32 if values.size < 2**31
-                    else np.int64)
-    totals = sizes.sum(axis=0)
-    # each window's next source position, one part after the other
-    offset = np.cumsum(totals) - totals
-    del totals
-    at = last = 0  # the next result position, and the index just before it
-    bounds = []
-    for part in sizes:
-        full = np.flatnonzero(part)  # an empty block starts nowhere
-        if full.size:
-            length, source = part[full], offset[full]
-            ends = at + np.cumsum(length)
-            index[ends - length] = source - np.concatenate(
-                ([last], source[:-1] + length[:-1] - 1))
-            at = int(ends[-1])
-            last = int(source[-1] + length[-1] - 1)
-        offset += part
-        bounds.append(at)
-    np.cumsum(index, dtype=index.dtype, out=index)
-    return np.split(values[index], bounds[:-1])
+def _grown(values: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """A new buffer of max(needed, 2 * values.size) doubles whose first
+    ``used`` are those of ``values``."""
+    grown = np.empty(max(needed, 2 * values.size))
+    grown[:used] = values[:used]
+    return grown
 
 
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
@@ -473,10 +480,6 @@ def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     times, windows = sample_arrivals(arrivals, counts, config.window)
     bins = assign_bins(probs, bin_uniforms)
     records = detect(times, bins, windows, det, draws, config.window)
-    # the draws are views of one buffer, freed only with the last of them.
-    # Parts copied into arrays of their own would be freed one by one, but
-    # on a saturated run that gained no run time and no peak memory, so the
-    # parts stay views
     del arrivals, bin_uniforms, draws
     trace = encode(records, line)
     decoded = decode(trace, line)

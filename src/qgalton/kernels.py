@@ -20,7 +20,7 @@ events in 300,000.
 
 import numpy as np
 
-__all__ = ["BACKEND", "dead_time_filter", "pair_pulses",
+__all__ = ["BACKEND", "dead_time_filter", "non_decreasing", "pair_pulses",
            "searchsorted_sorted"]
 
 # Read by the benchmark harness (perfbench/worker.py, perfbench/run.py),
@@ -104,3 +104,9 @@ def pair_pulses(triggers, partners):
             taken_part.add(j)
             taken.append(k)
     return np.array(taken, dtype=np.int64)
+
+
+def non_decreasing(values) -> bool:
+    """Whether ``values`` never decrease: a stable sort would leave them as
+    they are.  A NaN fails the comparison."""
+    return bool(np.all(values[1:] >= values[:-1]))

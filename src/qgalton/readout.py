@@ -35,7 +35,7 @@ import numpy as np
 
 from .detector import DetectionRecords
 from .errors import InvalidArgumentError, ResourceLimitError
-from .kernels import pair_pulses, searchsorted_sorted
+from .kernels import non_decreasing, pair_pulses, searchsorted_sorted
 
 FLAG_OK = 0
 FLAG_ORPHAN_NEGATIVE = 1
@@ -190,17 +190,25 @@ def _time_order(trace: TraceEvents, config: LineConfig):
     """The trace split by polarity, each side in stable time order: trigger
     pulse positions in the trace and their times, then counter pulse
     positions and their times.  Zero-amplitude pulses and times past
-    +/- MAX_TRACE_TIME are refused."""
+    +/- MAX_TRACE_TIME are refused.
+
+    A trace already in time order, as `encode` gives it, is split as it
+    stands; any other, such as decode-trace input, is stably sorted
+    first."""
     if np.any(trace.amplitudes == 0.0):
         raise InvalidArgumentError("trace contains zero-amplitude pulses")
-    if not np.all(np.abs(trace.times) <= MAX_TRACE_TIME):
+    times = trace.times
+    if not np.all(np.abs(times) <= MAX_TRACE_TIME):
         raise InvalidArgumentError(
             f"trace times must lie within +/-{MAX_TRACE_TIME:g} s")
-    order = np.argsort(trace.times, kind="stable")
-    is_trig = np.sign(trace.amplitudes[order]) == _trigger_sign(config)
-    trig_pos = order[np.flatnonzero(is_trig)]
-    part_pos = order[np.flatnonzero(~is_trig)]
-    return trig_pos, trace.times[trig_pos], part_pos, trace.times[part_pos]
+    is_trig = np.sign(trace.amplitudes) == _trigger_sign(config)
+    if non_decreasing(times):
+        trig_pos, part_pos = np.flatnonzero(is_trig), np.flatnonzero(~is_trig)
+    else:
+        order = np.argsort(times, kind="stable")
+        is_trig = is_trig[order]
+        trig_pos, part_pos = order[is_trig], order[~is_trig]
+    return trig_pos, times[trig_pos], part_pos, times[part_pos]
 
 
 def _scan_ranks(pixel_count: int) -> np.ndarray:

@@ -362,11 +362,19 @@ def _poisson_pmf_matrix(lam_rows: np.ndarray, k: np.ndarray,
         terms += 1
     d = np.cumprod((kmax + 1.0) / (kmax + np.arange(1, terms + 1)))
     x = lam_rows / (kmax + 1)
-    tail = np.full_like(x, d[-1])
-    for coefficient in d[-2::-1].tolist():
+    if x.size == 1:
+        # one row, as each step of a one-row search gives: the same
+        # roundings in Python floats, at a fraction of the array form's cost
+        row, value = float(x[0]), float(d[-1])
+        for coefficient in d[-2::-1].tolist():
+            value = value * row + coefficient
+        tail = np.array([value * row])
+    else:
+        tail = np.full_like(x, d[-1])
+        for coefficient in d[-2::-1].tolist():
+            tail *= x
+            tail += coefficient
         tail *= x
-        tail += coefficient
-    tail *= x
     tail *= pmf[:, -1]
     return np.concatenate([pmf, tail[:, None]], axis=1)
 

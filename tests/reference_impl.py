@@ -3,7 +3,7 @@
 These are the original forms: the walk on complex amplitudes, the
 dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
-time, the label sort that splits a run's draws into parts, the
+time, a run's draws made window by window on fresh generators, the
 row-by-row CSV tables, and golden section on one bracket in scalars.  The
 package replaced them with real-valued or vectorized forms; the parity
 tests compare the two element for element.
@@ -120,18 +120,39 @@ def assign_bins(n, probabilities, rng):
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def split_parts(values, sizes):
-    """A run's draws split into their five parts, each in window order.
-
-    ``values`` holds every window's blocks in stream order, window by
-    window and part by part, and ``sizes[k, w]`` is the size of part k's
-    block in window w.  Each value is labelled with its part, and a stable
-    sort of the labels gathers each part's blocks in window order.
-    """
-    labels = np.repeat(np.tile(np.arange(5, dtype=np.uint8), sizes.shape[1]),
-                       sizes.T.ravel())
-    values = values[np.argsort(labels, kind="stable")]
-    return np.split(values, np.cumsum(sizes.sum(axis=1))[:-1])
+def draw_windows(config):
+    """Every random draw of a run, each window on a fresh generator of its
+    own stream, in `experiments._draw_windows`' layout: the photons'
+    in-window arrival times, the photon count of each window, the bin
+    uniforms, and keep, dark_counts, dark_times, dark_pixels,
+    jitter_counts and jitter as in `detector.DetectorDraws`.  Each kind is
+    a concatenation of the windows' draws in window order."""
+    det = config.detector_config()
+    window = config.window
+    mean_darks = det.dark_count_rate * window * det.pixel_count
+    floats = ("arrivals", "uniforms", "keep", "dark_times", "jitter")
+    ints = ("counts", "dark_counts", "dark_pixels", "jitter_counts")
+    kinds = {name: [np.empty(0)] for name in floats}
+    kinds.update({name: [np.empty(0, dtype=np.int64)] for name in ints})
+    for w in range(config.windows):
+        rng = window_rng(config.seed, w)
+        n = int(rng.poisson(config.mean_photon_number))
+        kinds["arrivals"].append(rng.uniform(0.0, window, size=n))
+        kinds["uniforms"].append(rng.random(n))
+        if det.efficiency < 1.0:
+            kinds["keep"].append(rng.random(n))
+        d = 0
+        if det.dark_count_rate > 0.0:
+            d = int(rng.poisson(mean_darks))
+            kinds["dark_times"].append(rng.uniform(0.0, window, size=d))
+            kinds["dark_pixels"].append(
+                rng.integers(0, det.pixel_count, size=d))
+        m = n + d if det.jitter_sigma > 0.0 else 0
+        kinds["jitter"].append(rng.normal(0.0, det.jitter_sigma, size=m))
+        kinds["counts"].append([n])
+        kinds["dark_counts"].append([d])
+        kinds["jitter_counts"].append([m])
+    return {name: np.concatenate(parts) for name, parts in kinds.items()}
 
 
 def detector_draws(n_photons, config, rng, duration):

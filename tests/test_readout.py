@@ -444,6 +444,28 @@ class TestDecodeParity:
             mp.setattr(readout, "_BLOCK", 3)
             assert_same_decode(decode(trace, config), want)
 
+    @settings(deadline=None, max_examples=300)
+    @given(grid_traces(), st.randoms(use_true_random=False))
+    def test_permuted_trace_decodes_as_sorted(self, case, random):
+        # a trace out of time order is stably sorted first; the same trace
+        # in that order is split as it stands, and both give the same rows,
+        # their pulse positions mapped through the sort
+        trace, config = case
+        shuffle = list(range(trace.times.size))
+        random.shuffle(shuffle)
+        trace = TraceEvents(trace.times[shuffle], trace.amplitudes[shuffle])
+        order = np.argsort(trace.times, kind="stable")
+        got = decode(trace, config)
+        want = decode(TraceEvents(trace.times[order],
+                                  trace.amplitudes[order]), config)
+        np.testing.assert_array_equal(got.pixels, want.pixels)
+        np.testing.assert_array_equal(got.origin_times, want.origin_times)
+        np.testing.assert_array_equal(got.flags, want.flags)
+        for name in ("trigger_index", "partner_index"):
+            index = getattr(want, name)
+            np.testing.assert_array_equal(
+                getattr(got, name), np.where(index >= 0, order[index], -1))
+
     def test_saturated_run(self):
         # 30 photons per window: clicks overlap on the line, and about 0.6%
         # of the pulses contest a partner

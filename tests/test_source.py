@@ -1,6 +1,7 @@
 """Tests for the weak coherent source model."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from qgalton.errors import (
     InvalidArgumentError,
     InvalidDistributionError,
 )
+from qgalton import experiments
 from qgalton.experiments import (
     _draw_windows,
-    _split_parts,
     check_value,
     config_from_dict,
 )
@@ -351,32 +352,70 @@ class TestSampleArrivals:
         np.testing.assert_array_equal(times, [0.5, 2.5, 1.0, 3.0])
 
 
-# _draw_windows' peak on a saturated run, per drawn value: about 22.0
-# bytes today, and under the 26.5 that the stable sort of one part label
-# per value peaked at on the same run
-DRAW_PEAK_BYTES_PER_VALUE = 24
+# _draw_windows' peak on a saturated run, per drawn value: about 17.1
+# bytes today, against 22.0 when the draws were gathered from a list of
+# blocks, and 26.5 when a stable sort of part labels split them
+DRAW_PEAK_BYTES_PER_VALUE = 20
+
+DRAW_FIELDS = ("keep", "dark_counts", "dark_times", "dark_pixels",
+               "jitter_counts", "jitter")
 
 
-class TestSplitParts:
-    @settings(deadline=None, max_examples=300)
-    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)),
-                    min_size=1, max_size=20),
-           st.booleans(), st.booleans(), st.booleans())
-    def test_matches_label_sort(self, per_window, thin, darks, jitter):
+def assert_reference_draws(cfg):
+    """_draw_windows gives the reference's per-window draws, bit for bit."""
+    arrivals, counts, uniforms, draws = _draw_windows(
+        cfg, cfg.detector_config())
+    want = reference_impl.draw_windows(cfg)
+    got = {"arrivals": arrivals, "counts": counts, "uniforms": uniforms,
+           **{name: getattr(draws, name) for name in DRAW_FIELDS}}
+    for name, values in got.items():
+        assert values.dtype == want[name].dtype, name
+        np.testing.assert_array_equal(values, want[name], err_msg=name)
+
+
+class TestDrawWindows:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 12), st.sampled_from([0.0, 0.5, 3.0, 8.0]),
+           st.sampled_from([1.0, 0.6]), st.sampled_from([0.0, 5e5]),
+           st.sampled_from([0.0, 0.05]), st.integers(0, 2**64 - 1),
+           st.none() | st.integers(0, 6))
+    def test_matches_per_window_draws(self, windows, mean, efficiency,
+                                      dark_rate, jitter, seed, capacity):
         # windows with no photons, efficiency uniforms below unit
-        # efficiency, dark counts and jitter normals each on or off, as
-        # _draw_windows lays out its blocks
-        photons, dark_counts = (np.array(c, dtype=np.int64)
-                                for c in zip(*per_window))
-        dark_counts *= darks
-        sizes = np.stack([photons, photons, photons * thin, dark_counts,
-                          (photons + dark_counts) * jitter])
-        values = np.arange(sizes.sum(), dtype=float)  # each one distinct
-        got = _split_parts(values, sizes)
-        want = reference_impl.split_parts(values, sizes)
-        assert len(got) == len(want) == 5
-        for part, (a, b) in enumerate(zip(got, want)):
-            np.testing.assert_array_equal(a, b, err_msg=f"part {part}")
+        # efficiency, dark counts and jitter normals each on or off; a
+        # capacity of a few doubles makes the buffers grow, most runs
+        # more than once
+        cfg = config_from_dict("counting", {
+            "windows": windows, "mean_photon_number": mean,
+            "efficiency": efficiency, "dark_count_rate_hz": dark_rate,
+            "jitter_sigma_ns": jitter}, seed=seed)
+        if capacity is None:
+            assert_reference_draws(cfg)
+        else:
+            with mock.patch.object(experiments, "_capacity",
+                                   lambda expected: capacity):
+                assert_reference_draws(cfg)
+
+    def test_buffer_below_first_block_grows(self):
+        # every buffer starts one double long, below the first window's
+        # draw, so each grows at once and again as the run goes on
+        cfg = config_from_dict("counting", {
+            "windows": 50, "mean_photon_number": 30.0, "efficiency": 0.8,
+            "dark_count_rate_hz": 1e5}, seed=3)
+        grown = []
+
+        def spy(values, used, needed):
+            grown.append((values.size, used, needed))
+            return real(values, used, needed)
+
+        real = experiments._grown
+        with mock.patch.object(experiments, "_capacity", lambda e: 1), \
+                mock.patch.object(experiments, "_grown", spy):
+            assert_reference_draws(cfg)
+        # window 0's photon uniforms overflow the first three doubles
+        first = int(reference_impl.draw_windows(cfg)["counts"][0])
+        assert grown[0] == (3, 0, 3 * first)
+        assert len(grown) > 3
 
     def test_saturated_draw_memory_per_value(self):
         # 30 photons per window over 10,000 windows: 900,000 drawn values

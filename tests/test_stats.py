@@ -663,6 +663,22 @@ class TestSpecialFunctions:
             4.0 * 2.0**-53 * (kmax + 1) * np.log(kmax + 1))
         assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= bound)
 
+    @settings(max_examples=300, deadline=None)
+    @given(kmax=st.integers(1, 200), fraction=st.floats(0.0, 1.0))
+    @example(kmax=1, fraction=0.0)
+    @example(kmax=1, fraction=1.0)
+    @example(kmax=200, fraction=1.0)
+    def test_one_row_tail_is_the_array_horner(self, kmax, fraction):
+        # a one-row call runs the tail's Horner sum in Python floats; the
+        # same mean twice over takes the array loop with the same term
+        # count, and every row reads the same bits
+        lam = fraction * (kmax + 1)
+        k = np.arange(kmax + 1)
+        one = _poisson_pmf_matrix(np.array([lam]), k, _log_factorials(k))
+        two = _poisson_pmf_matrix(np.array([lam, lam]), k,
+                                  _log_factorials(k))
+        assert same_bits(one[0], two[0]) and same_bits(one[0], two[1])
+
     def test_edges_exact(self):
         # lam = 0 puts all mass on k = 0; k = 0 is exp(-lam)
         lam, _, rows = self.matrix(5, [0.0, 0.25])
