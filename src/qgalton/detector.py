@@ -6,10 +6,10 @@ ignores further photons and the blocked photons do not extend the recovery
 (non-paralyzable response).  Recorded timestamps carry Gaussian jitter, and
 each pixel also fires spontaneously at a low dark rate.
 
-The random draws are made window by window, each window on its own stream
-(`DetectorDraws`); `detect` then runs the whole run at once, on one
-absolute timeline, so a pixel still recovering at the end of a window stays
-blind into the next.
+Dark counts and jitter belong to the array, not to an acquisition window:
+`detect` draws them from one run-level noise stream over the continuous
+record, and runs the whole run at once, on one absolute timeline, so a
+pixel still recovering at the end of a window stays blind into the next.
 """
 
 from __future__ import annotations
@@ -58,83 +58,58 @@ class DetectionRecords:
         return self.times.size
 
 
-@dataclass
-class DetectorDraws:
-    """The detector draws of a run, window 0's first, then window 1's, ...
-
-    keep is one efficiency uniform per photon of the run (empty at
-    efficiency 1).  dark_times (seconds from the start of their window)
-    and dark_pixels are the dark counts, ``dark_counts[w]`` of them in
-    window w.  jitter holds the timing jitter in seconds,
-    ``jitter_counts[w]`` values for window w, at least one for each of its
-    clicks that could register (a run draws one per photon and per dark
-    count): the dead time decides later how many register, and a window
-    left with k clicks uses its first k.
-
-    A run's draws (`experiments._draw_windows`) are arrays of their own,
-    but dark_times and jitter may be the front of a longer buffer of its
-    draws, which lives as long as they do.
-    """
-
-    keep: np.ndarray
-    dark_counts: np.ndarray
-    dark_times: np.ndarray
-    dark_pixels: np.ndarray
-    jitter_counts: np.ndarray
-    jitter: np.ndarray
-
-
-def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
-           config: DetectorConfig, draws: DetectorDraws,
-           window: float) -> DetectionRecords:
+def detect(times: np.ndarray, bins: np.ndarray, config: DetectorConfig,
+           keep: np.ndarray, noise: np.random.Generator,
+           duration: float) -> DetectionRecords:
     """Run the photons of a run through the detector array.
 
-    Each photon has an absolute time on the run's timeline, an output bin
-    (bins map one-to-one onto pixels) and a window index, as
-    `sample_arrivals` and `assign_bins` give them; window w's dark counts
-    land on the same timeline at w * window.  The array watches the whole
-    record without a break: a pixel's dead time carries across window
-    edges.  Jitter is added on the absolute timeline and the clicks come
-    back sorted by recorded time, a photon before a dark count on a tie.
+    Each photon has an absolute time on the run's timeline and an output
+    bin (bins map one-to-one onto pixels), as `sample_arrivals` and
+    `assign_bins` give them; below unit efficiency, ``keep`` holds one
+    [0, 1) uniform per photon, and a photon survives if its uniform is
+    below the efficiency.  The array watches the record [0, duration)
+    without a break: a pixel's dead time carries across window edges.
 
-    The two stable sorts that put the clicks and their windows in order
-    run only on input out of order: dark counts merged in among the
-    photons, or window-edge rounding that puts a time of one window before
-    one of the window before it.  The input arrays are never written; on
-    a run with neither dead time nor jitter, where no step changes them,
-    the clicks may be the input arrays themselves.
+    The detector's own noise comes from ``noise``, the run's noise stream
+    (`source.noise_rng`), in this order: at a dark rate above 0, one
+    Poisson dark count over the whole record, then that many times
+    ``duration * u`` and that many pixels; then, with jitter on, one
+    standard normal per registered click in record order, scaled by
+    sigma.  Record order is time order, a photon before a dark count on a
+    tie and otherwise the input's order.  The clicks come back sorted by
+    recorded time.
+
+    The stable sort that puts the clicks in order runs only on input out
+    of order: dark counts merged in among the photons, or window-edge
+    rounding that puts a time of one window before one of the window
+    before it.  The input arrays are never written; on a run with neither
+    dead time nor jitter, where no step changes them, the clicks may be
+    the input arrays themselves.
     """
-    if not times.shape == bins.shape == windows.shape:
+    thin = config.efficiency < 1.0
+    if times.shape != bins.shape or thin and keep.shape != times.shape:
         raise InvalidArgumentError(
-            "photon times, bins and window indices must have equal length")
+            "photon times, bins and, below unit efficiency, efficiency "
+            "uniforms must have equal length")
     if np.any(bins < 0) or np.any(bins >= config.pixel_count):
         raise InvalidArgumentError(
             "photon bins must be assigned and lie in "
             f"[0, {config.pixel_count}); run bin assignment first"
         )
-    step = np.diff(windows)
-    if np.any(step < 0) or np.any((step == 0) & (np.diff(times) < 0)):
-        raise InvalidArgumentError("photon times must be sorted")
-    n_windows = draws.jitter_counts.size
-    if windows.size and windows[-1] >= n_windows:
-        raise InvalidArgumentError(
-            f"photons in window {windows[-1]}, draws for {n_windows} windows")
 
     # efficiency thinning: each photon independently survives with prob eta
-    if config.efficiency < 1.0:
-        survive = np.flatnonzero(draws.keep < config.efficiency)
-        times, bins, windows = times[survive], bins[survive], windows[survive]
+    if thin:
+        survive = np.flatnonzero(keep < config.efficiency)
+        times, bins = times[survive], bins[survive]
     is_dark = np.zeros(times.size, dtype=bool)
 
     if config.dark_count_rate > 0.0:
-        dark_windows = np.repeat(np.arange(n_windows, dtype=np.int64),
-                                 draws.dark_counts)
-        times = np.concatenate(
-            [times, draws.dark_times + dark_windows * window])
-        bins = np.concatenate([bins, draws.dark_pixels])
-        windows = np.concatenate([windows, dark_windows])
-        is_dark = np.concatenate(
-            [is_dark, np.ones(draws.dark_times.size, dtype=bool)])
+        d = int(noise.poisson(
+            config.dark_count_rate * config.pixel_count * duration))
+        times = np.concatenate([times, duration * noise.random(d)])
+        bins = np.concatenate(
+            [bins, noise.integers(0, config.pixel_count, size=d)])
+        is_dark = np.concatenate([is_dark, np.ones(d, dtype=bool)])
 
     # stable: on a tie the photon comes before the dark count.  Times
     # already in order, as on every run without dark counts, stay as they
@@ -142,8 +117,7 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
     # arrays as it goes, which keeps a run's peak RSS down
     if not non_decreasing(times):
         order = np.argsort(times, kind="stable")
-        times, bins, windows, is_dark = (times[order], bins[order],
-                                         windows[order], is_dark[order])
+        times, bins, is_dark = times[order], bins[order], is_dark[order]
         del order
 
     if config.dead_time > 0.0 and times.size:
@@ -152,26 +126,16 @@ def detect(times: np.ndarray, bins: np.ndarray, windows: np.ndarray,
         labels = bins.astype(np.min_scalar_type(config.pixel_count - 1))
         alive = np.flatnonzero(
             dead_time_filter(labels, times, config.dead_time))
-        times, bins, windows, is_dark = (times[alive], bins[alive],
-                                         windows[alive], is_dark[alive])
+        times, bins, is_dark = times[alive], bins[alive], is_dark[alive]
         del alive
 
     if config.jitter_sigma > 0.0 and times.size:
-        # the k-th click of window w takes that window's k-th jitter draw.
-        # Rounding can put a click of window w + 1 before one of window w,
-        # so k counts along a stable sort by window, not along the record;
-        # where the windows never decrease, that sort leaves the record as
-        # it is.  shift[w]: window w's first jitter draw less its first
-        # click.  The sum is a new array: times may still be the caller's
-        spare = draws.jitter_counts - np.bincount(windows, minlength=n_windows)
-        shift = np.cumsum(spare) - spare
-        rank = np.arange(times.size)
-        if not non_decreasing(windows):
-            rank[np.argsort(windows, kind="stable")] = np.arange(times.size)
-        rank += shift[windows]
-        times = times + draws.jitter[rank]
-        del windows, rank
-        order = np.argsort(times, kind="stable")
-        times, bins, is_dark = times[order], bins[order], is_dark[order]
+        # the recorded times, built in the normals' own array: times may
+        # still be the caller's
+        recorded = noise.standard_normal(times.size)
+        recorded *= config.jitter_sigma
+        recorded += times
+        order = np.argsort(recorded, kind="stable")
+        times, bins, is_dark = recorded[order], bins[order], is_dark[order]
 
     return DetectionRecords(pixels=bins, times=times, is_dark=is_dark)

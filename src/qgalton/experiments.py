@@ -2,11 +2,13 @@
 
 Each run is specified by a JSON-friendly config (times in nanoseconds,
 rates in Hz), simulated in one pass and decoded from the shared readout
-line back into events.  Each acquisition window draws its random numbers
-from its own stream (`source.window_rng`); everything else, from bin
-assignment through the detector to the readout, runs once over the whole
-run.  All reported statistics come from the decoded events; the emitted
-photons ride along as a truth channel for validation.
+line back into events.  Each acquisition window draws its photons from
+its own stream (`source.window_rng`), and the detector draws its dark
+counts and jitter from one run-level noise stream (`source.noise_rng`);
+everything else, from bin assignment through the detector to the
+readout, runs once over the whole run.  All reported statistics come from
+the decoded events; the emitted photons ride along as a truth channel for
+validation.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .detector import (
-    DetectionRecords,
-    DetectorConfig,
-    DetectorDraws,
-    detect,
-)
+from .detector import DetectionRecords, DetectorConfig, detect
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -47,6 +44,7 @@ from .readout import (
 from .source import (
     SEED_MAX,
     assign_bins,
+    noise_rng,
     sample_arrivals,
     t2_of_wavelength,
     window_rng,
@@ -349,44 +347,33 @@ class SimulatedStream:
     decoded: DecodedEvents        # decoder output
 
 
-def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
-    """Every random draw of a run, window by window.
+def _draw_windows(config: ExperimentConfig):
+    """The photon draws of a run, window by window.
 
     Each window has its own stream and draws from it, in this order: its
-    photon count n; n arrival times, n bin uniforms and, below unit
-    efficiency, n efficiency uniforms, as one draw of consecutive doubles;
-    at a dark rate above 0, its dark count d, then d dark times and d dark
-    pixels; last, with jitter on, one standard normal per photon and per
-    dark count.  A draw of size 0 takes nothing from the stream, so it is
-    not made.  One generator serves the whole run, re-keyed to each
-    window's stream in turn.
+    photon count n, then n arrival times, n bin uniforms and, below unit
+    efficiency, n efficiency uniforms, as one draw of consecutive doubles.
+    A draw of size 0 takes nothing from the stream, so it is not made.
+    One generator serves the whole run, re-keyed to each window's stream
+    in turn.  The detector's noise is not drawn here: it comes from the
+    run's noise stream (`detector.detect`).
 
     Each draw is written in place, through ``out=``, at the end of one
-    buffer per kind: photon uniforms, dark times and jitter normals.  A
-    buffer starts with room for its expected count and a margin
-    (`_capacity`) and grows only past it.  The dark times and normals are
-    then in window order as they stand; the photon uniforms are split
-    into their parts by one gather each.  The parts are scaled once over
-    the run: ``uniform(0, window)`` is ``0 + window * u`` and
-    ``normal(0, sigma)`` is ``0 + sigma * z`` on the same doubles.
-    Returns the photons' in-window arrival times, the photon count of each
-    window, the bin uniforms and the detector draws.
+    buffer of photon uniforms.  The buffer starts with room for its
+    expected count and a margin (`_capacity`) and grows only past it.
+    The uniforms are then split into their parts by one gather each, and
+    the arrival times scaled once over the run: ``uniform(0, window)`` is
+    ``0 + window * u`` on the same doubles.  Returns the photons'
+    in-window arrival times, the photon count of each window, the bin
+    uniforms and the efficiency uniforms (empty at unit efficiency).
     """
     mean, window, seed = config.mean_photon_number, config.window, config.seed
-    n_windows = config.windows
-    thin = det.efficiency < 1.0
-    parts = 3 if thin else 2
-    darks = det.dark_count_rate > 0.0
-    mean_darks = det.dark_count_rate * window * det.pixel_count
-    jitter = det.jitter_sigma > 0.0
-    uniforms = np.empty(parts * _capacity(n_windows * mean))
-    dark_times = np.empty(_capacity(n_windows * mean_darks) if darks else 0)
-    normals = np.empty(_capacity(n_windows * (mean + mean_darks))
-                       if jitter else 0)
-    photons, dark_counts, dark_pixels = [], [], []
-    at = dark_at = normal_at = 0  # the used length of each buffer
+    parts = 3 if config.efficiency < 1.0 else 2
+    uniforms = np.empty(parts * _capacity(config.windows * mean))
+    photons = []
+    at = 0  # the used length of the buffer
     rng = None
-    for w in range(n_windows):
+    for w in range(config.windows):
         rng = window_rng(seed, w, rng)
         n = int(rng.poisson(mean))
         if n:
@@ -395,32 +382,9 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
                 uniforms = _grown(uniforms, at, end)
             rng.random(out=uniforms[at:end])
             at = end
-        d = 0
-        if darks:
-            d = int(rng.poisson(mean_darks))
-            if d:
-                end = dark_at + d
-                if end > dark_times.size:
-                    dark_times = _grown(dark_times, dark_at, end)
-                rng.random(out=dark_times[dark_at:end])
-                dark_at = end
-                # d scalar draws give the values of one size-d draw, and
-                # for one or two skip its size handling, which costs more
-                dark_pixels.extend(
-                    [int(rng.integers(0, det.pixel_count)) for _ in range(d)]
-                    if d < 3 else
-                    rng.integers(0, det.pixel_count, size=d).tolist())
-        if jitter and n + d:
-            end = normal_at + n + d
-            if end > normals.size:
-                normals = _grown(normals, normal_at, end)
-            rng.standard_normal(out=normals[normal_at:end])
-            normal_at = end
         photons.append(n)
-        dark_counts.append(d)
 
     photons = np.array(photons, dtype=np.int64)
-    dark_counts = np.array(dark_counts, dtype=np.int64)
     # photon i of window w, after before[w] photons of earlier windows,
     # has its arrival time at i + (parts - 1) * before[w] and each further
     # part the window's n doubles on.  The steps are made again for each
@@ -434,20 +398,12 @@ def _draw_windows(config: ExperimentConfig, det: DetectorConfig):
     bin_uniforms = uniforms[index]
     # a fresh empty array: a view would keep the uniforms alive
     keep = np.empty(0)
-    if thin:
+    if parts == 3:
         index += np.repeat(photons, photons)
         keep = uniforms[index]
     del uniforms, index
     arrivals *= window
-    dark_times = dark_times[:dark_at]
-    dark_times *= window
-    normals = normals[:normal_at]
-    normals *= det.jitter_sigma
-    draws = DetectorDraws(
-        keep=keep, dark_counts=dark_counts, dark_times=dark_times,
-        dark_pixels=np.array(dark_pixels, dtype=np.int64),
-        jitter_counts=(photons + dark_counts) * jitter, jitter=normals)
-    return arrivals, photons, bin_uniforms, draws
+    return arrivals, photons, bin_uniforms, keep
 
 
 def _capacity(expected: float) -> int:
@@ -468,19 +424,21 @@ def _grown(values: np.ndarray, used: int, needed: int) -> np.ndarray:
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     """Run every window through source, mesh, detector, and readout.
 
-    The random draws are made window by window; all other work runs once
-    over the whole run.
+    The photon draws are made window by window and the detector's noise
+    over the whole record; all other work runs once over the whole run.
     """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
     det = config.detector_config()
     line = config.line_config()
 
-    arrivals, counts, bin_uniforms, draws = _draw_windows(config, det)
+    arrivals, counts, bin_uniforms, keep = _draw_windows(config)
     times, windows = sample_arrivals(arrivals, counts, config.window)
     bins = assign_bins(probs, bin_uniforms)
-    records = detect(times, bins, windows, det, draws, config.window)
-    del arrivals, bin_uniforms, draws
+    del arrivals, bin_uniforms
+    records = detect(times, bins, det, keep, noise_rng(config.seed),
+                     config.windows * config.window)
+    del keep
     trace = encode(records, line)
     decoded = decode(trace, line)
     return SimulatedStream(

@@ -42,8 +42,8 @@ def window_rng(master_seed: int, window_index: int,
 
     Keying the generator on (master_seed, window_index) makes every window
     reproducible on its own: its draws never depend on the other windows.
-    A run draws everything a window needs from its stream in a fixed order,
-    then does all further work once over the whole run.
+    A run draws a window's photons from its stream in a fixed order, then
+    does all further work once over the whole run.
 
     Building a generator costs more than a window's draws, so a run builds
     one and re-keys it per window: ``rng``, a generator an earlier call
@@ -63,6 +63,19 @@ def window_rng(master_seed: int, window_index: int,
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
+
+
+def noise_rng(master_seed: int) -> np.random.Generator:
+    """The run's detector-noise stream: Philox key (master_seed, SEED_MAX).
+
+    Dark counts and jitter act over the continuous record, not per window,
+    so a run draws them from this one stream (see `detector.detect`).  Its
+    key is the one `window_rng` would give window SEED_MAX, an index no
+    run reaches.  The key is built as one integer, low word the seed: as
+    a list, [seed, SEED_MAX] with a seed below 2**63 goes through float64
+    and becomes key (seed, 0), window 0's stream."""
+    return np.random.Generator(
+        np.random.Philox(key=master_seed + (SEED_MAX << 64)))
 
 
 def sample_arrivals(times: np.ndarray, counts: np.ndarray, window: float):

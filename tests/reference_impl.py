@@ -3,7 +3,8 @@
 These are the original forms: the walk on complex amplitudes, the
 dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
-time, a run's draws made window by window on fresh generators, the
+time, a run's photon draws made window by window on fresh generators and
+its detector noise on a fresh generator of the noise stream, the
 row-by-row CSV tables, and golden section on one bracket in scalars.  The
 package replaced them with real-valued or vectorized forms; the parity
 tests compare the two element for element.
@@ -121,86 +122,64 @@ def assign_bins(n, probabilities, rng):
 
 
 def draw_windows(config):
-    """Every random draw of a run, each window on a fresh generator of its
+    """The photon draws of a run, each window on a fresh generator of its
     own stream, in `experiments._draw_windows`' layout: the photons'
     in-window arrival times, the photon count of each window, the bin
-    uniforms, and keep, dark_counts, dark_times, dark_pixels,
-    jitter_counts and jitter as in `detector.DetectorDraws`.  Each kind is
-    a concatenation of the windows' draws in window order."""
+    uniforms and the efficiency uniforms (none at unit efficiency).  Each
+    kind is a concatenation of the windows' draws in window order."""
     det = config.detector_config()
-    window = config.window
-    mean_darks = det.dark_count_rate * window * det.pixel_count
-    floats = ("arrivals", "uniforms", "keep", "dark_times", "jitter")
-    ints = ("counts", "dark_counts", "dark_pixels", "jitter_counts")
-    kinds = {name: [np.empty(0)] for name in floats}
-    kinds.update({name: [np.empty(0, dtype=np.int64)] for name in ints})
+    kinds = {name: [np.empty(0)] for name in ("arrivals", "uniforms", "keep")}
+    kinds["counts"] = [np.empty(0, dtype=np.int64)]
     for w in range(config.windows):
         rng = window_rng(config.seed, w)
         n = int(rng.poisson(config.mean_photon_number))
-        kinds["arrivals"].append(rng.uniform(0.0, window, size=n))
+        kinds["arrivals"].append(rng.uniform(0.0, config.window, size=n))
         kinds["uniforms"].append(rng.random(n))
         if det.efficiency < 1.0:
             kinds["keep"].append(rng.random(n))
-        d = 0
-        if det.dark_count_rate > 0.0:
-            d = int(rng.poisson(mean_darks))
-            kinds["dark_times"].append(rng.uniform(0.0, window, size=d))
-            kinds["dark_pixels"].append(
-                rng.integers(0, det.pixel_count, size=d))
-        m = n + d if det.jitter_sigma > 0.0 else 0
-        kinds["jitter"].append(rng.normal(0.0, det.jitter_sigma, size=m))
         kinds["counts"].append([n])
-        kinds["dark_counts"].append([d])
-        kinds["jitter_counts"].append([m])
     return {name: np.concatenate(parts) for name, parts in kinds.items()}
 
 
-def detector_draws(n_photons, config, rng, duration):
-    """One window's detector draws, after its photons': which photons
-    survive the efficiency, the dark counts over [0, duration) as
-    (time, pixel) pairs, and one jitter value per click that could
-    register."""
-    survive = np.ones(n_photons, dtype=bool)
-    if config.efficiency < 1.0:
-        survive = rng.random(n_photons) < config.efficiency
-    darks = []
-    if config.dark_count_rate > 0.0:
-        mean_darks = config.dark_count_rate * duration * config.pixel_count
-        n_dark = int(rng.poisson(mean_darks))
-        dark_times = rng.uniform(0.0, duration, size=n_dark)
-        dark_pixels = rng.integers(0, config.pixel_count, size=n_dark)
-        darks = list(zip(dark_times.tolist(), dark_pixels.tolist()))
-    n_clicks = int(survive.sum()) + len(darks)
-    jitter = []
-    if config.jitter_sigma > 0.0 and n_clicks:
-        jitter = rng.normal(0.0, config.jitter_sigma, size=n_clicks).tolist()
-    return survive, darks, jitter
+def noise_rng(master_seed):
+    """The run's detector-noise stream: the stream of window 2**64 - 1."""
+    return window_rng(master_seed, 2**64 - 1)
 
 
-def detect(events, jitter, config):
+def dark_counts(config, rng, duration):
+    """The dark counts of the record [0, duration), drawn from the noise
+    stream ``rng`` as (time, pixel) pairs."""
+    if config.dark_count_rate <= 0.0:
+        return []
+    mean = config.dark_count_rate * config.pixel_count * duration
+    n_dark = int(rng.poisson(mean))
+    times = rng.uniform(0.0, duration, size=n_dark)
+    pixels = rng.integers(0, config.pixel_count, size=n_dark)
+    return list(zip(times.tolist(), pixels.tolist()))
+
+
+def detect(events, config, rng):
     """Registered clicks of a run's photons and dark counts, in one pass.
 
-    ``events`` holds one (absolute time, is_dark, window, index, pixel)
-    tuple per photon that survived the efficiency and per dark count, with
-    ``index`` its place among its window's photons or dark counts;
-    ``jitter[w]`` holds window w's jitter draws.  The events are taken in
-    time order, a photon before a dark count on a tie, and each pixel
-    keeps its last registered time across window edges.  The k-th click
-    of window w takes ``jitter[w][k]``.  Returns (pixels, times, is_dark)
-    sorted by recorded time.
+    ``events`` holds one (absolute time, is_dark, index, pixel) tuple per
+    photon that survived the efficiency and per dark count, with
+    ``index`` its place among the run's photons or among its dark counts.
+    The events are taken in time order, a photon before a dark count on a
+    tie, and each pixel keeps its last registered time over the whole
+    run.  With jitter on, the k-th registered click then takes the k-th of
+    one normal per click drawn from the noise stream ``rng``.  Returns
+    (pixels, times, is_dark) sorted by recorded time.
     """
     last = {}     # last registered time of each pixel, over the whole run
-    used = [0] * len(jitter)
-    clicks = []   # (recorded time, pixel, is_dark)
-    for t, is_dark, w, _, pixel in sorted(events):
+    clicks = []   # (time, pixel, is_dark) in record order
+    for t, is_dark, _, pixel in sorted(events):
         if t - last.get(pixel, -np.inf) < config.dead_time:
             continue
         last[pixel] = t
-        recorded = t
-        if config.jitter_sigma > 0.0:
-            recorded = t + jitter[w][used[w]]
-            used[w] += 1
-        clicks.append((recorded, pixel, is_dark))
+        clicks.append((t, pixel, is_dark))
+    if config.jitter_sigma > 0.0 and clicks:
+        jitter = rng.normal(0.0, config.jitter_sigma, size=len(clicks))
+        clicks = [(t + x, p, d) for (t, p, d), x in zip(clicks, jitter.tolist())]
     clicks.sort(key=lambda click: click[0])
     return (np.array([p for _, p, _ in clicks], dtype=np.int64),
             np.array([t for t, _, _ in clicks], dtype=float),
@@ -210,13 +189,14 @@ def detect(events, jitter, config):
 def simulate_stream(config):
     """Truth and detector records of a run, as one continuous record.
 
-    Each window draws from its own stream; window w sits at w * window on
-    one absolute timeline.  All photons and dark counts of the run are then
-    ordered by absolute time (a photon before a dark count on a tie) and
-    pass, one at a time, through pixels whose dead time runs on across
-    window edges.  The k-th registered click of window w takes that
-    window's k-th jitter draw.  Returns a namespace with the ``truth_*``
-    arrays and ``records`` (pixels, times, is_dark) of
+    Each window draws its photons from its own stream; window w sits at
+    w * window on one absolute timeline.  The run's noise stream then
+    gives the dark counts over the whole record.  All photons and dark
+    counts of the run are ordered by absolute time (a photon before a dark
+    count on a tie) and pass, one at a time, through pixels whose dead
+    time runs on across window edges; the registered clicks take their
+    jitter from the noise stream in that order.  Returns a namespace with
+    the ``truth_*`` arrays and ``records`` (pixels, times, is_dark) of
     ``experiments.simulate_stream``, before the readout.
     """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
@@ -225,22 +205,23 @@ def simulate_stream(config):
     window = config.window
 
     truth = []    # (time, pixel, window) of every emitted photon
-    events = []   # (time, is_dark, window, index, pixel) of every click
-    jitter = []   # jitter draws of each window
+    events = []   # (time, is_dark, index, pixel) of every click
     for w in range(config.windows):
         rng = window_rng(config.seed, w)
         times = sample_arrivals(config.mean_photon_number, window, rng)
         bins = assign_bins(times.size, probs, rng)
-        survive, darks, draws = detector_draws(times.size, det, rng, window)
-        jitter.append(draws)
+        survive = np.ones(times.size, dtype=bool)
+        if det.efficiency < 1.0:
+            survive = rng.random(times.size) < det.efficiency
         offset = w * window
-        for i, (t, b) in enumerate(zip(times.tolist(), bins.tolist())):
+        for t, b, s in zip(times.tolist(), bins.tolist(), survive.tolist()):
+            if s:
+                events.append((t + offset, False, len(truth), b))
             truth.append((t + offset, b, w))
-            if survive[i]:
-                events.append((t + offset, False, w, i, b))
-        for i, (t, b) in enumerate(darks):
-            events.append((t + offset, True, w, i, b))
-    pixels, times, is_dark = detect(events, jitter, det)
+    noise = noise_rng(config.seed)
+    darks = dark_counts(det, noise, config.windows * window)
+    events += [(t, True, i, p) for i, (t, p) in enumerate(darks)]
+    pixels, times, is_dark = detect(events, det, noise)
 
     return SimpleNamespace(
         truth_pixels=np.array([b for _, b, _ in truth], dtype=np.int64),

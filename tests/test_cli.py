@@ -310,12 +310,12 @@ class TestRun:
     # full 10,000 windows include orphan and out-of-range rows
     EXPORT_CSV_SHA256 = {
         300: {
-            "events.csv": "1c138cf280f2d7b3d18efd45a03382c797cb9b99cb4128afcf582eb32fc23dd2",
-            "gap_histogram.csv": "94301d9eb1fdcb0d0ec1c386b5dc137ea3a470eae612cd34270f6a2c3e552538",
+            "events.csv": "a4e8d754714456fa016ad63c9eac75af7d10beeb58dc2f3ca0835edcf6547749",
+            "gap_histogram.csv": "10b2d2d4e1a5729a1732465adb65fb48a8827f33cf47e8961e60eabcd863014e",
         },
         10_000: {
-            "events.csv": "825472d886eb64212f0f84d6e10bd2ea123243c0ed00e6dc261bfd15f5d318cb",
-            "gap_histogram.csv": "da998e4038413237b2f0aaf64428ba544ff92062b8e94de76a0662fa6a0a0c76",
+            "events.csv": "5e184bad71842e99ec7f5adf791607cbde07f41ef239b2a24faf34e5ee50074a",
+            "gap_histogram.csv": "c4bb33d18b95701b4588a3c643747a6ee1bce129fb5240dad080efd5f38ef1c8",
         },
     }
 

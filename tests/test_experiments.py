@@ -32,6 +32,7 @@ from qgalton.experiments import (
 )
 from qgalton.readout import DecodedEvents, TraceEvents
 from qgalton.stats import MAX_BOOTSTRAP_CELLS, T2_GRID_POINTS
+from qgalton.walk import bin_probabilities
 
 
 def _no_run(config):
@@ -315,29 +316,29 @@ class TestStreamParity:
     # and record arrays as the one-record reference loop produced them)
     CASES = [
         ({"efficiency": 0.7}, 3,
-         "82c131babc77c923c433814e4c84fbf1f12c882a3a2c9754cc390f2cc1d563f1"),
+         "f64f1a6e6ba65b840026541b481059ecad22370ce3b97a7c2d77e4556641da32"),
         ({"dark_count_rate_hz": 1e5}, 4,
-         "5e4672daee1ab0cca796996c56f4f67988cb5c8eeb21a0bec04d927d5b9fea72"),
+         "0640d463a46f9d8597c5f24afb4cb7a7e384b4ecdb62314d0f1cfd95c01f3f9f"),
         ({"efficiency": 0.5, "dark_count_rate_hz": 1e5}, 5,
-         "636572b34a526249df77cd7f1b5189456d6eef3f02ada7a8a41d624cfad00a03"),
+         "ed9e068deeffc4af7738766da53357bbb1dfc31fd544d3e89c7739d02bd553ad"),
         ({"dead_time_ns": 0.0}, 6,
-         "c21f278f7bd8e5bb032b9b51d0dc4e549ca32491e1464242348c63e6ac7269dc"),
+         "30b43288f4d42868a51ce3a8a76be4b7945d13b7d528b6ad6160ccae46ec8f5a"),
         ({"jitter_sigma_ns": 0.0}, 7,
          "929855f957292b960818c55cfa919bf6751daaa77de3abd4d6a594b9cf9cadeb"),
         ({"dead_time_ns": 0.0, "jitter_sigma_ns": 0.0,
           "dark_count_rate_hz": 1e5}, 7,
-         "d931c304486b2738d8f301d7f5219839ca92f45d9366014643ae4ed77d4766dc"),
+         "337a8df9320e6566bb8adb0ba7b5f78763b9cab048ac2a10b8485a1822c70bf3"),
         ({"mean_photon_number": 0.0}, 8,
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ({"mean_photon_number": 0.0, "dark_count_rate_hz": 2e5}, 8,
-         "c18dc59aa671c199cee2cb7f5caed5c21be82fefbf3d813232f2d5765cccabe8"),
+         "b0c1aff4c0d37e8ffa18131c0546f1fe8f85a00751e2efb865788d161db7e813"),
         ({"windows": 1, "mean_photon_number": 30.0}, 9,
-         "2099ea32757915289c0f07f57aee515aa0fab92841624a79c06236c6f7baea90"),
+         "f24aa8b2d4da71c4475cc19b82b8655520d7ca9ca2b07a3dc25b8bc8d40736c9"),
         ({"mean_photon_number": 30.0}, 2**64 - 1,
-         "47e37bcf009b9485625759a515292b7d9c0951ce65d004fb51b96049d3b5e319"),
+         "7274356af9323121b8de7e322a31c1be78c48b2b2674bec4a3fe43c40b2132bf"),
         ({"mean_photon_number": 4.0, "dead_time_ns": 200.0,
           "efficiency": 0.9}, 2**63 + 5,
-         "2617030d998a96ac5371f19d0baea3738504bd9ea0d7f709a0eb437f24ef2ff1"),
+         "9d9303962e1db587c418eb936370ff60e528a41c4ee752844259e4a0de1f2d87"),
     ]
 
     @pytest.mark.parametrize("overrides, seed, sha256", CASES)
@@ -371,6 +372,57 @@ class TestStreamParity:
         assert_same_stream(simulate_stream(cfg),
                            reference_impl.simulate_stream(cfg))
 
+    @settings(deadline=None, max_examples=40)
+    @given(windows=st.integers(1, 12),
+           mean=st.sampled_from([0.0, 0.5, 4.0, 40.0]),
+           efficiency=st.sampled_from([1.0, 0.6]),
+           dark=st.sampled_from([0.0, 1e5, 3e6]),
+           dead_time=st.sampled_from([0.0, 20.0, 500.0]),
+           jitter=st.sampled_from([0.05, 30.0]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_noise_leaves_photons_and_registered_clicks(
+            self, windows, mean, efficiency, dark, dead_time, jitter, seed):
+        # the truth arrays are each window's photon draws on its own
+        # stream, whatever the noise; the registered clicks are those of
+        # the same run without jitter, each moved by its normal: the noise
+        # stream's draws after the dark counts, one per click in record
+        # order
+        overrides = {"windows": windows, "mean_photon_number": mean,
+                     "efficiency": efficiency, "dark_count_rate_hz": dark,
+                     "dead_time_ns": dead_time}
+        cfg = config_from_dict(
+            "counting", {**overrides, "jitter_sigma_ns": jitter}, seed=seed)
+        still = simulate_stream(config_from_dict(
+            "counting", {**overrides, "jitter_sigma_ns": 0.0}, seed=seed))
+        stream = simulate_stream(cfg)
+
+        probs = bin_probabilities(8, cfg.resolved_t2())
+        truth = [[], [], []]
+        for w in range(windows):
+            rng = reference_impl.window_rng(seed, w)
+            times = reference_impl.sample_arrivals(mean, cfg.window, rng)
+            truth[0].append(reference_impl.assign_bins(times.size, probs, rng))
+            truth[1].append(times + w * cfg.window)
+            truth[2].append(np.full(times.size, w))
+        for name, want in zip(("truth_pixels", "truth_times", "truth_windows"),
+                              truth):
+            np.testing.assert_array_equal(getattr(stream, name),
+                                          np.concatenate(want), err_msg=name)
+            np.testing.assert_array_equal(getattr(still, name),
+                                          np.concatenate(want), err_msg=name)
+
+        det = cfg.detector_config()
+        noise = reference_impl.noise_rng(seed)
+        reference_impl.dark_counts(det, noise, windows * cfg.window)
+        clicks = still.records
+        moved = clicks.times + noise.normal(0.0, det.jitter_sigma,
+                                            clicks.times.size)
+        rec = stream.records
+        assert (sorted(zip(rec.pixels.tolist(), rec.is_dark.tolist(),
+                           rec.times.tolist()))
+                == sorted(zip(clicks.pixels.tolist(), clicks.is_dark.tolist(),
+                              moved.tolist())))
+
     def test_export_report_pinned(self):
         # efficiency and dark counts in every window, as the export
         # benchmark runs them; pinned from the one-record reference loop
@@ -379,32 +431,32 @@ class TestStreamParity:
             seed=0)
         text = render_report(run_experiment(cfg).report)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "cae52d845c9a2df246ea45415663b8f2c7673b6f26e03cd29e1fcdffefbfd6bf")
+            "406d35db00ffc728b7fb7030ad9c99d95f1e0d15e4f97f4c72eceb42aebe4a2c")
 
     # the other parity reports: (experiment, overrides, seed, sha256 of
     # render_report); with the export case above these are all eleven
     EXPORT = {"efficiency": 0.8, "dark_count_rate_hz": 2e4}
     REPORTS = [
         ("interference", {}, 0,
-         "baae1afc304491f59ff9feea7f6c4ceacc068a1b9aed7c4e9a311002d36a2f13"),
+         "4834271872ccaccd76c6f0b6316e5f8c297d423c552cef3f4b0e7ed8d6f219ec"),
         ("interference", {}, 1,
          "d75634ab525271969350713eb6e60eca2ae6fd7ce9ceb27db043e25f8f1257d5"),
         ("counting", {}, 0,
-         "63a6e887a5c8c29bdad395914b87b33cb3ca3e0dcccb838fd7fd78dc0638242a"),
+         "c563c6b851a1784dcf313941713c1c4292a7a450b991cbb6b73d53b7eb6fd01c"),
         ("counting", {}, 1,
-         "c6cf7e1633328aa1f03fd5696d89fff597e670a8ffb84e6853b0a63413f94236"),
+         "52c88500c838c3a3df72293c23bea09c583c357a480c9699d952fb3df94f0ca0"),
         ("intervals", {}, 0,
-         "56ec374f58c03a1a2fbcc786822e04895ee4e57df199f3e1726f31471cf2b548"),
+         "567ca2b3888f455bb4421505867ffad2c469b9f80949105deed0ed62377879c5"),
         ("intervals", {}, 1,
-         "f3c55cf93350b15ed6b25f21371df0a833ad0b03b44eb3b51674220074db25a4"),
+         "31c27e028a4f4dac326c89b1325e6003b528801019c7fe459b3a6f11fd9c4f69"),
         ("persistence", {}, 0,
-         "211e545858eaaed710f739046d8d1e87cb3068601e6fb327d192c28e16cd9fea"),
+         "a02f3c981cb6e82bc6e93b9f06615d686e8dd81cb46a324a9084a8aeb5c05e84"),
         ("persistence", {}, 1,
-         "5e25fb13fccb44ab757a86379c21d5b797ab2ab6a36c2fab62eff07df94cfe4b"),
+         "0f401541d12d7a6708ae742c4c83ee4e150423fc6dc3c2ed0feb57a83b93286c"),
         ("counting", {"mean_photon_number": 30.0}, 0,
-         "420f3b19cf1b313ee7b13b6292bcb4dbc148181df79110cff9ed883523fd31a6"),
+         "f5e392d1361d4bb84aed5f6efc36e2098813fa91962715b799a2c6eda48552f6"),
         ("intervals", EXPORT, 1,
-         "6a4f16fc2ca34ea0b7dc5aaede8b9700095834ea764c4a8870f9aea8434bc319"),
+         "37b61a85e40c3c8f59d06cf57d2d1570c0c1265874fbdd3c9c9a4e87df80d6a4"),
     ]
 
     @pytest.mark.parametrize(
@@ -647,23 +699,23 @@ class TestTableParity:
     # change of the simulated numbers
     CSV_SHA256 = {
         "interference": {
-            "events.csv": "007d46e25d30fcd06684dccfc645cb85deda4dbe66c295ff4667a7315f9a9c4d",
+            "events.csv": "a4a6ff7e3684bd5a14d5ea95b89dcde8653370d00a2fde2dbc4f657111593fb8",
             "histogram.csv": "8d66dd7401eb9fe3c2680d7d2199c5ca0b0ef7095beb3f5d470885518f65ad79",
             "truth_events.csv": "423b388d863906f14cf1b22a3b2c769b642f39d082a833c0a252f220e8bcad89",
         },
         "counting": {
             "count_histogram.csv": "b1d5216c48d9339c81f4ca826fe9c6e3ac33efb60c4a15eb80fb1f51dab838cf",
-            "events.csv": "a7d2b58f0b340c7fa0cc53879f07cfb8a5ab4d57da8ff03fde78e8c38a169b05",
+            "events.csv": "803e1340d79d797ab23c8690b6578bc2301962e6bc67a9b540ded6c4d988abe6",
             "window_counts.csv": "e6de12a57dc600d363aec78a217cfe03aab692dd8f6da519bf2a93b8765e6f2e",
         },
         "intervals": {
-            "events.csv": "a7d2b58f0b340c7fa0cc53879f07cfb8a5ab4d57da8ff03fde78e8c38a169b05",
-            "gap_histogram.csv": "66d5d3b47422f28bbc8db91dc47b5420916112dfc96440d9f6f7b70ec8c78fbc",
+            "events.csv": "803e1340d79d797ab23c8690b6578bc2301962e6bc67a9b540ded6c4d988abe6",
+            "gap_histogram.csv": "1a5a0d1fbba1aa97566d6535ecf1d924ebe6fa7dbc61db4b46dffd578822bd12",
         },
         "persistence": {
             "peaks.csv": "681b06fb73f7931a4879c2d8817dd9572bbfb14859471d3246361998106c201a",
-            "persistence.csv": "0bc39961f7e2370883c3393135730bb4e4822e5fdb5f28b1931df1bcc7f9683f",
-            "trace.csv": "adda5d40a9bb3ab024774b91ba6c5d2b5fd880217a571a98b8137b14fdcbe666",
+            "persistence.csv": "3a047517a462bdb85bcd918ea8af4304bf160c2c9799b906c59bedffafd7a2cf",
+            "trace.csv": "ed97cac275e2f471d895c121759b66c0367939297ea4562dacd5f972034d1cde",
         },
     }
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impl
-from qgalton.detector import DetectorConfig, DetectorDraws, detect
+from qgalton.detector import DetectorConfig, detect
 from qgalton.errors import (
     ConfigError,
     InvalidArgumentError,
@@ -24,6 +24,7 @@ from qgalton.source import (
     _CELLS,
     DEFAULT_CALIBRATION,
     assign_bins,
+    noise_rng,
     sample_arrivals,
     t2_of_wavelength,
     window_rng,
@@ -118,6 +119,29 @@ class TestWindowRng:
         # commands refuse one outside the key word
         with pytest.raises(ConfigError, match="seed"):
             check_value("seed", seed, None)
+
+
+class TestNoiseRng:
+    SEEDS = [0, 12345, 2**63 + 5, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_words_are_seed_and_last_window(self, seed):
+        # one word per half of the key: a list [seed, 2**64 - 1] goes
+        # through float64 below seed 2**63 and gives key (seed, 0)
+        key = noise_rng(seed).bit_generator.state["state"]["key"]
+        assert key.dtype == np.uint64
+        assert key.tolist() == [seed, 2**64 - 1]
+        np.testing.assert_equal(noise_rng(seed).bit_generator.state,
+                                reference_impl.noise_rng(seed)
+                                .bit_generator.state)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_differs_from_every_window_stream_of_a_run(self, seed):
+        # the first and the last window of the largest run a config takes
+        noise = noise_rng(seed).standard_normal(8)
+        for window in (0, experiments.MAX_WINDOWS - 1):
+            assert not np.array_equal(
+                noise, window_rng(seed, window).standard_normal(8))
 
 
 class TestWindowRngParity:
@@ -352,22 +376,18 @@ class TestSampleArrivals:
         np.testing.assert_array_equal(times, [0.5, 2.5, 1.0, 3.0])
 
 
-# _draw_windows' peak on a saturated run, per drawn value: about 17.1
-# bytes today, against 22.0 when the draws were gathered from a list of
-# blocks, and 26.5 when a stable sort of part labels split them
-DRAW_PEAK_BYTES_PER_VALUE = 20
-
-DRAW_FIELDS = ("keep", "dark_counts", "dark_times", "dark_pixels",
-               "jitter_counts", "jitter")
+# _draw_windows' peak on a saturated run, per photon value drawn: about
+# 21.4 bytes today, against 25.6 when the dark counts and jitter normals
+# were drawn in the window loop too
+DRAW_PEAK_BYTES_PER_VALUE = 22
 
 
 def assert_reference_draws(cfg):
     """_draw_windows gives the reference's per-window draws, bit for bit."""
-    arrivals, counts, uniforms, draws = _draw_windows(
-        cfg, cfg.detector_config())
+    arrivals, counts, uniforms, keep = _draw_windows(cfg)
     want = reference_impl.draw_windows(cfg)
     got = {"arrivals": arrivals, "counts": counts, "uniforms": uniforms,
-           **{name: getattr(draws, name) for name in DRAW_FIELDS}}
+           "keep": keep}
     for name, values in got.items():
         assert values.dtype == want[name].dtype, name
         np.testing.assert_array_equal(values, want[name], err_msg=name)
@@ -381,10 +401,10 @@ class TestDrawWindows:
            st.none() | st.integers(0, 6))
     def test_matches_per_window_draws(self, windows, mean, efficiency,
                                       dark_rate, jitter, seed, capacity):
-        # windows with no photons, efficiency uniforms below unit
-        # efficiency, dark counts and jitter normals each on or off; a
-        # capacity of a few doubles makes the buffers grow, most runs
-        # more than once
+        # windows with no photons and efficiency uniforms below unit
+        # efficiency; dark counts and jitter on or off leave the photon
+        # draws as they are.  A capacity of a few doubles makes the buffer
+        # grow, most runs more than once
         cfg = config_from_dict("counting", {
             "windows": windows, "mean_photon_number": mean,
             "efficiency": efficiency, "dark_count_rate_hz": dark_rate,
@@ -397,8 +417,8 @@ class TestDrawWindows:
                 assert_reference_draws(cfg)
 
     def test_buffer_below_first_block_grows(self):
-        # every buffer starts one double long, below the first window's
-        # draw, so each grows at once and again as the run goes on
+        # the buffer starts one double long, below the first window's
+        # draw, so it grows at once and again as the run goes on
         cfg = config_from_dict("counting", {
             "windows": 50, "mean_photon_number": 30.0, "efficiency": 0.8,
             "dark_count_rate_hz": 1e5}, seed=3)
@@ -418,19 +438,19 @@ class TestDrawWindows:
         assert len(grown) > 3
 
     def test_saturated_draw_memory_per_value(self):
-        # 30 photons per window over 10,000 windows: 900,000 drawn values
+        # 30 photons per window over 10,000 windows: about 600,000 photon
+        # values, an arrival time and a bin uniform per photon
         cfg = config_from_dict("counting", {"mean_photon_number": 30.0},
                                seed=1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            arrivals, _, uniforms, draws = _draw_windows(
-                cfg, cfg.detector_config())
+            arrivals, _, uniforms, keep = _draw_windows(cfg)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        drawn = arrivals.size + uniforms.size + draws.jitter.size
-        assert drawn > 850_000
+        drawn = arrivals.size + uniforms.size + keep.size
+        assert drawn == 600_104
         assert peak <= DRAW_PEAK_BYTES_PER_VALUE * drawn, peak / drawn
 
 
@@ -483,15 +503,12 @@ class TestAssignBins:
 
     def test_one_uniform_per_photon(self):
         # one uniform gives one bin; detect refuses it for two photons
-        times, windows = sample_arrivals(np.array([1e-7, 2e-7]),
-                                         np.array([2]), 2e-6)
+        times, _ = sample_arrivals(np.array([1e-7, 2e-7]), np.array([2]),
+                                   2e-6)
         bins = assign_bins(np.full(16, 1.0 / 16), np.array([0.5]))
-        draws = DetectorDraws(
-            keep=np.empty(0), dark_counts=np.zeros(1, dtype=np.int64),
-            dark_times=np.empty(0), dark_pixels=np.empty(0, dtype=np.int64),
-            jitter_counts=np.array([2]), jitter=np.zeros(2))
         with pytest.raises(InvalidArgumentError):
-            detect(times, bins, windows, DetectorConfig(), draws, 2e-6)
+            detect(times, bins, DetectorConfig(), np.empty(0), noise_rng(0),
+                   2e-6)
 
     def test_whole_run_equals_window_by_window(self):
         # the run's bins are each window's bins as the reference draws them
@@ -500,8 +517,7 @@ class TestAssignBins:
 
         p = bin_probabilities(8, 0.763)
         cfg = config_from_dict("counting", {"windows": 40}, seed=23)
-        arrivals, counts, uniforms, _ = _draw_windows(
-            cfg, cfg.detector_config())
+        arrivals, counts, uniforms, _ = _draw_windows(cfg)
         _, windows = sample_arrivals(arrivals, counts, cfg.window)
         run = assign_bins(p, uniforms)
         for w in range(40):
