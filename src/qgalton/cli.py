@@ -62,7 +62,14 @@ def _read_numbers(path: str) -> np.ndarray:
             raise QGaltonError(f"{path}: expected a flat array of numbers")
         return np.asarray(values, dtype=float)
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    return np.asarray([float(t) for t in tokens], dtype=float)
+    values = []
+    for place, token in enumerate(tokens, 1):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise QGaltonError(
+                f"{path}: item {place}, {token!r}, is not a number") from None
+    return np.asarray(values, dtype=float)
 
 
 def _read_trace(path: str) -> TraceEvents:

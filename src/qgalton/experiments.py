@@ -358,67 +358,31 @@ def _draw_windows(config: ExperimentConfig):
     in turn.  The detector's noise is not drawn here: it comes from the
     run's noise stream (`detector.detect`).
 
-    Each draw is written in place, through ``out=``, at the end of one
-    buffer of photon uniforms.  The buffer starts with room for its
-    expected count and a margin (`_capacity`) and grows only past it.
-    The uniforms are then split into their parts by one gather each, and
-    the arrival times scaled once over the run: ``uniform(0, window)`` is
+    A window's draw is one ``(parts, n)`` block, filled row by row, so
+    row k holds its k-th run of n doubles.  One concatenation of the
+    blocks gives each part in its own row over the whole run, and the
+    arrival times are scaled once: ``uniform(0, window)`` is
     ``0 + window * u`` on the same doubles.  Returns the photons'
     in-window arrival times, the photon count of each window, the bin
     uniforms and the efficiency uniforms (empty at unit efficiency).
     """
     mean, window, seed = config.mean_photon_number, config.window, config.seed
     parts = 3 if config.efficiency < 1.0 else 2
-    uniforms = np.empty(parts * _capacity(config.windows * mean))
+    # the empty seed block gives a photon-free run its (parts, 0) shape
+    blocks = [np.empty((parts, 0))]
     photons = []
-    at = 0  # the used length of the buffer
     rng = None
     for w in range(config.windows):
         rng = window_rng(seed, w, rng)
-        n = int(rng.poisson(mean))
+        n = rng.poisson(mean)
         if n:
-            end = at + parts * n
-            if end > uniforms.size:
-                uniforms = _grown(uniforms, at, end)
-            rng.random(out=uniforms[at:end])
-            at = end
+            blocks.append(rng.random((parts, n)))
         photons.append(n)
 
-    photons = np.array(photons, dtype=np.int64)
-    # photon i of window w, after before[w] photons of earlier windows,
-    # has its arrival time at i + (parts - 1) * before[w] and each further
-    # part the window's n doubles on.  The steps are made again for each
-    # part rather than kept, which holds a saturated run's peak lower
-    before = np.cumsum(photons) - photons
-    index = np.repeat((parts - 1) * before, photons)
-    del before
-    index += np.arange(index.size)
-    arrivals = uniforms[index]
-    index += np.repeat(photons, photons)
-    bin_uniforms = uniforms[index]
-    # a fresh empty array: a view would keep the uniforms alive
-    keep = np.empty(0)
-    if parts == 3:
-        index += np.repeat(photons, photons)
-        keep = uniforms[index]
-    del uniforms, index
-    arrivals *= window
-    return arrivals, photons, bin_uniforms, keep
-
-
-def _capacity(expected: float) -> int:
-    """A buffer length for a Poisson count of mean ``expected``: five
-    standard deviations over the mean, which a run's count passes about
-    once in three million runs."""
-    return int(expected + 5.0 * math.sqrt(expected)) + 1
-
-
-def _grown(values: np.ndarray, used: int, needed: int) -> np.ndarray:
-    """A new buffer of max(needed, 2 * values.size) doubles whose first
-    ``used`` are those of ``values``."""
-    grown = np.empty(max(needed, 2 * values.size))
-    grown[:used] = values[:used]
-    return grown
+    uniforms = np.concatenate(blocks, axis=1)
+    uniforms[0] *= window
+    keep = uniforms[2] if parts == 3 else np.empty(0)
+    return uniforms[0], np.array(photons, dtype=np.int64), uniforms[1], keep
 
 
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:

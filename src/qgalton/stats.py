@@ -176,7 +176,7 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
                        freq: np.ndarray, n_samples: int,
                        bracket: tuple[float, float],
                        n_bootstrap: int, seed: int,
-                       resample_p: Optional[Callable[[float], np.ndarray]] = None,
+                       resample_p: Optional[np.ndarray] = None,
                        boot_bracket: Optional[Callable[[np.ndarray], tuple]] = None,
                        estimate: Optional[float] = None,
                        mle: Optional[float] = None,
@@ -187,8 +187,8 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
     freq; the objective is their summed squared difference.  Unless an
     estimate is given, a one-row golden section finds it inside bracket.
     The bootstrap draws n_bootstrap multinomial samples of n_samples from
-    resample_p(estimate) (default: freq itself), zero-padded to the width of
-    freq, and refits them all at once by golden section inside
+    the distribution resample_p (default: freq itself), zero-padded to the
+    width of freq, and refits them all at once by golden section inside
     boot_bracket(resamples) (default: bracket for every resample).
     """
     check_bootstrap_size(n_bootstrap, freq.size)
@@ -202,7 +202,7 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
     residual = float(objective_rows(np.array([estimate]))[0])
 
     rng = np.random.default_rng(seed)
-    p = freq if resample_p is None else resample_p(estimate)
+    p = freq if resample_p is None else resample_p
     resamples = rng.multinomial(n_samples, p, size=n_bootstrap) / n_samples
     pad = freq.size - resamples.shape[1]
     if pad:
@@ -302,12 +302,12 @@ def fit_t2(histogram, n_bootstrap: int = DEFAULT_BOOTSTRAP, seed: int = 0,
     estimate, mle = _golden_minimize(
         ls_and_nll, *around(np.array([grid_obj.argmin(),
                                       nll_rows(model_grid).argmin()])))
+    estimate = 0.5 if flat else float(estimate)
 
     return _least_squares_fit(
         model_rows, freq, total, (0.0, 1.0), n_bootstrap, seed,
-        resample_p=lambda est: bin_probabilities(stages, est, input_port),
-        boot_bracket=grid_brackets,
-        estimate=0.5 if flat else float(estimate), mle=float(mle),
+        resample_p=bin_probabilities(stages, estimate, input_port),
+        boot_bracket=grid_brackets, estimate=estimate, mle=float(mle),
         flags=("flat-objective",) if flat else ())
 
 
@@ -420,7 +420,7 @@ def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     return _least_squares_fit(
         lambda lam_rows: _poisson_pmf_matrix(lam_rows, k, log_k_factorial),
         freq, n_windows, (0.0, float(kmax + 1)), n_bootstrap, seed,
-        resample_p=lambda est: observed, mle=float(counts.mean()))
+        resample_p=observed, mle=float(counts.mean()))
 
 
 def _exp_mass_matrix(tau_rows: np.ndarray, edges: np.ndarray) -> np.ndarray:

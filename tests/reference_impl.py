@@ -123,10 +123,12 @@ def assign_bins(n, probabilities, rng):
 
 def draw_windows(config):
     """The photon draws of a run, each window on a fresh generator of its
-    own stream, in `experiments._draw_windows`' layout: the photons'
-    in-window arrival times, the photon count of each window, the bin
-    uniforms and the efficiency uniforms (none at unit efficiency).  Each
-    kind is a concatenation of the windows' draws in window order."""
+    own stream and each part as a draw of its own: the doubles that
+    `experiments._draw_windows` takes as one ``(parts, n)`` block per
+    window.  Returns the photons' in-window arrival times, the photon
+    count of each window, the bin uniforms and the efficiency uniforms
+    (none at unit efficiency).  Each kind is a concatenation of the
+    windows' draws in window order."""
     det = config.detector_config()
     kinds = {name: [np.empty(0)] for name in ("arrivals", "uniforms", "keep")}
     kinds["counts"] = [np.empty(0, dtype=np.int64)]

@@ -372,6 +372,18 @@ class TestFitCommands:
         assert code == EXIT_OK
         assert rep["fit"]["estimate"] == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson",
+                                         "fit-exponential"])
+    def test_fit_text_parse_error_names_file_and_item(self, tmp_path,
+                                                      capsys, command):
+        p = tmp_path / "bad.txt"
+        p.write_text("1 2 x")
+        code, rep, err = run_cli(capsys, command, "--input", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: item 3, 'x', is not a number" in err
+        assert "Traceback" not in err
+
     def test_fit_t2_rejects_fractional_counts(self, tmp_path, capsys):
         p = tmp_path / "hist.json"
         p.write_text("[1.5, 2, 3, 4]")
