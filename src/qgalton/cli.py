@@ -57,7 +57,10 @@ def _read_numbers(path: str) -> np.ndarray:
     stripped = text.lstrip()
     if stripped.startswith("["):
         # an integer past the float range reads as inf, which is refused
-        values = json.loads(text, parse_int=float)
+        try:
+            values = json.loads(text, parse_int=float)
+        except json.JSONDecodeError as exc:
+            raise QGaltonError(f"{path}: {exc}") from None
         if not all(type(v) is float for v in values):
             raise QGaltonError(f"{path}: expected a flat array of numbers")
         return np.asarray(values, dtype=float)

@@ -5,13 +5,15 @@ an observed histogram and the model's bin masses for the headline estimate,
 the analytic MLE alongside where one exists, and a bootstrap percentile
 interval.  One bounded minimizer serves every search: a vectorized golden
 section that solves many brackets at once, one row each, and evaluates one
-new probe per row and step, keeping the other.  The estimate is a one-row
-search (fit_t2 stacks its MLE as a second row) and the bootstrap refits
-all resamples in one search rather than a Python loop.  Each public fit
-only checks its input, bins it and names its model.  fit_t2's model is a
-polynomial of degree stages in t^2: it scans the walk on a grid and reads
-its golden-section probes off that polynomial (`unchecked_bin_polynomial`),
-each row's probe in its own call.
+new probe per row and step, keeping the other.  fit_poisson and
+fit_exponential search their estimate as row 0 above the bootstrap
+resamples, all in one search rather than a Python loop; fit_t2, whose
+parametric resamples need its estimate first, searches it and its MLE as
+two rows of one search first.  Each public fit only checks its input,
+bins it and names its model.  fit_t2's model is a polynomial of degree
+stages in t^2: it scans the walk on a grid and reads its golden-section
+probes off that polynomial (`unchecked_bin_polynomial`), each row's probe
+in its own call.
 
 Only numpy and `math` are used at run time: the Poisson pmf and tail and
 the chi-square tail are written out here, so importing this module loads
@@ -184,40 +186,37 @@ def _least_squares_fit(model_rows: Callable[[np.ndarray], np.ndarray],
     """The recipe every fit shares: estimate, residual, bootstrap interval.
 
     model_rows maps a vector of parameter values to model rows aligned with
-    freq; the objective is their summed squared difference.  Unless an
-    estimate is given, a one-row golden section finds it inside bracket.
-    The bootstrap draws n_bootstrap multinomial samples of n_samples from
-    the distribution resample_p (default: freq itself), zero-padded to the
-    width of freq, and refits them all at once by golden section inside
-    boot_bracket(resamples) (default: bracket for every resample).
+    freq; the objective is their summed squared difference.  The bootstrap
+    draws n_bootstrap multinomial samples of n_samples from the
+    distribution resample_p (default: freq itself), zero-padded to the
+    width of freq.  One golden section inside boot_bracket(rows) (default:
+    bracket for every row) refits the rows: the resamples, under freq as
+    row 0 unless an estimate is given.  A row's objective depends on its
+    own point and row alone, so row 0 is the estimate a one-row search
+    would find, whatever the resamples.  The residual is freq's objective
+    at the estimate.
     """
     check_bootstrap_size(n_bootstrap, freq.size)
 
-    def objective_rows(x_rows: np.ndarray) -> np.ndarray:
-        return ((freq[None, :] - model_rows(x_rows)) ** 2).sum(axis=1)
+    def distances(data: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+        return ((data - model_rows(x_rows)) ** 2).sum(axis=1)
 
-    if estimate is None:
-        lo, hi = np.array([bracket], dtype=float).T
-        estimate = float(_golden_minimize(objective_rows, lo, hi)[0])
-    residual = float(objective_rows(np.array([estimate]))[0])
-
-    rng = np.random.default_rng(seed)
+    # row 0 is freq; rows 1 onward the resamples, zero-padded to its width
+    rows = np.zeros((n_bootstrap + 1, freq.size))
+    rows[0] = freq
     p = freq if resample_p is None else resample_p
-    resamples = rng.multinomial(n_samples, p, size=n_bootstrap) / n_samples
-    pad = freq.size - resamples.shape[1]
-    if pad:
-        resamples = np.concatenate(
-            [resamples, np.zeros((n_bootstrap, pad))], axis=1)
-
+    np.divide(np.random.default_rng(seed).multinomial(
+        n_samples, p, size=n_bootstrap), n_samples, out=rows[1:, :p.size])
+    if estimate is not None:
+        rows = rows[1:]
     if boot_bracket is None:
-        boot_lo, boot_hi = (np.full(n_bootstrap, b) for b in bracket)
+        lo, hi = (np.full(rows.shape[0], b) for b in bracket)
     else:
-        boot_lo, boot_hi = boot_bracket(resamples)
-
-    def boot_objective(x_rows: np.ndarray) -> np.ndarray:
-        return ((resamples - model_rows(x_rows)) ** 2).sum(axis=1)
-
-    boot = _golden_minimize(boot_objective, boot_lo, boot_hi)
+        lo, hi = boot_bracket(rows)
+    boot = _golden_minimize(lambda x_rows: distances(rows, x_rows), lo, hi)
+    if estimate is None:
+        estimate, boot = float(boot[0]), boot[1:]
+    residual = float(distances(freq[None, :], np.array([estimate]))[0])
     ci_low, ci_high = _percentile_ci(boot)
     return FitResult(
         estimate=estimate, ci_low=ci_low, ci_high=ci_high, residual=residual,
@@ -337,44 +336,46 @@ def poisson_pmf(k, lam):
     return _pmf(k, lam, _log_factorials(k))
 
 
-def _poisson_pmf_matrix(lam_rows: np.ndarray, k: np.ndarray,
-                        log_k_factorial: np.ndarray) -> np.ndarray:
-    """pmf over k = 0..kmax per row plus a tail-mass column.
+def _tail_coefficients(kmax: int) -> np.ndarray:
+    """The coefficients d_1..d_terms of `_poisson_pmf_matrix`'s tail at kmax.
 
-    Each lam lies in [0, kmax + 1].  The tail P(X > kmax) is pmf(kmax) * R,
-    R = sum over n >= 1 of d_n x**n with x = lam / (kmax + 1) <= 1 and
-    d_n the product of (kmax + 1) / (kmax + j) for j = 1..n, taken by
-    Horner over all rows at once.  The term ratios lam / (kmax + j) fall
-    with j, and a row's terms over its first fall at least as fast as the
-    largest row's, so the term count comes from the largest lam: where its
-    next ratio r is below 1, the terms left are at most q / (1 - r) of the
-    first, q being its next term over its first.
+    d_n is the product of (kmax + 1) / (kmax + j) for j = 1..n.  The tail's
+    term ratios lam / (kmax + j) fall with j and grow with lam, so the term
+    count is taken once, at the top of fit_poisson's bracket, lam = kmax + 1,
+    and serves every mean in it: with r the next ratio there and q the next
+    term over the first, the terms left are at most q / (1 - r) of the
+    first, and the count stops where that is at most _EPS.
     """
-    kmax = int(k[-1])
-    pmf = _pmf(k[None, :], lam_rows[:, None], log_k_factorial)
-    top = float(lam_rows.max())
+    top = kmax + 1.0
     terms, q = 1, 1.0
     while True:
         r = top / (kmax + terms + 1)
         q *= r
-        if r < 1.0 and q <= _EPS * (1.0 - r):
+        if q <= _EPS * (1.0 - r):
             break
         terms += 1
-    d = np.cumprod((kmax + 1.0) / (kmax + np.arange(1, terms + 1)))
+    return np.cumprod(top / (kmax + np.arange(1, terms + 1)))
+
+
+def _poisson_pmf_matrix(lam_rows: np.ndarray, k: np.ndarray,
+                        log_k_factorial: np.ndarray,
+                        coefficients: np.ndarray) -> np.ndarray:
+    """pmf over k = 0..kmax per row plus a tail-mass column.
+
+    Each lam lies in [0, kmax + 1].  The tail P(X > kmax) is pmf(kmax) * R,
+    R = sum over n >= 1 of d_n x**n with x = lam / (kmax + 1) <= 1 and
+    coefficients = `_tail_coefficients(kmax)`, taken by Horner over all rows
+    at once.  Every row takes the same terms, so a row's bits do not depend
+    on the other rows of its call.
+    """
+    kmax = int(k[-1])
+    pmf = _pmf(k[None, :], lam_rows[:, None], log_k_factorial)
     x = lam_rows / (kmax + 1)
-    if x.size == 1:
-        # one row, as each step of a one-row search gives: the same
-        # roundings in Python floats, at a fraction of the array form's cost
-        row, value = float(x[0]), float(d[-1])
-        for coefficient in d[-2::-1].tolist():
-            value = value * row + coefficient
-        tail = np.array([value * row])
-    else:
-        tail = np.full_like(x, d[-1])
-        for coefficient in d[-2::-1].tolist():
-            tail *= x
-            tail += coefficient
+    tail = np.full_like(x, coefficients[-1])
+    for coefficient in coefficients[-2::-1].tolist():
         tail *= x
+        tail += coefficient
+    tail *= x
     tail *= pmf[:, -1]
     return np.concatenate([pmf, tail[:, None]], axis=1)
 
@@ -417,8 +418,10 @@ def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     observed = freq[:-1] / freq[:-1].sum()
     k = np.arange(kmax + 1)
     log_k_factorial = _log_factorials(k)
+    coefficients = _tail_coefficients(kmax)
     return _least_squares_fit(
-        lambda lam_rows: _poisson_pmf_matrix(lam_rows, k, log_k_factorial),
+        lambda lam_rows: _poisson_pmf_matrix(lam_rows, k, log_k_factorial,
+                                             coefficients),
         freq, n_windows, (0.0, float(kmax + 1)), n_bootstrap, seed,
         resample_p=observed, mle=float(counts.mean()))
 

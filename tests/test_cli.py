@@ -384,6 +384,18 @@ class TestFitCommands:
         assert f"{p}: item 3, 'x', is not a number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson",
+                                         "fit-exponential"])
+    def test_fit_json_parse_error_names_file_and_place(self, tmp_path,
+                                                       capsys, command):
+        p = tmp_path / "bad.json"
+        p.write_text("[1, 2, x]")
+        code, rep, err = run_cli(capsys, command, "--input", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: Expecting value: line 1 column 8 (char 7)" in err
+        assert "Traceback" not in err
+
     def test_fit_t2_rejects_fractional_counts(self, tmp_path, capsys):
         p = tmp_path / "hist.json"
         p.write_text("[1.5, 2, 3, 4]")

@@ -33,11 +33,15 @@ from qgalton.stats import (
     _GOLDEN_ITERATIONS,
     _MAX_MEAN_GAP,
     _MIN_MEAN_GAP,
+    _exp_mass_matrix,
+    _gap_bins,
     _golden_minimize,
     _grid_degeneracy,
     _igamc,
     _log_factorials,
+    _mean_gap,
     _poisson_pmf_matrix,
+    _tail_coefficients,
 )
 from qgalton.walk import bin_polynomial, bin_probabilities
 
@@ -621,7 +625,8 @@ class TestSpecialForms:
         for kmax in self.K.tolist():
             lam = self.LAM[self.LAM <= kmax + 1]
             k = np.arange(kmax + 1)
-            rows = _poisson_pmf_matrix(lam, k, _log_factorials(k))
+            rows = _poisson_pmf_matrix(lam, k, _log_factorials(k),
+                                       _tail_coefficients(kmax))
             assert close_to(rows[:, -1], sps.poisson.sf(kmax, lam)), kmax
 
 
@@ -634,7 +639,8 @@ class TestSpecialFunctions:
     def matrix(kmax, fractions):
         lam = np.asarray(fractions) * (kmax + 1)
         k = np.arange(kmax + 1)
-        return lam, k, _poisson_pmf_matrix(lam, k, _log_factorials(k))
+        return lam, k, _poisson_pmf_matrix(lam, k, _log_factorials(k),
+                                           _tail_coefficients(kmax))
 
     @settings(max_examples=300, deadline=None)
     @given(kmax=st.integers(1, 200), fractions=LAM_FRACTIONS)
@@ -663,22 +669,6 @@ class TestSpecialFunctions:
             4.0 * 2.0**-53 * (kmax + 1) * np.log(kmax + 1))
         assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= bound)
 
-    @settings(max_examples=300, deadline=None)
-    @given(kmax=st.integers(1, 200), fraction=st.floats(0.0, 1.0))
-    @example(kmax=1, fraction=0.0)
-    @example(kmax=1, fraction=1.0)
-    @example(kmax=200, fraction=1.0)
-    def test_one_row_tail_is_the_array_horner(self, kmax, fraction):
-        # a one-row call runs the tail's Horner sum in Python floats; the
-        # same mean twice over takes the array loop with the same term
-        # count, and every row reads the same bits
-        lam = fraction * (kmax + 1)
-        k = np.arange(kmax + 1)
-        one = _poisson_pmf_matrix(np.array([lam]), k, _log_factorials(k))
-        two = _poisson_pmf_matrix(np.array([lam, lam]), k,
-                                  _log_factorials(k))
-        assert same_bits(one[0], two[0]) and same_bits(one[0], two[1])
-
     def test_edges_exact(self):
         # lam = 0 puts all mass on k = 0; k = 0 is exp(-lam)
         lam, _, rows = self.matrix(5, [0.0, 0.25])
@@ -701,6 +691,103 @@ class TestSpecialFunctions:
         assert close_to(got, sps.chi2.sf(statistic, dof))
         if statistic == 0.0:
             assert got == 1.0
+
+
+class TestRowsAlone:
+    """Each row of the fits' model matrices has the same bits alone as
+    inside a batch of other parameters, as `_golden_minimize` asks of every
+    objective: a row's values depend on its own point and row alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmax=st.integers(1, 200),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+    # a term count taken from the batch's largest mean gives the first row
+    # other bits here than alone
+    @example(kmax=50, fractions=[0.14, 0.95])
+    def test_poisson_rows(self, kmax, fractions):
+        lam = np.asarray(fractions) * (kmax + 1)
+        k = np.arange(kmax + 1)
+        args = (k, _log_factorials(k), _tail_coefficients(kmax))
+        batch = _poisson_pmf_matrix(lam, *args)
+        for i in range(lam.size):
+            assert same_bits(_poisson_pmf_matrix(lam[i:i + 1], *args),
+                             batch[i:i + 1]), lam[i]
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=40)
+           .filter(lambda g: sum(g) > 0.0),
+           fractions=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=8))
+    def test_exponential_rows(self, gaps, fractions):
+        # taus across fit_exponential's bracket, mean / 20 .. 20 * mean
+        gaps = np.array(gaps)
+        taus = np.asarray(fractions) * _mean_gap(gaps)
+        edges, _ = _gap_bins(gaps)
+        batch = _exp_mass_matrix(taus, edges)
+        for i in range(taus.size):
+            assert same_bits(_exp_mass_matrix(taus[i:i + 1], edges),
+                             batch[i:i + 1]), taus[i]
+
+
+def poisson_problem(counts):
+    """fit_poisson's histogram, model and bracket, built by hand."""
+    kmax = int(counts.max())
+    freq = np.append(np.bincount(counts) / counts.size, 0.0)
+    k = np.arange(kmax + 1)
+    args = (k, _log_factorials(k), _tail_coefficients(kmax))
+    return (freq, lambda lam: _poisson_pmf_matrix(lam, *args),
+            (0.0, kmax + 1.0))
+
+
+def exponential_problem(gaps):
+    """fit_exponential's histogram, model and bracket, built by hand."""
+    edges, counts = _gap_bins(gaps)
+    mean = _mean_gap(gaps)
+    return (counts / gaps.size, lambda tau: _exp_mass_matrix(tau, edges),
+            (mean / 20.0, mean * 20.0))
+
+
+class TestOneSearch:
+    """fit_poisson and fit_exponential search their estimate as row 0 of
+    the bootstrap's one golden section, so it reads as a one-row search
+    over the same bracket would, whatever the resamples."""
+
+    CASES = {
+        "fit_poisson": (fit_poisson, poisson_problem,
+                        lambda rng: rng.poisson(4.0, 2000)),
+        "fit_exponential": (fit_exponential, exponential_problem,
+                            lambda rng: rng.exponential(5e-7, 3000)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_search_per_fit(self, monkeypatch, name):
+        rows = []
+
+        def counted(objective, lo, hi):
+            rows.append(np.size(lo))
+            return _golden_minimize(objective, lo, hi)
+
+        monkeypatch.setattr(qgalton.stats, "_golden_minimize", counted)
+        fit, _, draw = self.CASES[name]
+        fit(draw(np.random.default_rng(5)), n_bootstrap=40, seed=0)
+        assert rows == [41]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("data_seed", [0, 5])
+    def test_estimate_is_the_one_row_search(self, name, data_seed):
+        fit, problem, draw = self.CASES[name]
+        data = draw(np.random.default_rng(data_seed))
+        freq, model, (lo, hi) = problem(data)
+
+        def objective(x):
+            return ((freq - model(x)) ** 2).sum(axis=1)
+
+        estimate = _golden_minimize(objective, np.array([lo]), np.array([hi]))
+        residual = objective(estimate)
+        for n_bootstrap in (10, 500):
+            for seed in (0, 1, 2):
+                r = fit(data, n_bootstrap=n_bootstrap, seed=seed)
+                assert same_bits([r.estimate], estimate), (n_bootstrap, seed)
+                assert same_bits([r.residual], residual), (n_bootstrap, seed)
 
 
 class TestBootstrapLimit:
