@@ -341,7 +341,9 @@ class TestStreamParity:
          "9d9303962e1db587c418eb936370ff60e528a41c4ee752844259e4a0de1f2d87"),
     ]
 
-    @pytest.mark.parametrize("overrides, seed, sha256", CASES)
+    @pytest.mark.parametrize(
+        "overrides, seed, sha256", CASES,
+        ids=[f"{'-'.join(map(str, o.values()))}-seed{s}" for o, s, _ in CASES])
     def test_matches_reference_loop(self, overrides, seed, sha256):
         cfg = config_from_dict("counting", {"windows": 300, **overrides},
                                seed=seed)
