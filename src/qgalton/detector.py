@@ -6,10 +6,11 @@ ignores further photons and the blocked photons do not extend the recovery
 (non-paralyzable response).  Recorded timestamps carry Gaussian jitter, and
 each pixel also fires spontaneously at a low dark rate.
 
-Dark counts and jitter belong to the array, not to an acquisition window:
-`detect` draws them from one run-level noise stream over the continuous
-record, and runs the whole run at once, on one absolute timeline, so a
-pixel still recovering at the end of a window stays blind into the next.
+Efficiency, dark counts and jitter belong to the array, not to an
+acquisition window: `detect` draws all of its randomness from one
+run-level noise stream over the continuous record, and runs the whole run
+at once, on one absolute timeline, so a pixel still recovering at the end
+of a window stays blind into the next.
 """
 
 from __future__ import annotations
@@ -59,19 +60,18 @@ class DetectionRecords:
 
 
 def detect(times: np.ndarray, bins: np.ndarray, config: DetectorConfig,
-           keep: np.ndarray, noise: np.random.Generator,
-           duration: float) -> DetectionRecords:
+           noise: np.random.Generator, duration: float) -> DetectionRecords:
     """Run the photons of a run through the detector array.
 
     Each photon has an absolute time on the run's timeline and an output
     bin (bins map one-to-one onto pixels), as `sample_arrivals` and
-    `assign_bins` give them; below unit efficiency, ``keep`` holds one
-    [0, 1) uniform per photon, and a photon survives if its uniform is
-    below the efficiency.  The array watches the record [0, duration)
+    `assign_bins` give them.  The array watches the record [0, duration)
     without a break: a pixel's dead time carries across window edges.
 
-    The detector's own noise comes from ``noise``, the run's noise stream
-    (`source.noise_rng`), in this order: at a dark rate above 0, one
+    Every random draw comes from ``noise``, the run's noise stream
+    (`source.noise_rng`), in this order: below unit efficiency, one
+    [0, 1) uniform per photon in the input's order, and a photon survives
+    if its uniform is below the efficiency; at a dark rate above 0, one
     Poisson dark count over the whole record, then that many times
     ``duration * u`` and that many pixels; then, with jitter on, one
     standard normal per registered click in record order, scaled by
@@ -86,11 +86,9 @@ def detect(times: np.ndarray, bins: np.ndarray, config: DetectorConfig,
     dead time nor jitter, where no step changes them, the clicks may be
     the input arrays themselves.
     """
-    thin = config.efficiency < 1.0
-    if times.shape != bins.shape or thin and keep.shape != times.shape:
+    if times.shape != bins.shape:
         raise InvalidArgumentError(
-            "photon times, bins and, below unit efficiency, efficiency "
-            "uniforms must have equal length")
+            "photon times and bins must have equal length")
     if np.any(bins < 0) or np.any(bins >= config.pixel_count):
         raise InvalidArgumentError(
             "photon bins must be assigned and lie in "
@@ -98,8 +96,8 @@ def detect(times: np.ndarray, bins: np.ndarray, config: DetectorConfig,
         )
 
     # efficiency thinning: each photon independently survives with prob eta
-    if thin:
-        survive = np.flatnonzero(keep < config.efficiency)
+    if config.efficiency < 1.0:
+        survive = np.flatnonzero(noise.random(times.size) < config.efficiency)
         times, bins = times[survive], bins[survive]
     is_dark = np.zeros(times.size, dtype=bool)
 

@@ -3,10 +3,10 @@
 Each run is specified by a JSON-friendly config (times in nanoseconds,
 rates in Hz), simulated in one pass and decoded from the shared readout
 line back into events.  Each acquisition window draws its photons from
-its own stream (`source.window_rng`), and the detector draws its dark
-counts and jitter from one run-level noise stream (`source.noise_rng`);
-everything else, from bin assignment through the detector to the
-readout, runs once over the whole run.  All reported statistics come from
+its own stream (`source.window_rng`), and the detector draws its
+efficiency uniforms, dark counts and jitter from one run-level noise
+stream (`source.noise_rng`); everything else, from bin assignment through
+the detector to the readout, runs once over the whole run.  All reported statistics come from
 the decoded events; the emitted photons ride along as a truth channel for
 validation.
 """
@@ -351,58 +351,56 @@ def _draw_windows(config: ExperimentConfig):
     """The photon draws of a run, window by window.
 
     Each window has its own stream and draws from it, in this order: its
-    photon count n, then n arrival times, n bin uniforms and, below unit
-    efficiency, n efficiency uniforms, as one draw of consecutive doubles.
-    A draw of size 0 takes nothing from the stream, so it is not made.
-    One generator serves the whole run, re-keyed to each window's stream
-    in turn.  The detector's noise is not drawn here: it comes from the
-    run's noise stream (`detector.detect`).
+    photon count n, then n arrival times and n bin uniforms, as one draw
+    of consecutive doubles.  A draw of size 0 takes nothing from the
+    stream, so it is not made.  One generator serves the whole run,
+    re-keyed to each window's stream in turn.  The detector's randomness
+    is not drawn here: it comes from the run's noise stream
+    (`detector.detect`).
 
-    A window's draw is one ``(parts, n)`` block, filled row by row, so
-    row k holds its k-th run of n doubles.  One concatenation of the
-    blocks gives each part in its own row over the whole run, and the
-    arrival times are scaled once: ``uniform(0, window)`` is
-    ``0 + window * u`` on the same doubles.  Returns the photons'
-    in-window arrival times, the photon count of each window, the bin
-    uniforms and the efficiency uniforms (empty at unit efficiency).
+    A window's draw is one ``(2, n)`` block, filled row by row, so row 0
+    holds its arrival uniforms and row 1 its bin uniforms.  One
+    concatenation of the blocks gives each part in its own row over the
+    whole run, and the arrival times are scaled once: ``uniform(0,
+    window)`` is ``0 + window * u`` on the same doubles.  Returns the
+    photons' in-window arrival times, the photon count of each window and
+    the bin uniforms.
     """
     mean, window, seed = config.mean_photon_number, config.window, config.seed
-    parts = 3 if config.efficiency < 1.0 else 2
-    # the empty seed block gives a photon-free run its (parts, 0) shape
-    blocks = [np.empty((parts, 0))]
+    # the empty seed block gives a photon-free run its (2, 0) shape
+    blocks = [np.empty((2, 0))]
     photons = []
     rng = None
     for w in range(config.windows):
         rng = window_rng(seed, w, rng)
         n = rng.poisson(mean)
         if n:
-            blocks.append(rng.random((parts, n)))
+            blocks.append(rng.random((2, n)))
         photons.append(n)
 
     uniforms = np.concatenate(blocks, axis=1)
     uniforms[0] *= window
-    keep = uniforms[2] if parts == 3 else np.empty(0)
-    return uniforms[0], np.array(photons, dtype=np.int64), uniforms[1], keep
+    return uniforms[0], np.array(photons, dtype=np.int64), uniforms[1]
 
 
 def simulate_stream(config: ExperimentConfig) -> SimulatedStream:
     """Run every window through source, mesh, detector, and readout.
 
-    The photon draws are made window by window and the detector's noise
-    over the whole record; all other work runs once over the whole run.
+    The photon draws are made window by window and the detector's
+    randomness over the whole record; all other work runs once over the
+    whole run.
     """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
     det = config.detector_config()
     line = config.line_config()
 
-    arrivals, counts, bin_uniforms, keep = _draw_windows(config)
+    arrivals, counts, bin_uniforms = _draw_windows(config)
     times, windows = sample_arrivals(arrivals, counts, config.window)
     bins = assign_bins(probs, bin_uniforms)
     del arrivals, bin_uniforms
-    records = detect(times, bins, det, keep, noise_rng(config.seed),
+    records = detect(times, bins, det, noise_rng(config.seed),
                      config.windows * config.window)
-    del keep
     trace = encode(records, line)
     decoded = decode(trace, line)
     return SimulatedStream(

@@ -42,8 +42,10 @@ def window_rng(master_seed: int, window_index: int,
 
     Keying the generator on (master_seed, window_index) makes every window
     reproducible on its own: its draws never depend on the other windows.
-    A run draws a window's photons from its stream in a fixed order, then
-    does all further work once over the whole run.
+    A window's stream carries its photons alone: the count, then the
+    arrival times and bin uniforms (`experiments._draw_windows`).  The
+    detector draws from `noise_rng`, and all further work runs once over
+    the whole run.
 
     Building a generator costs more than a window's draws, so a run builds
     one and re-keys it per window: ``rng``, a generator an earlier call
@@ -68,8 +70,9 @@ def window_rng(master_seed: int, window_index: int,
 def noise_rng(master_seed: int) -> np.random.Generator:
     """The run's detector-noise stream: Philox key (master_seed, SEED_MAX).
 
-    Dark counts and jitter act over the continuous record, not per window,
-    so a run draws them from this one stream (see `detector.detect`).  Its
+    Efficiency thinning, dark counts and jitter belong to the detector,
+    which watches the continuous record, not a window, so a run draws
+    them from this one stream (see `detector.detect`).  Its
     key is the one `window_rng` would give window SEED_MAX, an index no
     run reaches.  The key is built as one integer, low word the seed: as
     a list, [seed, SEED_MAX] with a seed below 2**63 goes through float64

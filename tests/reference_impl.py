@@ -4,7 +4,8 @@ These are the original forms: the walk on complex amplitudes, the
 dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
 time, a run's photon draws made window by window on fresh generators and
-its detector noise on a fresh generator of the noise stream, the
+its detector draws (efficiency, dark counts, jitter) on a fresh generator
+of the noise stream, the
 row-by-row CSV tables, and golden section on one bracket in scalars.  The
 package replaced them with real-valued or vectorized forms; the parity
 tests compare the two element for element.
@@ -124,21 +125,17 @@ def assign_bins(n, probabilities, rng):
 def draw_windows(config):
     """The photon draws of a run, each window on a fresh generator of its
     own stream and each part as a draw of its own: the doubles that
-    `experiments._draw_windows` takes as one ``(parts, n)`` block per
-    window.  Returns the photons' in-window arrival times, the photon
-    count of each window, the bin uniforms and the efficiency uniforms
-    (none at unit efficiency).  Each kind is a concatenation of the
-    windows' draws in window order."""
-    det = config.detector_config()
-    kinds = {name: [np.empty(0)] for name in ("arrivals", "uniforms", "keep")}
+    `experiments._draw_windows` takes as one ``(2, n)`` block per window.
+    Returns the photons' in-window arrival times, the photon count of
+    each window and the bin uniforms.  Each kind is a concatenation of
+    the windows' draws in window order."""
+    kinds = {name: [np.empty(0)] for name in ("arrivals", "uniforms")}
     kinds["counts"] = [np.empty(0, dtype=np.int64)]
     for w in range(config.windows):
         rng = window_rng(config.seed, w)
         n = int(rng.poisson(config.mean_photon_number))
         kinds["arrivals"].append(rng.uniform(0.0, config.window, size=n))
         kinds["uniforms"].append(rng.random(n))
-        if det.efficiency < 1.0:
-            kinds["keep"].append(rng.random(n))
         kinds["counts"].append([n])
     return {name: np.concatenate(parts) for name, parts in kinds.items()}
 
@@ -146,6 +143,16 @@ def draw_windows(config):
 def noise_rng(master_seed):
     """The run's detector-noise stream: the stream of window 2**64 - 1."""
     return window_rng(master_seed, 2**64 - 1)
+
+
+def survivors(config, rng, n):
+    """Which of n photons survive the efficiency, in the photons' order:
+    below unit efficiency, those whose uniform, one each drawn from the
+    noise stream ``rng``, lies below it; at unit efficiency all of them,
+    with nothing drawn."""
+    if config.efficiency >= 1.0:
+        return [True] * n
+    return (rng.random(n) < config.efficiency).tolist()
 
 
 def dark_counts(config, rng, duration):
@@ -193,11 +200,13 @@ def simulate_stream(config):
 
     Each window draws its photons from its own stream; window w sits at
     w * window on one absolute timeline.  The run's noise stream then
-    gives the dark counts over the whole record.  All photons and dark
-    counts of the run are ordered by absolute time (a photon before a dark
-    count on a tie) and pass, one at a time, through pixels whose dead
-    time runs on across window edges; the registered clicks take their
-    jitter from the noise stream in that order.  Returns a namespace with
+    gives, below unit efficiency, one efficiency uniform per photon in
+    emission order, and the dark counts over the whole record.  The
+    surviving photons and the dark counts are ordered by absolute time (a
+    photon before a dark count on a tie) and pass, one at a time, through
+    pixels whose dead time runs on across window edges; the registered
+    clicks take their jitter from the noise stream in that order.
+    Returns a namespace with
     the ``truth_*`` arrays and ``records`` (pixels, times, is_dark) of
     ``experiments.simulate_stream``, before the readout.
     """
@@ -207,20 +216,18 @@ def simulate_stream(config):
     window = config.window
 
     truth = []    # (time, pixel, window) of every emitted photon
-    events = []   # (time, is_dark, index, pixel) of every click
     for w in range(config.windows):
         rng = window_rng(config.seed, w)
         times = sample_arrivals(config.mean_photon_number, window, rng)
         bins = assign_bins(times.size, probs, rng)
-        survive = np.ones(times.size, dtype=bool)
-        if det.efficiency < 1.0:
-            survive = rng.random(times.size) < det.efficiency
         offset = w * window
-        for t, b, s in zip(times.tolist(), bins.tolist(), survive.tolist()):
-            if s:
-                events.append((t + offset, False, len(truth), b))
+        for t, b in zip(times.tolist(), bins.tolist()):
             truth.append((t + offset, b, w))
     noise = noise_rng(config.seed)
+    survive = survivors(det, noise, len(truth))
+    # (time, is_dark, index, pixel) of every click
+    events = [(t, False, i, b) for i, ((t, b, _), s)
+              in enumerate(zip(truth, survive)) if s]
     darks = dark_counts(det, noise, config.windows * window)
     events += [(t, True, i, p) for i, (t, p) in enumerate(darks)]
     pixels, times, is_dark = detect(events, det, noise)

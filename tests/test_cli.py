@@ -305,17 +305,18 @@ class TestRun:
         assert code == EXIT_OK
         assert rep["config"]["windows"] == windows
 
-    # sha256 of every CSV the per-row table builders wrote for the export
-    # config (intervals, efficiency 0.8, dark counts 2e4 Hz) at seed 1; the
-    # full 10,000 windows include orphan and out-of-range rows
+    # sha256 of every CSV written for the export config (intervals,
+    # efficiency 0.8, dark counts 2e4 Hz) at seed 1, events.csv as the
+    # per-row builder of reference_impl writes it; the full 10,000 windows
+    # include orphan and out-of-range rows
     EXPORT_CSV_SHA256 = {
         300: {
-            "events.csv": "a4e8d754714456fa016ad63c9eac75af7d10beeb58dc2f3ca0835edcf6547749",
-            "gap_histogram.csv": "10b2d2d4e1a5729a1732465adb65fb48a8827f33cf47e8961e60eabcd863014e",
+            "events.csv": "1c8884dda8c5fdd7f6531b43e5a0a000f543ca10cc0d5f5ed74fcd2bf9455a1d",
+            "gap_histogram.csv": "9c0080ea1832e928e344d8d13fe368bb77cd1b9666eee3bf65bc2bad6f67506a",
         },
         10_000: {
-            "events.csv": "5e184bad71842e99ec7f5adf791607cbde07f41ef239b2a24faf34e5ee50074a",
-            "gap_histogram.csv": "c4bb33d18b95701b4588a3c643747a6ee1bce129fb5240dad080efd5f38ef1c8",
+            "events.csv": "704c22ed8f3d6f22bf6d2edb8ea251015b22c44b494c4286fb1d52e3ccc12747",
+            "gap_histogram.csv": "958585f5075f942888bdccfaeca1c5d2a9f494bf09ea27d3d28c13384ad4eb0e",
         },
     }
 

@@ -17,33 +17,21 @@ def make_events(times, bins):
     return np.asarray(times, float), np.asarray(bins, np.int64)
 
 
-def efficiency_uniforms(config, seed, n):
-    """One [0, 1) uniform per photon below unit efficiency, from window 0's
-    stream of ``seed``; none at unit efficiency."""
-    if config.efficiency < 1.0:
-        return window_rng(seed, 0).random(n)
-    return np.empty(0)
-
-
 def detect_run(events, config, seed, duration=1.0):
-    """A run's photons through the detector over [0, duration): their
-    efficiency uniforms by `efficiency_uniforms`, the noise from the noise
-    stream of ``seed``.  Returns the records and the uniforms."""
-    keep = efficiency_uniforms(config, seed, events[0].size)
-    rec = detect(*events, config, keep, noise_rng(seed), duration)
-    return rec, keep
+    """A run's photons through the detector over [0, duration), with the
+    noise stream of ``seed``."""
+    return detect(*events, config, noise_rng(seed), duration)
 
 
-def assert_reference(records, events, keep, config, seed, duration):
+def assert_reference(records, events, config, seed, duration):
     """The records equal the plain loop of reference_impl over the same
-    photons and efficiency uniforms, with the noise on a fresh generator
-    of the noise stream, bit for bit."""
+    photons, with the efficiency uniforms and the noise drawn from a fresh
+    generator of the noise stream, bit for bit."""
     times, bins = events
-    survive = (keep < config.efficiency if config.efficiency < 1.0
-               else np.ones(times.size, dtype=bool))
-    record = [(t, False, i, b) for i, (t, b, s) in enumerate(
-        zip(times.tolist(), bins.tolist(), survive.tolist())) if s]
     noise = reference_impl.noise_rng(seed)
+    survive = reference_impl.survivors(config, noise, times.size)
+    record = [(t, False, i, b) for i, (t, b, s) in enumerate(
+        zip(times.tolist(), bins.tolist(), survive)) if s]
     record += [(t, True, i, p) for i, (t, p) in enumerate(
         reference_impl.dark_counts(config, noise, duration))]
     pixels, clicks, is_dark = reference_impl.detect(record, config, noise)
@@ -96,14 +84,14 @@ class TestDeadTime:
 
     def test_second_click_inside_dead_time_dropped(self):
         ev = make_events([100e-9, 110e-9], [3, 3])
-        rec, _ = detect_run(ev, self.cfg(), 0)
+        rec = detect_run(ev, self.cfg(), 0)
         np.testing.assert_array_equal(rec.times, [100e-9])
 
     def test_click_exactly_at_recovery_kept(self):
         # gap of exactly one dead time counts as recovered (t starts at 0 so
         # the subtraction is exact in floating point)
         ev = make_events([0.0, 20e-9], [3, 3])
-        rec, _ = detect_run(ev, self.cfg(), 0)
+        rec = detect_run(ev, self.cfg(), 0)
         assert len(rec) == 2
 
     def test_blocked_photon_does_not_extend_recovery(self):
@@ -111,24 +99,24 @@ class TestDeadTime:
         # the 15 ns photon is blocked and must not reset the clock, so the
         # 25 ns photon is registered
         ev = make_events([0.0, 15e-9, 25e-9], [0, 0, 0])
-        rec, _ = detect_run(ev, self.cfg(), 0)
+        rec = detect_run(ev, self.cfg(), 0)
         np.testing.assert_allclose(rec.times, [0.0, 25e-9])
 
     def test_pixels_recover_independently(self):
         ev = make_events([100e-9, 105e-9], [2, 9])
-        rec, _ = detect_run(ev, self.cfg(), 0)
+        rec = detect_run(ev, self.cfg(), 0)
         assert len(rec) == 2
 
     def test_burst_keeps_one_per_dead_time(self):
         # 30 photons in 2 us on one pixel: consecutive keeps are >= 20 ns apart
         times = np.sort(window_rng(4, 0).uniform(0, 2e-6, 30))
-        rec, _ = detect_run(make_events(times, np.zeros(30)), self.cfg(), 4)
+        rec = detect_run(make_events(times, np.zeros(30)), self.cfg(), 4)
         assert len(rec) < 30
         assert np.all(np.diff(rec.times) >= 20e-9)
 
     def test_zero_dead_time_keeps_all(self):
         ev = make_events([1e-9, 1.1e-9, 1.2e-9], [5, 5, 5])
-        rec, _ = detect_run(ev, self.cfg(dead_time=0.0), 0)
+        rec = detect_run(ev, self.cfg(dead_time=0.0), 0)
         assert len(rec) == 3
 
 
@@ -139,14 +127,14 @@ class TestEfficiency:
         n = 50_000
         ev = make_events(np.sort(rng.uniform(0, 1.0, n)),
                          rng.integers(0, 16, n))
-        rec, _ = detect_run(ev, cfg, 8)
+        rec = detect_run(ev, cfg, 8)
         # binomial sd = sqrt(n*0.6*0.4) ~ 110
         assert len(rec) == pytest.approx(0.6 * n, abs=600)
 
     def test_unit_efficiency_lossless(self):
         cfg = DetectorConfig(efficiency=1.0, dead_time=0.0, jitter_sigma=0.0)
         ev = make_events([1e-9, 2e-9], [0, 1])
-        assert len(detect_run(ev, cfg, 0)[0]) == 2
+        assert len(detect_run(ev, cfg, 0)) == 2
 
 
 class TestJitter:
@@ -155,7 +143,7 @@ class TestJitter:
         cfg = DetectorConfig(efficiency=1.0, dead_time=0.0, jitter_sigma=sigma)
         true_t = np.full(20_000, 1e-6)
         ev = make_events(true_t, np.zeros(20_000))
-        rec, _ = detect_run(ev, cfg, 1, duration=2e-6)
+        rec = detect_run(ev, cfg, 1, duration=2e-6)
         err = rec.times - 1e-6
         assert err.mean() == pytest.approx(0.0, abs=3 * sigma / np.sqrt(20_000))
         assert err.std() == pytest.approx(sigma, rel=0.03)
@@ -164,7 +152,7 @@ class TestJitter:
         cfg = DetectorConfig(efficiency=1.0, dead_time=0.0, jitter_sigma=100e-12)
         rng = window_rng(2, 0)
         ev = make_events(np.sort(rng.uniform(0, 1e-9, 200)), rng.integers(0, 16, 200))
-        rec, _ = detect_run(ev, cfg, 2, duration=2e-6)
+        rec = detect_run(ev, cfg, 2, duration=2e-6)
         assert np.all(np.diff(rec.times) >= 0)
 
 
@@ -173,7 +161,7 @@ class TestDarkCounts:
         cfg = DetectorConfig(efficiency=1.0, dead_time=0.0, jitter_sigma=0.0,
                              dark_count_rate=1000.0)
         # 16 pixels * 1 kHz * 0.5 s = 8000 expected darks
-        rec, _ = detect_run(make_events([], []), cfg, 6, duration=0.5)
+        rec = detect_run(make_events([], []), cfg, 6, duration=0.5)
         assert len(rec) == pytest.approx(8000, abs=400)
         assert rec.is_dark.all()
 
@@ -181,7 +169,7 @@ class TestDarkCounts:
         cfg = DetectorConfig(efficiency=1.0, dead_time=0.0, jitter_sigma=0.0,
                              dark_count_rate=5e4)
         ev = make_events([1e-6], [4])
-        rec, _ = detect_run(ev, cfg, 9, duration=2e-3)
+        rec = detect_run(ev, cfg, 9, duration=2e-3)
         assert len(rec) > 1
         photon_mask = ~rec.is_dark
         assert photon_mask.sum() == 1
@@ -194,24 +182,13 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             detect_run(ev, DetectorConfig(), 0)
 
-    @pytest.mark.parametrize("short", [0, 1, 2])
+    @pytest.mark.parametrize("short", [0, 1])
     def test_mismatched_lengths_rejected(self, short):
-        # one time, one bin and, below unit efficiency, one efficiency
-        # uniform per photon
-        args = [*make_events([1e-9, 2e-9], [0, 0]), np.array([0.1, 0.2])]
+        # one time and one bin per photon
+        args = list(make_events([1e-9, 2e-9], [0, 0]))
         args[short] = args[short][:1]
         with pytest.raises(InvalidArgumentError, match="equal length"):
-            detect(*args[:2], DetectorConfig(efficiency=0.5), args[2],
-                   noise_rng(0), 1.0)
-
-    @pytest.mark.parametrize("keep", [[0.1], [0.1, 0.2, 0.3, 0.4]])
-    def test_keep_of_another_size_rejected(self, keep):
-        # one uniform for three photons would keep at most one of them;
-        # four would read past the photons
-        ev = make_events([1e-9, 2e-9, 3e-9], [0, 1, 2])
-        with pytest.raises(InvalidArgumentError, match="equal length"):
-            detect(*ev, DetectorConfig(efficiency=0.5), np.array(keep),
-                   noise_rng(0), 1.0)
+            detect(*args, DetectorConfig(efficiency=0.5), noise_rng(0), 1.0)
 
     def test_bin_out_of_range_rejected(self):
         ev = make_events([1e-9], [16])
@@ -246,8 +223,8 @@ class TestWholeRun:
         # one call over the run gives the plain loop's clicks, bit for bit
         config, duration = self.cfg(**kw), 25 * 2e-6
         events = self.photons(31, 25)
-        run, keep = detect_run(events, config, 32, duration)
-        assert_reference(run, events, keep, config, 32, duration)
+        run = detect_run(events, config, 32, duration)
+        assert_reference(run, events, config, 32, duration)
         assert run.is_dark.any() == (config.dark_count_rate > 0.0)
 
     @pytest.mark.parametrize("dark_count_rate", [0.0, 2e5])
@@ -263,12 +240,10 @@ class TestWholeRun:
                           efficiency=efficiency, jitter_sigma=jitter_sigma,
                           dead_time=dead_time)
         events = self.photons(31, 25)
-        keep = efficiency_uniforms(config, 32, events[0].size)
-        arrays = [*events, keep]
-        before = [a.copy() for a in arrays]
-        rec = detect(*events, config, keep, noise_rng(32), 25 * 2e-6)
+        before = [a.copy() for a in events]
+        rec = detect_run(events, config, 32, 25 * 2e-6)
         assert len(rec) > 0
-        for a, b in zip(arrays, before):
+        for a, b in zip(events, before):
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
 
@@ -279,24 +254,27 @@ class TestWholeRun:
         config = self.cfg(efficiency=1.0, jitter_sigma=0.0,
                           dark_count_rate=0.0)
         ev = make_events([1.995e-6, 2e-6, 2.025e-6], [3, 3, 3])
-        rec, _ = detect_run(ev, config, 0, 4e-6)
+        rec = detect_run(ev, config, 0, 4e-6)
         np.testing.assert_array_equal(rec.times, [1.995e-6, 2.025e-6])
 
     def test_noise_drawn_from_run_stream_in_order(self):
-        # the noise stream gives, in this order: one Poisson dark count
-        # over the whole record, that many times duration * u, that many
-        # pixels, and one standard normal per registered click in record
-        # order, scaled by sigma.  Without dead time every click registers
+        # the noise stream gives, in this order: one uniform per photon in
+        # the input's order, the photon surviving if its uniform is below
+        # the efficiency; one Poisson dark count over the whole record,
+        # that many times duration * u, that many pixels; and one standard
+        # normal per registered click in record order, scaled by sigma.
+        # Without dead time every click registers
         config = self.cfg(dead_time=0.0)
         duration = 25 * 2e-6
         events = self.photons(31, 25)
-        rec, keep = detect_run(events, config, 5, duration)
+        rec = detect_run(events, config, 5, duration)
         stream = reference_impl.noise_rng(5)
+        lit = stream.random(events[0].size) < 0.8
         d = stream.poisson(2e5 * 16 * duration)
         dark_times = duration * stream.random(d)
         dark_pixels = stream.integers(0, 16, d)
         assert rec.is_dark.sum() == d > 0
-        lit = keep < 0.8
+        assert 0 < (~rec.is_dark).sum() == lit.sum() < lit.size
         times = np.concatenate([events[0][lit], dark_times])
         pixels = np.concatenate([events[1][lit], dark_pixels])
         order = np.argsort(times, kind="stable")
@@ -366,10 +344,10 @@ class TestContinuousRecord:
             pixel_count=3, efficiency=efficiency, dead_time=20e-9,
             jitter_sigma=0.0,
             dark_count_rate=darks_per_window / (3 * window))
-        rec, keep = detect_run(events, config, seed, duration)
+        rec = detect_run(events, config, seed, duration)
         for pixel in range(3):
             assert np.all(np.diff(rec.times[rec.pixels == pixel]) >= 20e-9)
-        assert_reference(rec, events, keep, config, seed, duration)
+        assert_reference(rec, events, config, seed, duration)
 
     @settings(deadline=None, max_examples=150)
     @given(edge_runs(spread=150e-12), st.sampled_from([0.0, 20e-9]))
@@ -377,36 +355,49 @@ class TestContinuousRecord:
         events, _, duration, seed = run
         config = DetectorConfig(pixel_count=3, dead_time=dead_time,
                                 jitter_sigma=50e-12)
-        rec, keep = detect_run(events, config, seed, duration)
+        rec = detect_run(events, config, seed, duration)
         assert np.all(np.diff(rec.times) >= 0)
-        assert_reference(rec, events, keep, config, seed, duration)
+        assert_reference(rec, events, config, seed, duration)
 
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.tuples(st.floats(0.0, 1e-6), st.integers(0, 2)),
                     max_size=30, unique_by=lambda photon: photon[0]),
-           st.sampled_from([1.0, 0.7]), st.sampled_from([0.0, 50e-12]),
-           st.sampled_from([0.0, 3e6]), st.randoms(use_true_random=False),
-           st.integers(0, 2**64 - 1))
-    def test_permuted_photons_give_same_records(self, photons, efficiency,
-                                                jitter, dark, random, seed):
+           st.sampled_from([0.0, 50e-12]), st.sampled_from([0.0, 3e6]),
+           st.randoms(use_true_random=False), st.integers(0, 2**64 - 1))
+    def test_permuted_photons_give_same_records(self, photons, jitter, dark,
+                                                random, seed):
         # the input need not be in time order: the record is time order,
-        # so any order of the photons, each with its efficiency uniform,
-        # gives the same clicks.  Times are distinct, so no tie can make
-        # the order of two photons depend on the input's
-        config = DetectorConfig(pixel_count=3, efficiency=efficiency,
-                                jitter_sigma=jitter, dark_count_rate=dark)
+        # so at unit efficiency any order of the photons gives the same
+        # clicks.  Times are distinct, so no tie can make the order of two
+        # photons depend on the input's
+        config = DetectorConfig(pixel_count=3, jitter_sigma=jitter,
+                                dark_count_rate=dark)
         events = make_events(*zip(*photons)) if photons else make_events(
             [], [])
-        keep = efficiency_uniforms(config, seed, events[0].size)
         shuffled = list(range(events[0].size))
         random.shuffle(shuffled)
-        got = detect(events[0][shuffled], events[1][shuffled], config,
-                     keep[shuffled] if keep.size else keep, noise_rng(seed),
-                     1e-6)
+        got = detect_run((events[0][shuffled], events[1][shuffled]), config,
+                         seed, 1e-6)
         order = np.argsort(events[0])
-        want = detect(events[0][order], events[1][order], config,
-                      keep[order] if keep.size else keep, noise_rng(seed),
-                      1e-6)
+        want = detect_run((events[0][order], events[1][order]), config,
+                          seed, 1e-6)
         for name in ("pixels", "times", "is_dark"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e-6), st.integers(0, 2)),
+                    max_size=30),
+           st.sampled_from([0.0, 50e-12]), st.sampled_from([0.0, 3e6]),
+           st.randoms(use_true_random=False), st.integers(0, 2**64 - 1))
+    def test_efficiency_uniforms_follow_input_order(self, photons, jitter,
+                                                    dark, random, seed):
+        # below unit efficiency the k-th uniform of the noise stream
+        # decides the k-th photon as given, whatever the photons' times
+        config = DetectorConfig(pixel_count=3, efficiency=0.7,
+                                jitter_sigma=jitter, dark_count_rate=dark)
+        random.shuffle(photons)
+        events = make_events(*zip(*photons)) if photons else make_events(
+            [], [])
+        rec = detect_run(events, config, seed, 1e-6)
+        assert_reference(rec, events, config, seed, 1e-6)

@@ -316,11 +316,11 @@ class TestStreamParity:
     # and record arrays as the one-record reference loop produced them)
     CASES = [
         ({"efficiency": 0.7}, 3,
-         "f64f1a6e6ba65b840026541b481059ecad22370ce3b97a7c2d77e4556641da32"),
+         "82b1c8a810f947a91aee811cd46dc2508981003444abf607f9183a15539b7eb0"),
         ({"dark_count_rate_hz": 1e5}, 4,
          "0640d463a46f9d8597c5f24afb4cb7a7e384b4ecdb62314d0f1cfd95c01f3f9f"),
         ({"efficiency": 0.5, "dark_count_rate_hz": 1e5}, 5,
-         "ed9e068deeffc4af7738766da53357bbb1dfc31fd544d3e89c7739d02bd553ad"),
+         "5fd0f5a09b1c808e38f9fc1721b8b6bc3de6d3ca0e5e5307a2e242f5d1e2e675"),
         ({"dead_time_ns": 0.0}, 6,
          "30b43288f4d42868a51ce3a8a76be4b7945d13b7d528b6ad6160ccae46ec8f5a"),
         ({"jitter_sigma_ns": 0.0}, 7,
@@ -338,7 +338,7 @@ class TestStreamParity:
          "7274356af9323121b8de7e322a31c1be78c48b2b2674bec4a3fe43c40b2132bf"),
         ({"mean_photon_number": 4.0, "dead_time_ns": 200.0,
           "efficiency": 0.9}, 2**63 + 5,
-         "9d9303962e1db587c418eb936370ff60e528a41c4ee752844259e4a0de1f2d87"),
+         "9937dbd929aea206be276b850339fd1647cc706837e1c638ffce00a9bf36043c"),
     ]
 
     @pytest.mark.parametrize(
@@ -385,10 +385,10 @@ class TestStreamParity:
     def test_noise_leaves_photons_and_registered_clicks(
             self, windows, mean, efficiency, dark, dead_time, jitter, seed):
         # the truth arrays are each window's photon draws on its own
-        # stream, whatever the noise; the registered clicks are those of
-        # the same run without jitter, each moved by its normal: the noise
-        # stream's draws after the dark counts, one per click in record
-        # order
+        # stream, whatever the efficiency and the noise; the registered
+        # clicks are those of the same run without jitter, each moved by
+        # its normal: the noise stream's draws after the efficiency
+        # uniforms and the dark counts, one per click in record order
         overrides = {"windows": windows, "mean_photon_number": mean,
                      "efficiency": efficiency, "dark_count_rate_hz": dark,
                      "dead_time_ns": dead_time}
@@ -415,6 +415,7 @@ class TestStreamParity:
 
         det = cfg.detector_config()
         noise = reference_impl.noise_rng(seed)
+        reference_impl.survivors(det, noise, stream.truth_times.size)
         reference_impl.dark_counts(det, noise, windows * cfg.window)
         clicks = still.records
         moved = clicks.times + noise.normal(0.0, det.jitter_sigma,
@@ -433,7 +434,7 @@ class TestStreamParity:
             seed=0)
         text = render_report(run_experiment(cfg).report)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "406d35db00ffc728b7fb7030ad9c99d95f1e0d15e4f97f4c72eceb42aebe4a2c")
+            "50f72b3f2c2c2f8cde0b1a8c47f9f2e8b931eaf081c5e43f1be66ba93d823df9")
 
     # the other parity reports: (experiment, overrides, seed, sha256 of
     # render_report); with the export case above these are all eleven
@@ -458,7 +459,7 @@ class TestStreamParity:
         ("counting", {"mean_photon_number": 30.0}, 0,
          "f5e392d1361d4bb84aed5f6efc36e2098813fa91962715b799a2c6eda48552f6"),
         ("intervals", EXPORT, 1,
-         "37b61a85e40c3c8f59d06cf57d2d1570c0c1265874fbdd3c9c9a4e87df80d6a4"),
+         "8e96da8524db8da9eac6bc0bae4fe6b431b3c1c7786bdac495f5d11fe67d30f7"),
     ]
 
     @pytest.mark.parametrize(

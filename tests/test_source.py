@@ -384,10 +384,9 @@ DRAW_PEAK_BYTES_PER_VALUE = 21
 
 def assert_reference_draws(cfg):
     """_draw_windows gives the reference's per-window draws, bit for bit."""
-    arrivals, counts, uniforms, keep = _draw_windows(cfg)
+    arrivals, counts, uniforms = _draw_windows(cfg)
     want = reference_impl.draw_windows(cfg)
-    got = {"arrivals": arrivals, "counts": counts, "uniforms": uniforms,
-           "keep": keep}
+    got = {"arrivals": arrivals, "counts": counts, "uniforms": uniforms}
     for name, values in got.items():
         assert values.dtype == want[name].dtype, name
         np.testing.assert_array_equal(values, want[name], err_msg=name)
@@ -400,9 +399,10 @@ class TestDrawWindows:
            st.sampled_from([0.0, 0.05]), st.integers(0, 2**64 - 1))
     def test_matches_per_window_draws(self, windows, mean, efficiency,
                                       dark_rate, jitter, seed):
-        # windows with no photons, runs with none at all (mean 0) and
-        # efficiency uniforms below unit efficiency; dark counts and
-        # jitter on or off leave the photon draws as they are
+        # windows with no photons and runs with none at all (mean 0);
+        # efficiency below 1, dark counts and jitter on or off leave the
+        # photon draws as they are: the detector draws from the noise
+        # stream
         cfg = config_from_dict("counting", {
             "windows": windows, "mean_photon_number": mean,
             "efficiency": efficiency, "dark_count_rate_hz": dark_rate,
@@ -417,11 +417,11 @@ class TestDrawWindows:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            arrivals, _, uniforms, keep = _draw_windows(cfg)
+            arrivals, _, uniforms = _draw_windows(cfg)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        drawn = arrivals.size + uniforms.size + keep.size
+        drawn = arrivals.size + uniforms.size
         assert drawn == 600_104
         assert peak <= DRAW_PEAK_BYTES_PER_VALUE * drawn, peak / drawn
 
@@ -479,8 +479,7 @@ class TestAssignBins:
                                    2e-6)
         bins = assign_bins(np.full(16, 1.0 / 16), np.array([0.5]))
         with pytest.raises(InvalidArgumentError):
-            detect(times, bins, DetectorConfig(), np.empty(0), noise_rng(0),
-                   2e-6)
+            detect(times, bins, DetectorConfig(), noise_rng(0), 2e-6)
 
     def test_whole_run_equals_window_by_window(self):
         # the run's bins are each window's bins as the reference draws them
@@ -489,7 +488,7 @@ class TestAssignBins:
 
         p = bin_probabilities(8, 0.763)
         cfg = config_from_dict("counting", {"windows": 40}, seed=23)
-        arrivals, counts, uniforms, _ = _draw_windows(cfg)
+        arrivals, counts, uniforms = _draw_windows(cfg)
         _, windows = sample_arrivals(arrivals, counts, cfg.window)
         run = assign_bins(p, uniforms)
         for w in range(40):
