@@ -201,6 +201,8 @@ def cmd_decode_trace(args) -> int:
     trace = _read_trace(args.input)
     try:
         dec = decode(trace, line)
+    except ResourceLimitError:
+        raise
     except QGaltonError as exc:
         raise DecodeFailure(str(exc)) from exc
     if len(dec) == 0 or not dec.ok.any():

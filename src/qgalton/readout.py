@@ -230,16 +230,27 @@ def _scan_ranks(pixel_count: int) -> np.ndarray:
 # more blocks, not more memory, and at 30 photons per window decode runs
 # faster than on one block of every pair
 _BLOCK = 1 << 14
+# pairs a walk may visit: decode tests each one, and persistence_trace keeps
+# each, about 43 bytes at its peak; pairs per trigger grow with the click
+# rate, so work and memory grow with its square
+MAX_WALK_PAIRS = 2**23
 
 
 def _pairs_within(trig_times, part_times, reach):
     """The number of (trigger, partner) pairs no more than reach apart, and
     a generator of them: trigger and partner index arrays, in blocks of
     about _BLOCK pairs, by trigger and then partner.  Both times must be
-    sorted; only two entries per trigger live through the blocks."""
+    sorted; only two entries per trigger live through the blocks.  More
+    than MAX_WALK_PAIRS pairs are refused, with ResourceLimitError, before
+    any is built."""
     lo = searchsorted_sorted(part_times, trig_times - reach, "left")
     ends = np.cumsum(searchsorted_sorted(part_times, trig_times + reach,
                                          "right") - lo)
+    total = int(ends[-1]) if ends.size else 0
+    if total > MAX_WALK_PAIRS:
+        raise ResourceLimitError(
+            f"{total} (trigger, counter pulse) pairs within the line's reach:"
+            f" limit is {MAX_WALK_PAIRS}; lower mean_photon_number or windows")
 
     def blocks():
         start = 0
@@ -254,7 +265,7 @@ def _pairs_within(trig_times, part_times, reach):
                                n_pair))
             start = stop
 
-    return int(ends[-1]) if ends.size else 0, blocks()
+    return total, blocks()
 
 
 def _candidates(trig_times, part_times, config: LineConfig, slot_delays):
@@ -336,7 +347,9 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     the line's reach against the slot nearest its spacing; a pair that
     shares no pulse with another candidate is taken at once, and the
     contested rest go through one ordered `pair_pulses` walk.  Times past
-    MAX_TRACE_TIME are refused.  A pair in a padding slot names no
+    MAX_TRACE_TIME are refused, and so, with ResourceLimitError and before
+    any pair is built, are more than MAX_WALK_PAIRS pairs within the
+    line's reach.  A pair in a padding slot names no
     physical pixel, so it is flagged pixel_out_of_range.  Unmatched pulses
     come back as orphans.  Rows are sorted by origin time (a pulse time
     for orphans), in one stable sort of the pairs in trigger order and then
@@ -405,11 +418,6 @@ def _scan_ties(order, tie, slots, pixel_count):
     order[rows] = order[rows][np.lexsort((ranks, run))]
 
 
-# pairs persistence_trace overlays at once, each about 43 bytes at its peak;
-# pairs per trigger grow with the click rate, so memory grows with its square
-MAX_OVERLAY_PAIRS = 2**23
-
-
 @dataclass
 class PersistenceResult:
     """Trigger-aligned overlay of counter pulses.
@@ -442,7 +450,7 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
     their delay from the trigger.  True pairs pile up at the slot delays
     while unrelated clicks leave a thin haze, so clusters below
     min_cluster members (default max(5, 0.1% of sweeps)) are discarded.
-    More than MAX_OVERLAY_PAIRS pairs are refused, with ResourceLimitError,
+    More than MAX_WALK_PAIRS pairs are refused, with ResourceLimitError,
     before any is built, as are times past +/- MAX_TRACE_TIME; a run's
     config has checked bin_width.
     """
@@ -455,10 +463,6 @@ def persistence_trace(trace: TraceEvents, config: LineConfig,
         min_cluster = max(5, int(round(1e-3 * n_trig)))
 
     total, blocks = _pairs_within(trig_times, part_times, reach)
-    if total > MAX_OVERLAY_PAIRS:
-        raise ResourceLimitError(
-            f"{total} (trigger, counter pulse) pairs to overlay: limit is "
-            f"{MAX_OVERLAY_PAIRS}; lower mean_photon_number or windows")
     overlay = [(np.empty(0), np.empty(0))] + [
         (part_times[p] - trig_times[t], part_amps[p]) for t, p in blocks]
     delays, amplitudes = map(np.concatenate, zip(*overlay))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,20 @@ class TestRun:
         assert code == EXIT_RESOURCE
         assert rep is None
         assert field in err and "limit" in err
+
+    def test_dense_pair_walk_exit_resource(self, tmp_path, capsys):
+        # a valid config whose 4,000 clicks all fall within one line reach:
+        # decode would test about 1.6e7 pairs, and refuses the count
+        # before building any
+        start = time.perf_counter()
+        code, rep, err = run_cli(capsys, "run", "counting", "--config",
+                                 self.config(tmp_path, windows=2,
+                                             window_ns=1.0, dead_time_ns=0.0,
+                                             mean_photon_number=2000.0))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert "pairs" in err and "limit is 8388608" in err
 
     @pytest.mark.parametrize("experiment, overrides, reason", [
         ("counting", {"windows": 10}, "pooled categories"),
@@ -728,6 +743,17 @@ class TestDecodeTrace:
         assert code == EXIT_RESOURCE
         assert rep is None
         assert "pixel_count" in err and "124" in err
+
+    def test_dense_trace_exit_resource(self, tmp_path, capsys):
+        # 3000 pulses of each polarity inside 1 ns give 9e6 pairs within
+        # the line's reach: a resource limit, not a decode failure
+        p = tmp_path / "dense.csv"
+        p.write_text("".join(f"{t!r},{a}\n" for t, a in zip(
+            np.linspace(0.0, 1.0, 6000).tolist(), [-1.0, 1.0] * 3000)))
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", str(p))
+        assert code == EXIT_RESOURCE
+        assert rep is None
+        assert "pairs" in err and "limit is 8388608" in err
 
     def test_header_after_blank_lines(self, tmp_path, capsys):
         # the first non-blank line may be the header, wherever it sits

@@ -345,6 +345,23 @@ class TestDecodeValidation:
         dec = decode(TraceEvents(np.array([]), np.array([])), LineConfig())
         assert len(dec) == 0
 
+    def test_dense_trace_refused_before_any_pair(self):
+        # 3000 triggers and 3000 counter pulses inside one reach give 9e6
+        # pairs to test, past the bound the persistence overlay shares;
+        # the count alone is refused
+        n = 3000
+        trace = TraceEvents(np.linspace(0.0, 1e-9, 2 * n),
+                            np.tile([-1.0, 1.0], n))
+        assert n * n > readout.MAX_WALK_PAIRS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="limit is 8388608"):
+                decode(trace, LineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     @pytest.mark.parametrize("edge", [-MAX_TRACE_TIME, MAX_TRACE_TIME])
     def test_decodes_at_the_time_bound(self, edge):
         # the outer pulse of each pair sits on the bound itself
@@ -627,7 +644,7 @@ class TestPersistence:
         n = 3000
         times = np.linspace(0.0, 1e-9, 2 * n)
         trace = TraceEvents(times, np.tile([-1.0, 1.0], n))
-        assert n * n > readout.MAX_OVERLAY_PAIRS
+        assert n * n > readout.MAX_WALK_PAIRS
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError,
