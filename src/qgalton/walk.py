@@ -18,9 +18,9 @@ from the left output of coupler j, with vacuum at both edges.
 many values of t**2 at once; `path_sum_oracle` recomputes one distribution
 by brute-force enumeration of all 2**S transmit/cross decision paths and is
 kept deliberately independent of it so the two can check each other.
-`bin_polynomial` samples `bin_probabilities` at S + 1 points and returns
-the same rows as a polynomial in t**2, for the fits' many refinement
-probes.
+`unchecked_bin_polynomial` samples `bin_probabilities` at S + 1 points
+and returns the same rows as a polynomial in t**2, for the fits' many
+refinement probes.
 
 Every amplitude is purely real or purely imaginary, so the recurrence runs
 on real numbers.  A cross contributes a factor i, and a path's input side
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
-__all__ = ["bin_polynomial", "bin_probabilities", "path_sum_oracle"]
+__all__ = ["bin_probabilities", "path_sum_oracle"]
 
 # The walk does stages**2 / 2 coupler steps per t^2 value, and a fit holds
 # several (rows, 2*stages) model tables at once; this bounds both.
@@ -126,7 +126,7 @@ def bin_probabilities(stages: int, t_squared, input_port: str = "left") -> np.nd
     return probs[0] if scalar else probs
 
 
-def bin_polynomial(stages: int, input_port: str = "left"):
+def unchecked_bin_polynomial(stages: int, input_port: str):
     """`bin_probabilities` for one stage count and port, as a polynomial.
 
     A bin's probability sums products of two path amplitudes, t**s1 r**c1
@@ -139,23 +139,13 @@ def bin_polynomial(stages: int, input_port: str = "left"):
     sum gives its Chebyshev coefficients, which fix it to rounding (within
     about 1e-13 of the walk up to MAX_STAGES).
 
-    Returns a function from a vector of t**2 values in [0, 1] to the rows
+    Returns a function from a vector of t**2 values to the rows
     `bin_probabilities` gives for them, each value clipped at 0 so that a
-    logarithm never sees rounding below it.  It refuses a t**2 outside
-    [0, 1] or NaN; `unchecked_bin_polynomial` is the same function without
-    that check.
-    """
-    rows = unchecked_bin_polynomial(stages, input_port)
-    return lambda t_squared: rows(check_t_squared(t_squared))
-
-
-def unchecked_bin_polynomial(stages: int, input_port: str):
-    """`bin_polynomial` for t**2 values known to lie in [0, 1].
-
-    For callers whose values lie there by construction, such as the
-    golden-section probes of `stats.fit_t2`, which stay inside brackets
-    within [0, 1]: the check of every evaluation would cost them about a
-    quarter of its time.  A value outside [0, 1] gives a meaningless row.
+    logarithm never sees rounding below it.  The values are not checked:
+    they must lie in [0, 1], as the golden-section probes of
+    `stats.fit_t2` do by construction (a check of every evaluation would
+    cost them about a quarter of its time), and a value outside gives a
+    meaningless row.
 
     A row's bits can depend on how many points one call holds: the
     Chebyshev sum is one matrix product, and the BLAS takes another path

@@ -43,7 +43,7 @@ from qgalton.stats import (
     _poisson_pmf_matrix,
     _tail_coefficients,
 )
-from qgalton.walk import bin_polynomial, bin_probabilities
+from qgalton.walk import bin_probabilities, unchecked_bin_polynomial
 
 
 class TestFitT2:
@@ -569,7 +569,7 @@ class TestGoldenMinimize:
         freq = counts / counts.sum()
         mask = counts > 0
         grid = np.linspace(0.0, 1.0, T2_GRID_POINTS)
-        polynomial = bin_polynomial(stages)
+        polynomial = unchecked_bin_polynomial(stages, "left")
 
         def walk(x):
             return bin_probabilities(stages, x)
