@@ -6,9 +6,9 @@ line back into events.  Each acquisition window draws its photons from
 its own stream (`source.window_rng`), and the detector draws its
 efficiency uniforms, dark counts and jitter from one run-level noise
 stream (`source.noise_rng`); everything else, from bin assignment through
-the detector to the readout, runs once over the whole run.  All reported statistics come from
-the decoded events; the emitted photons ride along as a truth channel for
-validation.
+the detector to the readout, runs once over the whole run.  All reported
+statistics come from the decoded events; the emitted photons ride along
+as a truth channel for validation.
 """
 
 from __future__ import annotations

@@ -250,7 +250,8 @@ def _pairs_within(trig_times, part_times, reach):
     if total > MAX_WALK_PAIRS:
         raise ResourceLimitError(
             f"{total} (trigger, counter pulse) pairs within the line's reach:"
-            f" limit is {MAX_WALK_PAIRS}; lower mean_photon_number or windows")
+            f" limit is {MAX_WALK_PAIRS}; decode a shorter or sparser trace "
+            "(in a run, lower mean_photon_number or windows)")
 
     def blocks():
         start = 0
@@ -349,14 +350,14 @@ def decode(trace: TraceEvents, config: LineConfig) -> DecodedEvents:
     contested rest go through one ordered `pair_pulses` walk.  Times past
     MAX_TRACE_TIME are refused, and so, with ResourceLimitError and before
     any pair is built, are more than MAX_WALK_PAIRS pairs within the
-    line's reach.  A pair in a padding slot names no
-    physical pixel, so it is flagged pixel_out_of_range.  Unmatched pulses
-    come back as orphans.  Rows are sorted by origin time (a pulse time
-    for orphans), in one stable sort of the pairs in trigger order and then
-    the orphans.  Rows of equal time go in scan order, then trigger order,
-    then trigger orphans, then counter orphans: the sort gives every order
-    but the first, and pairs of equal origin, which a run seldom has, are
-    put in scan order after it.
+    line's reach.  A pair in a padding slot names no physical pixel, so it
+    is flagged pixel_out_of_range.  Unmatched pulses come back as orphans.
+    Rows are sorted by origin time (a pulse time for orphans), in one
+    stable sort of the pairs in trigger order and then the orphans.  Rows
+    of equal time go in scan order, then trigger order, then trigger
+    orphans, then counter orphans: the sort gives every order but the
+    first, and pairs of equal origin, which a run seldom has, are put in
+    scan order after it.
     """
     trig_pos, trig_times, part_pos, part_times = _time_order(trace, config)
     n_pix = config.pixel_count

@@ -72,11 +72,11 @@ def noise_rng(master_seed: int) -> np.random.Generator:
 
     Efficiency thinning, dark counts and jitter belong to the detector,
     which watches the continuous record, not a window, so a run draws
-    them from this one stream (see `detector.detect`).  Its
-    key is the one `window_rng` would give window SEED_MAX, an index no
-    run reaches.  The key is built as one integer, low word the seed: as
-    a list, [seed, SEED_MAX] with a seed below 2**63 goes through float64
-    and becomes key (seed, 0), window 0's stream."""
+    them from this one stream (see `detector.detect`).  Its key is the one
+    `window_rng` would give window SEED_MAX, an index no run reaches.  The
+    key is built as one integer, low word the seed: as a list, [seed,
+    SEED_MAX] with a seed below 2**63 goes through float64 and becomes key
+    (seed, 0), window 0's stream."""
     return np.random.Generator(
         np.random.Philox(key=master_seed + (SEED_MAX << 64)))
 
