@@ -5,10 +5,9 @@ dead-time and greedy pulse-pairing loops, the slot-by-slot decoder, a
 plain loop that runs the whole record through the detector one event at a
 time, a run's photon draws made window by window on fresh generators and
 its detector draws (efficiency, dark counts, jitter) on a fresh generator
-of the noise stream, the
-row-by-row CSV tables, and golden section on one bracket in scalars.  The
-package replaced them with real-valued or vectorized forms; the parity
-tests compare the two element for element.
+of the noise stream, the row-by-row CSV tables, and golden section on one
+bracket in scalars.  The package replaced them with real-valued or
+vectorized forms; the parity tests compare the two element for element.
 """
 
 import math
@@ -206,9 +205,9 @@ def simulate_stream(config):
     photon before a dark count on a tie) and pass, one at a time, through
     pixels whose dead time runs on across window edges; the registered
     clicks take their jitter from the noise stream in that order.
-    Returns a namespace with
-    the ``truth_*`` arrays and ``records`` (pixels, times, is_dark) of
-    ``experiments.simulate_stream``, before the readout.
+    Returns a namespace with the ``truth_*`` arrays and ``records``
+    (pixels, times, is_dark) of ``experiments.simulate_stream``, before
+    the readout.
     """
     probs = bin_probabilities(config.stages, config.resolved_t2(),
                               config.input_port)
