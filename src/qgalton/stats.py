@@ -15,10 +15,12 @@ stages in t^2: it scans the walk on a grid and reads its golden-section
 probes off that polynomial (`unchecked_bin_polynomial`), each row's probe
 in its own call.
 
-Only numpy and `math` are used at run time: the Poisson pmf and tail and
-the chi-square tail are written out here, so importing this module loads
-no scipy, whose import would take most of a process's start-up.  The
-tests hold them to `scipy.stats`.
+Only numpy and `math` are used at run time: the Poisson pmf and the
+chi-square tail are written out here, so importing this module loads no
+scipy, whose import would take most of a process's start-up.  The Poisson
+tail is the mass a pmf row leaves, 1 - its sum, as chi_square_gof takes a
+model's deficit.  The tests hold all three to `scipy.stats`, the tail
+absolutely.
 """
 
 from __future__ import annotations
@@ -336,56 +338,28 @@ def poisson_pmf(k, lam):
     return _pmf(k, lam, _log_factorials(k))
 
 
-def _tail_coefficients(kmax: int) -> np.ndarray:
-    """The coefficients d_1..d_terms of `_poisson_pmf_matrix`'s tail at kmax.
-
-    d_n is the product of (kmax + 1) / (kmax + j) for j = 1..n.  The tail's
-    term ratios lam / (kmax + j) fall with j and grow with lam, so the term
-    count is taken once, at the top of fit_poisson's bracket, lam = kmax + 1,
-    and serves every mean in it: with r the next ratio there and q the next
-    term over the first, the terms left are at most q / (1 - r) of the
-    first, and the count stops where that is at most _EPS.
-    """
-    top = kmax + 1.0
-    terms, q = 1, 1.0
-    while True:
-        r = top / (kmax + terms + 1)
-        q *= r
-        if q <= _EPS * (1.0 - r):
-            break
-        terms += 1
-    return np.cumprod(top / (kmax + np.arange(1, terms + 1)))
-
-
 def _poisson_pmf_matrix(lam_rows: np.ndarray, k: np.ndarray,
-                        log_k_factorial: np.ndarray,
-                        coefficients: np.ndarray) -> np.ndarray:
+                        log_k_factorial: np.ndarray) -> np.ndarray:
     """pmf over k = 0..kmax per row plus a tail-mass column.
 
-    Each lam lies in [0, kmax + 1].  The tail P(X > kmax) is pmf(kmax) * R,
-    R = sum over n >= 1 of d_n x**n with x = lam / (kmax + 1) <= 1 and
-    coefficients = `_tail_coefficients(kmax)`, taken by Horner over all rows
-    at once.  Every row takes the same terms, so a row's bits do not depend
-    on the other rows of its call.
+    The tail P(X > kmax) is the mass the row leaves, 1 - sum of its pmf,
+    the rule chi_square_gof applies to a model that falls short of one.
+    It is not clipped: where the pmf's rounding carries the row's sum past
+    1, the tail reads below zero by that excess, which the squared
+    objective does not see.  Each row is summed alone, so a row's bits do
+    not depend on the other rows of its call.
     """
-    kmax = int(k[-1])
     pmf = _pmf(k[None, :], lam_rows[:, None], log_k_factorial)
-    x = lam_rows / (kmax + 1)
-    tail = np.full_like(x, coefficients[-1])
-    for coefficient in coefficients[-2::-1].tolist():
-        tail *= x
-        tail += coefficient
-    tail *= x
-    tail *= pmf[:, -1]
-    return np.concatenate([pmf, tail[:, None]], axis=1)
+    return np.concatenate([pmf, 1.0 - pmf.sum(axis=1)[:, None]], axis=1)
 
 
 def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
                 seed: int = 0) -> FitResult:
     """Least-squares Poisson mean from per-window counts.
 
-    The observed count histogram (with an implicit empty tail category
-    above the largest count) is matched against the Poisson pmf.  The MLE
+    The observed count histogram, with an empty tail category above the
+    largest count, is matched against the Poisson pmf over the counts and
+    the mass it leaves for the tail (`_poisson_pmf_matrix`).  The MLE
     is the sample mean.  The interval is a nonparametric bootstrap over
     windows, done as multinomial resampling of the count histogram.
     """
@@ -418,10 +392,8 @@ def fit_poisson(window_counts, n_bootstrap: int = DEFAULT_BOOTSTRAP,
     observed = freq[:-1] / freq[:-1].sum()
     k = np.arange(kmax + 1)
     log_k_factorial = _log_factorials(k)
-    coefficients = _tail_coefficients(kmax)
     return _least_squares_fit(
-        lambda lam_rows: _poisson_pmf_matrix(lam_rows, k, log_k_factorial,
-                                             coefficients),
+        lambda lam_rows: _poisson_pmf_matrix(lam_rows, k, log_k_factorial),
         freq, n_windows, (0.0, float(kmax + 1)), n_bootstrap, seed,
         resample_p=observed, mle=float(counts.mean()))
 
