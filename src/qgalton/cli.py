@@ -51,9 +51,17 @@ class DecodeFailure(Exception):
     """Raised by decode-trace when no usable events come out."""
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is refused by path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise QGaltonError(f"{path}: {exc}") from None
+
+
 def _read_numbers(path: str) -> np.ndarray:
     """Numbers from a JSON array file or whitespace/comma separated text."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("["):
         # an integer past the float range reads as inf, which is refused
@@ -80,7 +88,7 @@ def _read_trace(path: str) -> TraceEvents:
     the first non-blank line may be one."""
     times = []
     amps = []
-    lines = [line.strip() for line in Path(path).read_text().splitlines()]
+    lines = [line.strip() for line in _read_text(path).splitlines()]
     first = next((n for n, line in enumerate(lines) if line), None)
     for line_no, line in enumerate(lines):
         if not line:
@@ -303,6 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and args.out is None:
+            raise QGaltonError("--format csv writes its tables into the "
+                               "--out directory; give --out")
         # every option that sets a config key, before any input is read
         for key, flag, dest in getattr(args, "settings", ()):
             check_value(key, getattr(args, dest), flag)

@@ -325,11 +325,13 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
 
 def load_config(path: str, experiment: str,
                 seed: Optional[int] = None) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return config_from_dict(experiment, data, seed=seed)

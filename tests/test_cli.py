@@ -354,8 +354,17 @@ class TestRun:
     def test_malformed_json_exit_config(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{oops")
-        code, _, _ = run_cli(capsys, "run", "counting", "--config", str(p))
+        code, _, err = run_cli(capsys, "run", "counting", "--config", str(p))
         assert code == EXIT_CONFIG
+        assert f"{p}: config is not valid JSON: Expecting property name" in err
+
+    def test_config_not_utf8_names_file(self, tmp_path, capsys):
+        p = tmp_path / "config.json"
+        p.write_bytes(b'{"seed": 1}\xff')
+        code, rep, err = run_cli(capsys, "run", "counting", "--config", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: 'utf-8' codec can't decode byte 0xff" in err
 
     def test_defaults_without_config(self, tmp_path, capsys):
         # no --config runs the experiment defaults; persistence at modest
@@ -587,6 +596,16 @@ class TestFitCommands:
         assert rep is None
         assert f"{p}: expected a flat array of numbers" in err
 
+    @pytest.mark.parametrize("command", ["fit-t2", "fit-poisson",
+                                         "fit-exponential"])
+    def test_fit_input_not_utf8_names_file(self, tmp_path, capsys, command):
+        p = tmp_path / "values.txt"
+        p.write_bytes(b"\xff 1 2")
+        code, rep, err = run_cli(capsys, command, "--input", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: 'utf-8' codec can't decode byte 0xff" in err
+
     def test_fit_input_missing_exit_config(self, capsys):
         code, _, _ = run_cli(capsys, "fit-poisson", "--input", "/no/file")
         assert code == EXIT_CONFIG
@@ -777,6 +796,36 @@ class TestDecodeTrace:
         # unreadable input is a configuration problem, not a decode failure
         code, _, _ = run_cli(capsys, "decode-trace", "--input", "/no/trace")
         assert code == EXIT_CONFIG
+
+    def test_trace_not_utf8_names_file(self, tmp_path, capsys):
+        p = tmp_path / "trace.csv"
+        p.write_bytes(b"time_ns,amplitude\n1.0,\xff\n")
+        code, rep, err = run_cli(capsys, "decode-trace", "--input", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+class TestFormatNeedsOut:
+    """--format csv writes tables into the --out directory; without --out
+    the command is refused before any input is read or any run starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-walk"],
+        ["run", "counting"],
+        ["run", "counting", "--config", "/no/config.json"],
+        ["fit-t2", "--input", "/no/file"],
+        ["fit-poisson", "--input", "/no/file"],
+        ["fit-exponential", "--input", "/no/file"],
+        ["decode-trace", "--input", "/no/trace"],
+    ])
+    def test_csv_without_out_exit_config(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(qgalton.cli, "run_experiment", None)
+        code, rep, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert "--format csv" in err and "--out" in err
+        assert "/no/" not in err
 
 
 class TestConsoleScript:
