@@ -3,7 +3,7 @@
 Subcommands cover the walk solver, the four canned experiments, the three
 fitters, and a standalone trace decoder.  Every command prints a JSON
 report to stdout; --out writes report.json (and tables with --format csv)
-into a directory.
+into a directory.  --format csv without --out is refused.
 
 Exit codes: 0 success, 2 configuration or validation problems, 3 trace
 decoding failures, 4 resource limits.
@@ -17,7 +17,6 @@ import math
 import re
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .experiments import (
     config_from_dict,
     key_type,
     load_config,
+    read_text,
     render_report,
     run_experiment,
     write_outputs,
@@ -51,17 +51,9 @@ class DecodeFailure(Exception):
     """Raised by decode-trace when no usable events come out."""
 
 
-def _read_text(path: str) -> str:
-    """A file's UTF-8 text; a file that is not UTF-8 is refused by path."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise QGaltonError(f"{path}: {exc}") from None
-
-
 def _read_numbers(path: str) -> np.ndarray:
     """Numbers from a JSON array file or whitespace/comma separated text."""
-    text = _read_text(path)
+    text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("["):
         # an integer past the float range reads as inf, which is refused
@@ -88,7 +80,7 @@ def _read_trace(path: str) -> TraceEvents:
     the first non-blank line may be one."""
     times = []
     amps = []
-    lines = [line.strip() for line in _read_text(path).splitlines()]
+    lines = [line.strip() for line in read_text(path).splitlines()]
     first = next((n for n, line in enumerate(lines) if line), None)
     for line_no, line in enumerate(lines):
         if not line:
@@ -238,7 +230,7 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="directory for output files")
     p.add_argument("--format", default="json", choices=("json", "csv"),
                    help="output layout: json writes report.json only, csv "
-                        "adds the tables")
+                        "adds the tables (needs --out)")
 
 
 def _add_settings(p: argparse.ArgumentParser, *flags: str) -> None:

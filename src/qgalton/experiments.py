@@ -323,13 +323,19 @@ def config_from_dict(experiment: str, data: Optional[dict] = None,
     return ExperimentConfig(experiment=experiment, **merged)
 
 
+def read_text(path: str) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is refused by path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_config(path: str, experiment: str,
                 seed: Optional[int] = None) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
