@@ -339,7 +339,7 @@ def load_config(path: str, experiment: str,
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"{path}: config file must hold a JSON object")
     return config_from_dict(experiment, data, seed=seed)
 
 

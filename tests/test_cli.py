@@ -358,6 +358,14 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert f"{p}: config is not valid JSON: Expecting property name" in err
 
+    def test_config_not_an_object_names_file(self, tmp_path, capsys):
+        p = tmp_path / "config.json"
+        p.write_text("[1, 2]")
+        code, rep, err = run_cli(capsys, "run", "counting", "--config", str(p))
+        assert code == EXIT_CONFIG
+        assert rep is None
+        assert f"{p}: config file must hold a JSON object" in err
+
     def test_config_not_utf8_names_file(self, tmp_path, capsys):
         p = tmp_path / "config.json"
         p.write_bytes(b'{"seed": 1}\xff')
