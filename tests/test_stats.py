@@ -713,9 +713,8 @@ class TestRowsAlone:
     @settings(max_examples=300, deadline=None)
     @given(kmax=st.integers(1, 200),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
-    # rows far apart in one bracket: a tail that read anything batch-wide,
-    # such as a term count at the largest mean, gives the first row other
-    # bits here than alone
+    # rows far apart in one bracket: a tail that read anything batch-wide
+    # would give the first row other bits here than alone
     @example(kmax=50, fractions=[0.14, 0.95])
     def test_poisson_rows(self, kmax, fractions):
         lam = np.asarray(fractions) * (kmax + 1)
